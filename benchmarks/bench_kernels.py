@@ -3,8 +3,7 @@
 Runs every public kernel under both backends (when numba is importable)
 and prints best-of-N wall times with the speedup ratio.  Usage:
 
-    python3 benchmarks/bench_kernels.py [--scan-n 2000000] [--solve-n 500000]
-                                        [--bound 8] [--repeat 5]
+    python3 benchmarks/bench_kernels.py [--scan-n 2000000] [--bound 8] [--repeat 5]
 """
 
 from __future__ import annotations
@@ -36,10 +35,6 @@ def build_cases(args) -> list[tuple[str, object]]:
             lambda: kernels.representable_range(args.scan_n),
         ),
         (
-            f"solutions_array({args.solve_n})",
-            lambda: kernels.solutions_array(args.solve_n),
-        ),
-        (
             f"unimodular_entries({args.bound})",
             lambda: kernels.unimodular_entries(args.bound),
         ),
@@ -53,7 +48,6 @@ def build_cases(args) -> list[tuple[str, object]]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scan-n", type=int, default=2_000_000, dest="scan_n")
-    parser.add_argument("--solve-n", type=int, default=500_000, dest="solve_n")
     parser.add_argument("--bound", type=int, default=8)
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()

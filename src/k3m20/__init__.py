@@ -6,8 +6,9 @@ lattice.  This package decides which polarization degrees L^2 = 4n embed
 into it, classifies the solution vectors up to the lattice's 16
 isometries, computes the resulting transcendental lattices as reduced
 binary quadratic forms and checks the projective-model obstructions.
-All lattice arithmetic is exact over python integers; bulk scans run on
-numba- or numpy-backed kernels (see `k3m20.kernels`).
+All lattice arithmetic is exact over python integers; the orbit
+representatives are walked over a fundamental domain of the isometries in
+exact int64 numpy blocks (see `representability.orbit_reps`).
 """
 
 __version__ = "0.1.0"
@@ -16,6 +17,7 @@ from .binary_forms import EvenBinaryForm, ReducedForm, canonical, equivalent, fr
 from .isometries import canonical_rep, generate_group, orbit, same_orbit
 from .lattice import GRAM, divisibility, inner, is_primitive, norm, orthogonal_complement
 from .polarizations import (
+    EnumerationAnomaly,
     IndexAnomaly,
     OrbitClass,
     PolarizationReport,
@@ -36,6 +38,7 @@ from .representability import (
 )
 
 __all__ = [
+    "EnumerationAnomaly",
     "EvenBinaryForm",
     "GRAM",
     "IndexAnomaly",

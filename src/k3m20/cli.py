@@ -23,6 +23,7 @@ from . import __version__
 from .golden import golden_check
 from .lattice import Vec
 from .polarizations import (
+    EnumerationAnomaly,
     IndexAnomaly,
     ModelVerdict,
     PolarizationReport,
@@ -30,10 +31,15 @@ from .polarizations import (
     classify_range,
     model_verdict,
 )
-from .representability import is_prime, two_squares
+from .representability import MAX_N, is_prime, two_squares
 from .veronese import doubled_model_dims, quadrics_on_veronese2, scaled_quartic_dims
 
 CSV_HEADER = "n,l2,q,a,b,c,lambda,mu,delta,index"
+_PARALLEL_HELP = "accepted for compatibility; a range is swept once, in one process"
+_TOO_LARGE = (
+    "{flag} must be at most 2**60, the largest degree whose norm 4n"
+    " the enumeration handles exactly in int64"
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,10 +87,12 @@ def report_to_dict(report: PolarizationReport) -> dict:
 def _class_rows(report: PolarizationReport) -> list[tuple[int, ...]]:
     """One table row per transcendental class: the class data plus the
     lexicographically smallest orbit representative carrying it."""
+    first: dict = {}  # orbits are sorted by canonical, so the first of a class is its smallest
+    for o in report.orbits:
+        first.setdefault(o.tx, o)
     rows = []
     for f in report.tx_classes:
-        members = [o for o in report.orbits if o.tx == f]
-        vec = min(o.canonical for o in members)
+        vec = first[f].canonical
         rows.append(
             (
                 report.n,
@@ -96,7 +104,7 @@ def _class_rows(report: PolarizationReport) -> list[tuple[int, ...]]:
                 vec[0],
                 vec[1],
                 vec[2],
-                members[0].index,
+                first[f].index,
             )
         )
     return rows
@@ -150,7 +158,7 @@ def _cmd_classify(args) -> int:
     try:
         report = classify(args.n)
         verdict = model_verdict(report) if report.representable else None
-    except IndexAnomaly as exc:
+    except (IndexAnomaly, EnumerationAnomaly) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
@@ -168,8 +176,8 @@ def _cmd_classify(args) -> int:
 
 def _cmd_table(args) -> int:
     try:
-        reports = classify_range(args.max_n, workers=args.parallel)
-    except IndexAnomaly as exc:
+        reports = classify_range(args.max_n)
+    except (IndexAnomaly, EnumerationAnomaly) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     rows = [row for rep in reports if rep.representable for row in _class_rows(rep)]
@@ -210,8 +218,8 @@ def _prime_witnesses(max_n: int) -> list[tuple[int, Vec]]:
 
 def _cmd_scan(args) -> int:
     try:
-        reports = classify_range(args.max_n, workers=args.parallel)
-    except IndexAnomaly as exc:
+        reports = classify_range(args.max_n)
+    except (IndexAnomaly, EnumerationAnomaly) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     non_rep = [r.n for r in reports if not r.representable]
@@ -304,14 +312,14 @@ def build_parser() -> _Parser:
     p_table = sub.add_parser("table", help="classification table for n = 1..max-n")
     p_table.add_argument("--max-n", type=int, required=True, dest="max_n")
     p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_table.add_argument("--parallel", type=int, default=1, metavar="K")
+    p_table.add_argument("--parallel", type=int, default=1, metavar="K", help=_PARALLEL_HELP)
 
     sub.add_parser("golden-check", help="recompute the published table and diff")
 
     p_scan = sub.add_parser("scan", help="summary statistics for n = 1..max-n")
     p_scan.add_argument("--max-n", type=int, required=True, dest="max_n")
     p_scan.add_argument("--format", choices=("text", "json"), default="text")
-    p_scan.add_argument("--parallel", type=int, default=1, metavar="K")
+    p_scan.add_argument("--parallel", type=int, default=1, metavar="K", help=_PARALLEL_HELP)
 
     p_ver = sub.add_parser("veronese", help="dimension chases for re-embeddings")
     p_ver.add_argument("--n", type=int)
@@ -328,21 +336,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "classify":
             if args.n < 1:
                 parser.error("--n must be a positive integer")
+            if args.n > MAX_N:
+                parser.error(_TOO_LARGE.format(flag="--n"))
             return _cmd_classify(args)
-        if args.command == "table":
+        if args.command in ("table", "scan"):
             if args.max_n < 1:
                 parser.error("--max-n must be a positive integer")
+            if args.max_n > MAX_N:
+                parser.error(_TOO_LARGE.format(flag="--max-n"))
             if args.parallel < 1:
                 parser.error("--parallel must be a positive integer")
-            return _cmd_table(args)
+            return _cmd_table(args) if args.command == "table" else _cmd_scan(args)
         if args.command == "golden-check":
             return _cmd_golden_check(args)
-        if args.command == "scan":
-            if args.max_n < 1:
-                parser.error("--max-n must be a positive integer")
-            if args.parallel < 1:
-                parser.error("--parallel must be a positive integer")
-            return _cmd_scan(args)
         if args.command == "veronese":
             if args.n is not None and args.n < 1:
                 parser.error("--n must be a positive integer")

@@ -6,10 +6,10 @@ or `set_backend` at runtime.  Both paths produce identical arrays.
 
 Kernels work over int64 and are only called for inputs that fit
 comfortably (callers guard the range and fall back to exact pure-python
-code above it).  Everything here enumerates representations of
-4n = x^2 + y^2 + 10 z^2 with x = y = z (mod 2), or batches SL2(Z)
-actions on binary form triples; see representability / binary_forms
-for the exact-arithmetic reference implementations.
+code above it).  Everything here scans representability of
+4n = x^2 + y^2 + 10 z^2 with x = y = z (mod 2) over a range of n, or
+batches SL2(Z) actions on binary form triples; see representability /
+binary_forms for the exact-arithmetic reference implementations.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ try:
 except ImportError:  # pragma: no cover - numba is a declared dependency
     HAVE_NUMBA = False
 
-# largest n accepted by the int64 kernels; beyond this use the python paths
-MAX_KERNEL_N = 2**59
 # largest range scan (two bool tables of 4*max_n+1 entries are allocated)
 MAX_SCAN_N = 20_000_000
 
@@ -61,7 +59,6 @@ def set_backend(name: str) -> str:
 def warmup() -> str:
     """Trigger jit compilation so timed code paths run steady-state."""
     two_square_tables(64)
-    solutions_array(5)
     ts = unimodular_entries(1)
     transform_forms(1, 0, 1, ts)
     representable_range(16)
@@ -108,40 +105,6 @@ def _representable_range_np(max_n: int) -> np.ndarray:
         flags |= hit
     flags[0] = False
     return flags
-
-
-# ---------------------------------------------------------------------------
-# all solutions (lam, mu, delta) of 4n = (2 lam - delta)^2 + (2 mu - delta)^2
-# + 10 delta^2 for a single n, as an (k, 3) int64 array (unsorted)
-
-
-def _solutions_np(n: int) -> np.ndarray:
-    four_n = 4 * n
-    rows = []
-    dmax = math.isqrt(four_n // 10)
-    for delta in range(-dmax, dmax + 1):
-        rest = four_n - 10 * delta * delta
-        x_top = math.isqrt(rest)
-        lam = np.arange(-((x_top - delta) // 2), (x_top + delta) // 2 + 1, dtype=np.int64)
-        rem = rest - (2 * lam - delta) ** 2
-        s = np.sqrt(rem.astype(np.float64)).astype(np.int64)
-        s -= (s * s > rem).astype(np.int64)
-        s += ((s + 1) * (s + 1) <= rem).astype(np.int64)
-        ok = (s * s == rem) & ((s - delta) % 2 == 0)
-        lam, s = lam[ok], s[ok]
-        if lam.size == 0:
-            continue
-        for sign in (1, -1):
-            mu = (delta + sign * s) // 2
-            keep = np.ones(lam.size, dtype=np.bool_) if sign == 1 else s > 0
-            block = np.stack(
-                [lam[keep], mu[keep], np.full(keep.sum(), delta, dtype=np.int64)],
-                axis=1,
-            )
-            rows.append(block)
-    if not rows:
-        return np.zeros((0, 3), dtype=np.int64)
-    return np.concatenate(rows, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -225,40 +188,6 @@ if HAVE_NUMBA:
         return flags
 
     @njit
-    def _solutions_nb(n: np.int64) -> np.ndarray:
-        four_n = 4 * n
-        dmax = _isqrt_nb(four_n // 10)
-        count = 0
-        for pass_no in range(2):
-            if pass_no == 1:
-                out = np.empty((count, 3), dtype=np.int64)
-                count = 0
-            for delta in range(-dmax, dmax + 1):
-                rest = four_n - 10 * delta * delta
-                x_top = _isqrt_nb(rest)
-                lam_lo = -((x_top - delta) // 2)
-                lam_hi = (x_top + delta) // 2
-                for lam in range(lam_lo, lam_hi + 1):
-                    x = 2 * lam - delta
-                    rem = rest - x * x
-                    s = _isqrt_nb(rem)
-                    if s * s != rem or (s - delta) % 2 != 0:
-                        continue
-                    if pass_no == 0:
-                        count += 2 if s > 0 else 1
-                    else:
-                        out[count, 0] = lam
-                        out[count, 1] = (delta + s) // 2
-                        out[count, 2] = delta
-                        count += 1
-                        if s > 0:
-                            out[count, 0] = lam
-                            out[count, 1] = (delta - s) // 2
-                            out[count, 2] = delta
-                            count += 1
-        return out
-
-    @njit
     def _unimodular_entries_nb(bound: np.int64) -> np.ndarray:
         n_side = 2 * bound + 1
         count = 0
@@ -313,15 +242,6 @@ def representable_range(max_n: int) -> np.ndarray:
     if not 1 <= max_n <= MAX_SCAN_N:
         raise ValueError("range scan limit out of supported range")
     return _pick(_representable_range_np, "_representable_range_nb")(max_n)
-
-
-def solutions_array(n: int) -> np.ndarray:
-    """All (lam, mu, delta) with norm 4n, lexicographically sorted."""
-    if not 1 <= n <= MAX_KERNEL_N:
-        raise ValueError("n out of int64 kernel range")
-    arr = _pick(_solutions_np, "_solutions_nb")(n)
-    order = np.lexsort((arr[:, 2], arr[:, 1], arr[:, 0]))
-    return arr[order]
 
 
 def unimodular_entries(bound: int) -> np.ndarray:

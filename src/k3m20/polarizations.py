@@ -22,14 +22,14 @@ polarizations L = 2M through explicit exclusion branches instead.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import comb, isqrt
 
+import numpy as np
+
 from .binary_forms import ReducedForm, canonical, from_gram
-from .isometries import canonical_rep, orbit
-from .lattice import Vec, divisibility, norm, orthogonal_complement
-from .representability import enumerate_solutions, is_representable
+from .lattice import Vec, divisibility, orthogonal_complement
+from .representability import MAX_N, is_representable, orbit_reps, parity_lift
 
 
 class IndexAnomaly(Exception):
@@ -39,6 +39,14 @@ class IndexAnomaly(Exception):
         self.n = n
         self.d = d
         super().__init__(message or f"index anomaly: 160*{n}/{d} is not a perfect square")
+
+
+class EnumerationAnomaly(Exception):
+    """The orbit representatives of degree 4n broke an invariant; carries n."""
+
+    def __init__(self, n: int, message: str):
+        self.n = n
+        super().__init__(f"enumeration anomaly at n = {n}: {message}")
 
 
 @dataclass(frozen=True)
@@ -137,52 +145,50 @@ def scale_embedding(v: Vec, r: int) -> Vec:
     return (r * v[0], r * v[1], r * v[2])
 
 
-def classify(n: int) -> PolarizationReport:
-    """Full classification of degree-4n polarization vectors.
+def _orbit_class(n: int, x: int, y: int, z: int) -> OrbitClass:
+    """The orbit of the split-coordinate point (x, y, z) and its invariants.
 
-    Orbits are listed by lexicographically smallest member; each carries the
-    reduced transcendental form of the orthogonal complement (an orbit
-    invariant) and the sublattice index.  All arithmetic is exact.
+    (x, y, z) must be the orbit's point with 0 <= x <= y, z >= 0.  Its 16
+    images are (+-x, +-y, +-z) and (+-y, +-x, +-z), so the lexicographically
+    smallest member in (lam, mu, delta) coordinates is the lift of
+    (-y, -x, -z), and the stabiliser is the sign of z when z = 0 times the
+    signed permutations fixing (x, y): all 8 at the origin, 2 on an axis or
+    the diagonal, else only the identity.
     """
-    if n < 1:
-        raise ValueError("degree parameter n must be positive")
+    if not (0 <= x <= y and z >= 0 and (x - z) % 2 == (y - z) % 2 == 0):
+        raise EnumerationAnomaly(n, f"({x}, {y}, {z}) is outside the fundamental domain")
+    if x * x + y * y + 10 * z * z != 4 * n:
+        raise EnumerationAnomaly(n, f"({x}, {y}, {z}) does not have norm {4 * n}")
+    rep = parity_lift(-y, -x, -z)
+    stabiliser = (1 if z else 2) * (8 if x == y == 0 else 2 if x == 0 or x == y else 1)
+    r, root = divisibility(rep)
+    _, gram = orthogonal_complement(rep)
+    tx = canonical(from_gram(gram))
+    d = tx.discriminant
+    idx = index_from(n, d)
+    # the complement has index I in the full orthogonal sublattice of v,
+    # and n * d = 10 t^2 for the same reason; both must be exact squares
+    if (n * d) % 10 or isqrt(n * d // 10) ** 2 * 10 != n * d:
+        raise IndexAnomaly(n, d, f"n*d = {n * d} is not 10 times a square")
+    return OrbitClass(
+        canonical=rep,
+        orbit_size=16 // stabiliser,
+        divisibility=r,
+        primitive_root=root,
+        tx=tx,
+        discriminant=d,
+        index=idx,
+    )
+
+
+def _report(n: int, points: list[list[int]]) -> PolarizationReport:
+    """The report of degree 4n from its orbit representatives (see orbit_reps)."""
     representable = is_representable(n)
-    solutions = enumerate_solutions(n) if representable else []
-    assert representable == bool(solutions)
-    solution_set = set(solutions)
-
-    orbits: list[OrbitClass] = []
-    seen: set[Vec] = set()
-    for v in solutions:
-        if v in seen:
-            continue
-        orb = orbit(v)
-        assert orb <= solution_set and len(orb) in (1, 2, 4, 8, 16)
-        seen |= orb
-        rep = min(orb)
-        r, root = divisibility(rep)
-        _, gram = orthogonal_complement(rep)
-        tx = canonical(from_gram(gram))
-        d = tx.discriminant
-        idx = index_from(n, d)
-        # the complement has index I in the full orthogonal sublattice of v,
-        # and n * d = 10 t^2 for the same reason; both must be exact squares
-        if (n * d) % 10 or isqrt(n * d // 10) ** 2 * 10 != n * d:
-            raise IndexAnomaly(n, d, f"n*d = {n * d} is not 10 times a square")
-        orbits.append(
-            OrbitClass(
-                canonical=rep,
-                orbit_size=len(orb),
-                divisibility=r,
-                primitive_root=root,
-                tx=tx,
-                discriminant=d,
-                index=idx,
-            )
+    if representable != bool(points):
+        raise EnumerationAnomaly(
+            n, f"{len(points)} orbits found, but the closed form says representable={representable}"
         )
-    assert sum(o.orbit_size for o in orbits) == len(solutions)
-    orbits.sort(key=lambda o: o.canonical)
-
+    orbits = sorted((_orbit_class(n, x, y, z) for x, y, z in points), key=lambda o: o.canonical)
     tx_classes = tuple(sorted({o.tx for o in orbits}, key=lambda f: f.triple()))
     feasibility = tuple(
         ClassFeasibility(
@@ -207,6 +213,20 @@ def classify(n: int) -> PolarizationReport:
         ambient_dim=ambient_dim(n),
         feasibility=feasibility,
     )
+
+
+def classify(n: int) -> PolarizationReport:
+    """Full classification of degree-4n polarization vectors.
+
+    Orbits are listed by lexicographically smallest member; each carries the
+    reduced transcendental form of the orthogonal complement (an orbit
+    invariant) and the sublattice index.  All arithmetic is exact.
+    A non-representable degree has no orbits and is not enumerated.
+    """
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"degree parameter n must be in 1..{MAX_N}")
+    points = orbit_reps(n, n).tolist() if is_representable(n) else []
+    return _report(n, points)
 
 
 # degrees whose projective models were settled before this classification;
@@ -263,12 +283,13 @@ def model_verdict(report: PolarizationReport) -> ModelVerdict:
     if not report.representable:
         raise ValueError("no model verdict for a non-representable degree")
     n = report.n
+    # a class is doubled when every one of its orbits has even divisibility
+    odd_classes = {o.tx for o in report.orbits if o.divisibility % 2}
     classes: list[ClassVerdict] = []
     for feas in report.feasibility:
         d = feas.discriminant
         prior = PRIOR_MODELS.get((n, d))
-        class_orbits = [o for o in report.orbits if o.tx == feas.tx]
-        doubled = n in DOUBLED_DEGREES and all(o.divisibility % 2 == 0 for o in class_orbits)
+        doubled = n in DOUBLED_DEGREES and feas.tx not in odd_classes
         if prior:
             bp = KNOWN_MODEL
         elif feas.div1_solvable:
@@ -299,14 +320,17 @@ def model_verdict(report: PolarizationReport) -> ModelVerdict:
     return ModelVerdict(n=n, classes=tuple(classes), consistent=consistent, label=label)
 
 
-def classify_range(max_n: int, workers: int = 1) -> list[PolarizationReport]:
-    """Reports for n = 1..max_n, ascending; scans are parallel by n."""
-    if max_n < 1:
-        raise ValueError("scan limit must be positive")
-    if workers < 1:
-        raise ValueError("worker count must be positive")
-    ns = range(1, max_n + 1)
-    if workers == 1:
-        return [classify(n) for n in ns]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(classify, ns, chunksize=64))
+def classify_range(max_n: int) -> list[PolarizationReport]:
+    """Reports for n = 1..max_n, ascending, equal to [classify(n) for n in 1..max_n].
+
+    One sweep of orbit_reps(1, max_n) finds the representatives of every
+    degree at once; they are bucketed by n = norm / 4.
+    """
+    if not 1 <= max_n <= MAX_N:
+        raise ValueError(f"scan limit must be in 1..{MAX_N}")
+    reps = orbit_reps(1, max_n)
+    ns = (reps * reps) @ np.array([1, 1, 10], dtype=np.int64) // 4
+    order = np.argsort(ns, kind="stable")
+    cuts = np.searchsorted(ns[order], np.arange(1, max_n + 2)).tolist()
+    points = reps[order].tolist()
+    return [_report(n, points[cuts[n - 1] : cuts[n]]) for n in range(1, max_n + 1)]

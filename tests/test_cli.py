@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from k3m20 import __version__
+from k3m20 import __version__, polarizations
 from k3m20.cli import emit_table_csv, main, parse_table_csv
 
 
@@ -196,6 +197,20 @@ def test_veronese_degree_without_quadrics_fails_cleanly(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["classify", "--n", "5"], ["table", "--max-n", "5"], ["scan", "--max-n", "5"]]
+)
+def test_enumeration_anomaly_exits_1(capsys, monkeypatch, argv):
+    # a representative off the fundamental domain must stop the run, not print a table
+    monkeypatch.setattr(
+        polarizations, "orbit_reps", lambda lo, hi: np.array([[3, 1, 1]], dtype=np.int64)
+    )
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "enumeration anomaly" in err
+
+
 # ---------------------------------------------------------------------------
 # usage errors and version
 
@@ -207,6 +222,10 @@ def test_veronese_degree_without_quadrics_fails_cleanly(capsys):
         ["classify", "--n", "0"],
         ["table", "--max-n", "0"],
         ["table", "--max-n", "5", "--parallel", "0"],
+        ["scan", "--max-n", "5", "--parallel", "0"],
+        ["classify", "--n", str(2**60 + 1)],  # 4n leaves the exact int64 range
+        ["table", "--max-n", str(2**60 + 1)],
+        ["scan", "--max-n", str(2**60 + 1)],
         ["scan", "--max-n", "5", "--format", "csv"],  # csv not offered here
         ["veronese", "--r", "2"],
         ["frobnicate"],

@@ -50,17 +50,6 @@ def test_two_square_tables(backend, restore_backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_solutions_array_matches_reference(backend, restore_backend):
-    from k3m20.representability import _solutions_py
-
-    kernels.set_backend(backend)
-    for n in (1, 2, 7, 90, 513, 1000):
-        arr = kernels.solutions_array(n)
-        got = [tuple(int(x) for x in row) for row in arr]
-        assert got == _solutions_py(n)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 def test_representable_range_agrees(backend, restore_backend):
     from k3m20.representability import is_representable
 
@@ -79,7 +68,6 @@ def test_backends_produce_identical_arrays(restore_backend):
         pairs.append(
             (
                 kernels.representable_range(300),
-                kernels.solutions_array(360),
                 kernels.unimodular_entries(2),
                 kernels.transform_forms(2, 1, 3, kernels.unimodular_entries(2)),
             )
@@ -122,10 +110,6 @@ def test_transform_forms_matches_exact(backend, restore_backend):
 
 
 def test_guards():
-    with pytest.raises(ValueError):
-        kernels.solutions_array(0)
-    with pytest.raises(ValueError):
-        kernels.solutions_array(kernels.MAX_KERNEL_N + 1)
     with pytest.raises(ValueError):
         kernels.unimodular_entries(0)
     with pytest.raises(ValueError):

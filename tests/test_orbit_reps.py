@@ -1,0 +1,102 @@
+"""Orbit representatives and their closed-form orbit data against the exact reference.
+
+The reference enumerates every vector of norm 4n (`enumerate_solutions`,
+pure python) and builds each orbit as the set of its 16 images
+(`isometries.orbit`).  `orbit_reps` must return exactly the reference's
+vectors in the fundamental domain 0 <= x <= y, z >= 0 of the split
+coordinates x = 2 lam - delta, y = 2 mu - delta, z = delta, and the
+`canonical` and `orbit_size` that `classify` derives from each of them in
+closed form must be the orbit's lexicographic minimum and its size.
+"""
+
+import math
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from k3m20.isometries import orbit
+from k3m20.polarizations import classify, classify_range
+from k3m20.representability import MAX_N, _isqrt_np, enumerate_solutions, orbit_reps
+
+RANGE_N = 2000
+
+
+@pytest.fixture(scope="module")
+def range_reports():
+    return classify_range(RANGE_N)
+
+
+def _check_degree(n, report):
+    sols = enumerate_solutions(n)
+    domain = sorted(
+        (2 * lam - d, 2 * mu - d, d) for lam, mu, d in sols if 0 <= 2 * lam - d <= 2 * mu - d and d >= 0
+    )
+    assert sorted(map(tuple, orbit_reps(n, n).tolist())) == domain, n
+    covered: set = set()
+    for o in report.orbits:
+        orb = orbit(o.canonical)
+        assert o.canonical == min(orb), (n, o.canonical)
+        assert o.orbit_size == len(orb), (n, o.canonical)
+        assert not orb & covered
+        covered |= orb
+    assert covered == set(sols), n
+    assert sum(o.orbit_size for o in report.orbits) == len(sols), n
+
+
+def test_reps_and_orbit_data_match_reference_up_to_2000(range_reports):
+    for report in range_reports:
+        _check_degree(report.n, report)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(RANGE_N + 1, 10**6))
+@example(10**6)
+def test_reps_and_orbit_data_match_reference_large_n(n):
+    # from n = 23112 on, the walk has more (z, x) pairs than one block holds
+    _check_degree(n, classify(n))
+
+
+def test_classify_range_matches_per_degree(range_reports):
+    assert range_reports == [classify(n) for n in range(1, RANGE_N + 1)]
+
+
+def test_window_is_union_of_degrees():
+    lo, hi = 500, 700
+    window = sorted(map(tuple, orbit_reps(lo, hi).tolist()))
+    per_degree = sorted(tuple(r) for n in range(lo, hi + 1) for r in orbit_reps(n, n).tolist())
+    assert window == per_degree
+    norms = (orbit_reps(lo, hi) ** 2) @ np.array([1, 1, 10])
+    assert norms.min() >= 4 * lo and norms.max() <= 4 * hi
+
+
+def test_orbit_reps_guards():
+    for lo, hi in ((0, 5), (5, 4), (1, MAX_N + 1)):
+        with pytest.raises(ValueError):
+            orbit_reps(lo, hi)
+
+
+def test_isqrt_exact_up_to_the_int64_bound():
+    top = 4 * MAX_N
+    s = math.isqrt(top)
+    ms = [0, 1, 2, 3, 4, top, top - 1, s * s, s * s - 1, (s - 1) ** 2, (s - 1) ** 2 - 1]
+    ms += [k * k + e for k in (2**26 + 1, 2**30 - 3, 3 * 2**29 + 7) for e in (-1, 0, 1)]
+    got = _isqrt_np(np.array(ms, dtype=np.int64)).tolist()
+    assert got == [math.isqrt(m) for m in ms]
+
+
+def test_guards_fire_under_python_optimize():
+    code = (
+        "import numpy as np\n"
+        "from k3m20 import polarizations as p\n"
+        "p.orbit_reps = lambda lo, hi: np.zeros((0, 3), dtype=np.int64)\n"
+        "try:\n"
+        "    p.classify(5)\n"
+        "except p.EnumerationAnomaly as exc:\n"
+        "    print(type(exc).__name__)\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "EnumerationAnomaly"

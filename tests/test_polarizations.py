@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from k3m20 import polarizations
 from k3m20.isometries import orbit
 from k3m20.lattice import divisibility, norm
 from k3m20.polarizations import (
@@ -11,6 +13,7 @@ from k3m20.polarizations import (
     INFEASIBLE,
     KNOWN_MODEL,
     PRIOR_MODELS,
+    EnumerationAnomaly,
     IndexAnomaly,
     ambient_dim,
     classify,
@@ -22,6 +25,7 @@ from k3m20.polarizations import (
     quadric_count_parts,
     scale_embedding,
 )
+from k3m20.representability import MAX_N
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +304,28 @@ def test_classify_range_serial():
     assert reports[5].representable is False  # n = 6
 
 
-def test_classify_range_parallel_matches_serial():
-    serial = classify_range(20)
-    parallel = classify_range(20, workers=2)
-    assert parallel == serial
-
-
 def test_classify_range_guards():
     with pytest.raises(ValueError):
         classify_range(0)
     with pytest.raises(ValueError):
-        classify_range(5, workers=0)
+        classify_range(MAX_N + 1)
+    with pytest.raises(ValueError):
+        classify(MAX_N + 1)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [[3, 1, 1]],  # x > y: outside the fundamental domain
+        [[1, 2, 1]],  # mixed parity
+        [[0, 2, 0]],  # norm 4, not 20
+        [],  # 20 is representable, so an empty enumeration is a fault
+    ],
+)
+def test_classify_invariants_raise_enumeration_anomaly(monkeypatch, points):
+    monkeypatch.setattr(
+        polarizations, "orbit_reps", lambda lo, hi: np.array(points, dtype=np.int64).reshape(-1, 3)
+    )
+    with pytest.raises(EnumerationAnomaly) as exc:
+        classify(5)
+    assert exc.value.n == 5

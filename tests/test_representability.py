@@ -6,7 +6,6 @@ from k3m20 import kernels
 from k3m20.isometries import generate_group, mat_vec
 from k3m20.lattice import is_primitive, norm
 from k3m20.representability import (
-    _solutions_py,
     enumerate_solutions,
     infinitude_scan,
     is_prime,
@@ -39,7 +38,7 @@ def test_non_representable_prefix():
 
 def test_closed_form_matches_enumeration_small():
     for n in range(1, 301):
-        assert is_representable(n) == bool(_solutions_py(n)), n
+        assert is_representable(n) == bool(enumerate_solutions(n)), n
 
 
 def test_representable_range_matches_closed_form():
@@ -74,12 +73,6 @@ def test_enumeration_closed_under_isometries():
         for v in sols:
             for m in group:
                 assert mat_vec(m, v) in sols
-
-
-def test_kernel_and_python_paths_agree():
-    # n > 512 routes through the kernel; force both and compare
-    for n in (513, 600, 997, 2048):
-        assert enumerate_solutions(n) == _solutions_py(n)
 
 
 def test_parity_lift():
