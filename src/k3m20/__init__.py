@@ -8,7 +8,7 @@ isometries, computes the resulting transcendental lattices as reduced
 binary quadratic forms and checks the projective-model obstructions.
 All lattice arithmetic is exact over python integers; the orbit
 representatives are walked over a fundamental domain of the isometries in
-exact int64 numpy blocks (see `representability.orbit_reps`).
+exact int64 numpy blocks (see `kernels.orbit_reps`).
 """
 
 __version__ = "0.1.0"

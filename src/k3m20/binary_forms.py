@@ -22,6 +22,10 @@ Mat2 = tuple[tuple[int, int], tuple[int, int]]
 IDENTITY2: Mat2 = ((1, 0), (0, 1))
 
 
+class ReductionAnomaly(ValueError):
+    """Gauss reduction's witness does not carry the form to its reduced form."""
+
+
 @dataclass(frozen=True)
 class EvenBinaryForm:
     """Triple (a, b, c) for the even Gram matrix [[4a, 2b], [2b, 4c]]."""
@@ -68,10 +72,6 @@ def from_gram(gram: Gram2) -> EvenBinaryForm:
     return EvenBinaryForm(gram[0][0] // 4, gram[0][1] // 2, gram[1][1] // 4)
 
 
-def discriminant(form: EvenBinaryForm) -> int:
-    return form.discriminant
-
-
 def _mat2_mul(m: Mat2, n: Mat2) -> Mat2:
     return (
         (m[0][0] * n[0][0] + m[0][1] * n[1][0], m[0][0] * n[0][1] + m[0][1] * n[1][1]),
@@ -112,7 +112,10 @@ def reduce(form: EvenBinaryForm) -> tuple[ReducedForm, Mat2]:
         elif -a < b <= a:
             break
     reduced = ReducedForm(a, b, c)
-    assert transform(form, t).triple() == reduced.triple()
+    if transform(form, t).triple() != reduced.triple():
+        raise ReductionAnomaly(
+            f"reduction anomaly: witness {t} does not carry {form.triple()} to {reduced.triple()}"
+        )
     return reduced, t
 
 

@@ -31,14 +31,22 @@ from .polarizations import (
     classify_range,
     model_verdict,
 )
-from .representability import MAX_N, is_prime, two_squares
+from .representability import is_prime, two_squares
 from .veronese import doubled_model_dims, quadrics_on_veronese2, scaled_quartic_dims
 
 CSV_HEADER = "n,l2,q,a,b,c,lambda,mu,delta,index"
 _PARALLEL_HELP = "accepted for compatibility; a range is swept once, in one process"
-_TOO_LARGE = (
-    "{flag} must be at most 2**60, the largest degree whose norm 4n"
-    " the enumeration handles exactly in int64"
+# cost caps, far below the exact int64 bound kernels.MAX_N; the times in the
+# messages were measured on a 2-CPU Xeon VM
+MAX_CLASSIFY_N = 10**9
+MAX_RANGE_N = 2 * 10**4
+_TOO_COSTLY_N = (
+    "--n must be at most 10**9: classify walks about 0.45 n vector pairs"
+    " (about 20 s at n = 10**9), linear in n"
+)
+_TOO_COSTLY_MAX_N = (
+    "--max-n must be at most 2*10**4: a range keeps about 0.17 N^1.5 orbits in memory"
+    " (about 25 s and 0.5 GB at N = 2*10**4), growing as N^1.5"
 )
 
 
@@ -336,14 +344,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "classify":
             if args.n < 1:
                 parser.error("--n must be a positive integer")
-            if args.n > MAX_N:
-                parser.error(_TOO_LARGE.format(flag="--n"))
+            if args.n > MAX_CLASSIFY_N:
+                parser.error(_TOO_COSTLY_N)
             return _cmd_classify(args)
         if args.command in ("table", "scan"):
             if args.max_n < 1:
                 parser.error("--max-n must be a positive integer")
-            if args.max_n > MAX_N:
-                parser.error(_TOO_LARGE.format(flag="--max-n"))
+            if args.max_n > MAX_RANGE_N:
+                parser.error(_TOO_COSTLY_MAX_N)
             if args.parallel < 1:
                 parser.error("--parallel must be a positive integer")
             return _cmd_table(args) if args.command == "table" else _cmd_scan(args)

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .lattice import GRAM, Vec
-
-Mat3 = tuple[Vec, Vec, Vec]
+from .lattice import GRAM, Mat3, Vec, mat_det
 
 IDENTITY: Mat3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 NEG_IDENTITY: Mat3 = ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
@@ -39,14 +37,6 @@ def mat_vec(m: Mat3, v: Vec) -> Vec:
         m[0][0] * v[0] + m[0][1] * v[1] + m[0][2] * v[2],
         m[1][0] * v[0] + m[1][1] * v[1] + m[1][2] * v[2],
         m[2][0] * v[0] + m[2][1] * v[1] + m[2][2] * v[2],
-    )
-
-
-def mat_det(m: Mat3) -> int:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     )
 
 

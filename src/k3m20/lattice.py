@@ -20,13 +20,18 @@ from __future__ import annotations
 from math import gcd
 
 Vec = tuple[int, int, int]
+Mat3 = tuple[Vec, Vec, Vec]
 Gram2 = tuple[tuple[int, int], tuple[int, int]]
 
-GRAM: tuple[Vec, Vec, Vec] = ((4, 0, -2), (0, 4, -2), (-2, -2, 12))
+GRAM: Mat3 = ((4, 0, -2), (0, 4, -2), (-2, -2, 12))
 GRAM_DET = 160
 
 
-def _det3(m) -> int:
+class ComplementAnomaly(ValueError):
+    """A computed complement basis vector is not orthogonal to its vector."""
+
+
+def mat_det(m: Mat3) -> int:
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -40,7 +45,7 @@ def _check_gram() -> None:
         for j in range(3):
             if GRAM[i][j] != GRAM[j][i]:
                 raise AssertionError("gram matrix must be symmetric")
-    minors = (GRAM[0][0], GRAM[0][0] * GRAM[1][1] - GRAM[0][1] ** 2, _det3(GRAM))
+    minors = (GRAM[0][0], GRAM[0][0] * GRAM[1][1] - GRAM[0][1] ** 2, mat_det(GRAM))
     if not all(m > 0 for m in minors):
         raise AssertionError("gram matrix must be positive definite")
     if minors[2] != GRAM_DET:
@@ -147,7 +152,8 @@ def orthogonal_complement(v: Vec) -> tuple[tuple[Vec, Vec], Gram2]:
         _, s, t = _xgcd(a, b)
         u1 = (-b // gab, a // gab, 0)
         u2 = (c * s, c * t, -gab)
-    assert inner(v, u1) == 0 and inner(v, u2) == 0
+    if inner(v, u1) or inner(v, u2):
+        raise ComplementAnomaly(f"complement anomaly: {u1}, {u2} are not both orthogonal to {v}")
     gram: Gram2 = (
         (inner(u1, u1), inner(u1, u2)),
         (inner(u2, u1), inner(u2, u2)),

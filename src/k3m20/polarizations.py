@@ -28,8 +28,9 @@ from math import comb, isqrt
 import numpy as np
 
 from .binary_forms import ReducedForm, canonical, from_gram
+from .kernels import MAX_N, orbit_reps
 from .lattice import Vec, divisibility, orthogonal_complement
-from .representability import MAX_N, is_representable, orbit_reps, parity_lift
+from .representability import is_representable, parity_lift
 
 
 class IndexAnomaly(Exception):

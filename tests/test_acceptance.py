@@ -13,7 +13,6 @@ import time
 import numpy as np
 import pytest
 
-from k3m20 import kernels
 from k3m20.binary_forms import EvenBinaryForm, canonical, equivalent, from_gram, reduce, transform
 from k3m20.golden import GOLDEN_ROWS, documented_corrections, golden_check
 from k3m20.isometries import (
@@ -43,14 +42,9 @@ from k3m20.representability import (
     infinitude_scan,
     is_prime,
     is_representable,
-    representable_range,
 )
 from k3m20.veronese import doubled_model_dims, quadrics_on_veronese2, scaled_quartic_dims
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _warm_kernels():
-    kernels.warmup()
+from oracles import representable_range, transform_forms, unimodular_entries
 
 
 @pytest.fixture(scope="module")
@@ -139,7 +133,7 @@ def test_criterion_03_isometry_group_and_orbit_chain(capsys):
 
 def test_criterion_04_closed_form_matches_brute_force(capsys):
     t0 = time.perf_counter()
-    flags = representable_range(10000)
+    flags = representable_range(10000).tolist()
     closed = [is_representable(n) for n in range(1, 10001)]
     assert flags[1:] == closed
     missing = [n for n in range(1, 10001) if not flags[n]]
@@ -266,11 +260,11 @@ def test_criterion_08_orbit_separation_and_delta_invariance(capsys):
 def test_criterion_09_reduction_vs_bounded_brute_force(capsys):
     t0 = time.perf_counter()
     rng = random.Random(20)
-    ts10 = kernels.unimodular_entries(10)
-    small_ts = [tuple(int(x) for x in row) for row in kernels.unimodular_entries(3)]
+    ts10 = unimodular_entries(10)
+    small_ts = [tuple(int(x) for x in row) for row in unimodular_entries(3)]
 
     def reduced_images(f):
-        imgs = kernels.transform_forms(f.a, f.b, f.c, ts10)
+        imgs = transform_forms(f.a, f.b, f.c, ts10)
         fa, fb, fc = imgs[:, 0], imgs[:, 1], imgs[:, 2]
         mask = (fa > 0) & (-fa < fb) & (fb <= fa) & (fa <= fc)
         return {tuple(int(x) for x in row) for row in imgs[mask]}

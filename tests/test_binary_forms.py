@@ -6,7 +6,6 @@ from k3m20.binary_forms import (
     EvenBinaryForm,
     ReducedForm,
     canonical,
-    discriminant,
     equivalent,
     from_gram,
     reduce,
@@ -57,7 +56,6 @@ def test_validation():
         EvenBinaryForm(1, 5, 1)  # d = -21
     f = EvenBinaryForm(2, 1, 3)
     assert f.discriminant == 23
-    assert discriminant(f) == 23
     assert f.gram == ((8, 2), (2, 12))
 
 

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -211,6 +213,33 @@ def test_enumeration_anomaly_exits_1(capsys, monkeypatch, argv):
     assert "enumeration anomaly" in err
 
 
+@pytest.mark.parametrize(
+    "module, attr, fault, error",
+    [
+        ("binary_forms", "_mat2_mul", "lambda m, t: m", "ReductionAnomaly"),  # witness stays id
+        ("lattice", "_xgcd", "lambda a, b: (1, 0, 0)", "ComplementAnomaly"),  # wrong cofactors
+    ],
+    ids=["reduction", "complement"],
+)
+def test_result_guards_fire_under_python_optimize(module, attr, fault, error):
+    # the guards are explicit checks, not asserts, so -O keeps them; each is a
+    # ValueError, so main reports it and exits 1
+    code = (
+        "import sys\n"
+        f"from k3m20 import cli, classify, {module} as m\n"
+        f"m.{attr} = {fault}\n"
+        "try:\n"
+        "    classify(3)\n"
+        "except ValueError as exc:\n"
+        "    print(type(exc).__name__)\n"
+        "sys.exit(cli.main(['classify', '--n', '3']))\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert out.stdout.strip() == error
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: ") and "anomaly" in out.stderr
+
+
 # ---------------------------------------------------------------------------
 # usage errors and version
 
@@ -223,13 +252,16 @@ def test_enumeration_anomaly_exits_1(capsys, monkeypatch, argv):
         ["table", "--max-n", "0"],
         ["table", "--max-n", "5", "--parallel", "0"],
         ["scan", "--max-n", "5", "--parallel", "0"],
-        ["classify", "--n", str(2**60 + 1)],  # 4n leaves the exact int64 range
+        ["classify", "--n", str(2**60 + 1)],  # 4n leaves the exact int64 range too
         ["table", "--max-n", str(2**60 + 1)],
         ["scan", "--max-n", str(2**60 + 1)],
         ["scan", "--max-n", "5", "--format", "csv"],  # csv not offered here
         ["veronese", "--r", "2"],
         ["frobnicate"],
         [],
+        ["classify", "--n", str(10**9 + 1)],  # over the cost caps
+        ["table", "--max-n", str(2 * 10**4 + 1)],
+        ["scan", "--max-n", str(2 * 10**4 + 1)],
     ],
 )
 def test_usage_errors_exit_64(capsys, argv):

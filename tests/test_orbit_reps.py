@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 from k3m20.isometries import orbit
 from k3m20.polarizations import classify, classify_range
-from k3m20.representability import MAX_N, _isqrt_np, enumerate_solutions, orbit_reps
+from k3m20.kernels import MAX_N, _isqrt_np, orbit_reps
+from k3m20.representability import enumerate_solutions
 
 RANGE_N = 2000
 

@@ -25,7 +25,7 @@ from k3m20.polarizations import (
     quadric_count_parts,
     scale_embedding,
 )
-from k3m20.representability import MAX_N
+from k3m20.kernels import MAX_N
 
 
 # ---------------------------------------------------------------------------
