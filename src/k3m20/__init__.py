@@ -14,7 +14,7 @@ exact int64 numpy blocks (see `kernels.orbit_reps`).
 __version__ = "0.1.0"
 
 from .binary_forms import EvenBinaryForm, ReducedForm, canonical, equivalent, from_gram, reduce
-from .isometries import canonical_rep, generate_group, orbit, same_orbit
+from .isometries import canonical_rep, parity_lift, same_orbit
 from .lattice import GRAM, divisibility, inner, is_primitive, norm, orthogonal_complement
 from .polarizations import (
     EnumerationAnomaly,
@@ -29,13 +29,7 @@ from .polarizations import (
     quadric_count,
     scale_embedding,
 )
-from .representability import (
-    enumerate_solutions,
-    infinitude_scan,
-    is_representable,
-    parity_lift,
-    two_squares,
-)
+from .representability import infinitude_scan, is_representable, two_squares
 
 __all__ = [
     "EnumerationAnomaly",
@@ -51,10 +45,8 @@ __all__ = [
     "classify_range",
     "div_feasible",
     "divisibility",
-    "enumerate_solutions",
     "equivalent",
     "from_gram",
-    "generate_group",
     "index_from",
     "infinitude_scan",
     "inner",
@@ -62,7 +54,6 @@ __all__ = [
     "is_representable",
     "model_verdict",
     "norm",
-    "orbit",
     "orthogonal_complement",
     "parity_lift",
     "quadric_count",

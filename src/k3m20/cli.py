@@ -15,23 +15,21 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from collections.abc import Sequence
 
 from . import __version__
 from .golden import golden_check
-from .lattice import Vec
 from .polarizations import (
-    EnumerationAnomaly,
-    IndexAnomaly,
     ModelVerdict,
     PolarizationReport,
     classify,
     classify_range,
     model_verdict,
 )
-from .representability import is_prime, two_squares
+from .representability import prime_witnesses
 from .veronese import doubled_model_dims, quadrics_on_veronese2, scaled_quartic_dims
 
 CSV_HEADER = "n,l2,q,a,b,c,lambda,mu,delta,index"
@@ -163,12 +161,8 @@ def report_text(report: PolarizationReport, verdict: ModelVerdict | None) -> str
 
 
 def _cmd_classify(args) -> int:
-    try:
-        report = classify(args.n)
-        verdict = model_verdict(report) if report.representable else None
-    except (IndexAnomaly, EnumerationAnomaly) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = classify(args.n)
+    verdict = model_verdict(report) if report.representable else None
     if args.format == "json":
         print(json.dumps(report_to_dict(report), indent=2))
     elif args.format == "csv":
@@ -183,11 +177,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    try:
-        reports = classify_range(args.max_n)
-    except (IndexAnomaly, EnumerationAnomaly) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    reports = classify_range(args.max_n)
     rows = [row for rep in reports if rep.representable for row in _class_rows(rep)]
     if args.format == "json":
         keys = CSV_HEADER.split(",")
@@ -215,24 +205,11 @@ def _cmd_golden_check(args) -> int:
     return 1
 
 
-def _prime_witnesses(max_n: int) -> list[tuple[int, Vec]]:
-    out = []
-    for p in range(5, max_n + 1, 4):
-        if is_prime(p):
-            lam, mu = two_squares(p)
-            out.append((p, (lam, mu, 0)))
-    return out
-
-
 def _cmd_scan(args) -> int:
-    try:
-        reports = classify_range(args.max_n)
-    except (IndexAnomaly, EnumerationAnomaly) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    reports = classify_range(args.max_n)
     non_rep = [r.n for r in reports if not r.representable]
     classes = sorted({f.triple() for r in reports for f in r.tx_classes})
-    witnesses = _prime_witnesses(args.max_n)
+    witnesses = list(itertools.takewhile(lambda w: w[0] <= args.max_n, prime_witnesses()))
     inconsistent = [
         r.n for r in reports if r.representable and not model_verdict(r).consistent
     ]

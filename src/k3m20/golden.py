@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .isometries import same_orbit
 from .lattice import Vec, norm
-from .polarizations import PolarizationReport, classify
+from .polarizations import classify
 
 
 @dataclass(frozen=True)
@@ -145,10 +145,11 @@ def golden_check(rows: tuple[GoldenRow, ...] = GOLDEN_ROWS) -> GoldenCheckResult
     """
     diffs: list[GoldenDiff] = []
     lines: list[str] = []
-    reports: dict[int, PolarizationReport] = {}
+    degrees = sorted({*NON_REPRESENTABLE_GOLDEN, *(row.n for row in rows)})
+    reports = {n: classify(n) for n in degrees}
 
     for n in NON_REPRESENTABLE_GOLDEN:
-        rep = reports.setdefault(n, classify(n))
+        rep = reports[n]
         if rep.representable or rep.orbits:
             diffs.append(GoldenDiff(n, (0, 0, 0), "representable", False, True))
             lines.append(f"n={n}: FAIL (expected no embedding)")
@@ -156,7 +157,7 @@ def golden_check(rows: tuple[GoldenRow, ...] = GOLDEN_ROWS) -> GoldenCheckResult
             lines.append(f"n={n}: ok (no embedding, as published)")
 
     for row in rows:
-        rep = reports.setdefault(row.n, classify(row.n))
+        rep = reports[row.n]
         row_diffs: list[GoldenDiff] = []
         if not rep.representable:
             row_diffs.append(GoldenDiff(row.n, row.form, "representable", True, False))

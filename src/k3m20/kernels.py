@@ -3,8 +3,8 @@
 This is the library's only numeric kernel.  It is exact while every
 square, sum and difference it forms fits in int64, which holds for norms
 up to 4 * MAX_N = 2**62; callers refuse larger degrees.  The exact
-pure-python reference it is tested against is
-`representability.enumerate_solutions`.
+pure-python reference it is tested against is the enumeration of every
+norm-4n vector in `tests/oracles.py`.
 """
 
 from __future__ import annotations

@@ -28,12 +28,13 @@ from math import comb, isqrt
 import numpy as np
 
 from .binary_forms import ReducedForm, canonical, from_gram
+from .isometries import canonical_member, orbit_size
 from .kernels import MAX_N, orbit_reps
 from .lattice import Vec, divisibility, orthogonal_complement
-from .representability import is_representable, parity_lift
+from .representability import is_representable
 
 
-class IndexAnomaly(Exception):
+class IndexAnomaly(ValueError):
     """160 n / d failed to be a perfect square; carries (n, d)."""
 
     def __init__(self, n: int, d: int, message: str | None = None):
@@ -42,7 +43,7 @@ class IndexAnomaly(Exception):
         super().__init__(message or f"index anomaly: 160*{n}/{d} is not a perfect square")
 
 
-class EnumerationAnomaly(Exception):
+class EnumerationAnomaly(ValueError):
     """The orbit representatives of degree 4n broke an invariant; carries n."""
 
     def __init__(self, n: int, message: str):
@@ -72,9 +73,6 @@ class ClassFeasibility:
     div1_solvable: bool
     div2_solvable: bool
     quadrics_eq_solvable: bool
-    n_divides_10: bool
-    n_divides_40: bool
-    n_divides_90: bool
 
 
 @dataclass(frozen=True)
@@ -149,19 +147,14 @@ def scale_embedding(v: Vec, r: int) -> Vec:
 def _orbit_class(n: int, x: int, y: int, z: int) -> OrbitClass:
     """The orbit of the split-coordinate point (x, y, z) and its invariants.
 
-    (x, y, z) must be the orbit's point with 0 <= x <= y, z >= 0.  Its 16
-    images are (+-x, +-y, +-z) and (+-y, +-x, +-z), so the lexicographically
-    smallest member in (lam, mu, delta) coordinates is the lift of
-    (-y, -x, -z), and the stabiliser is the sign of z when z = 0 times the
-    signed permutations fixing (x, y): all 8 at the origin, 2 on an axis or
-    the diagonal, else only the identity.
+    (x, y, z) must be the orbit's domain point, 0 <= x <= y, z >= 0 (see
+    `isometries`).
     """
     if not (0 <= x <= y and z >= 0 and (x - z) % 2 == (y - z) % 2 == 0):
         raise EnumerationAnomaly(n, f"({x}, {y}, {z}) is outside the fundamental domain")
     if x * x + y * y + 10 * z * z != 4 * n:
         raise EnumerationAnomaly(n, f"({x}, {y}, {z}) does not have norm {4 * n}")
-    rep = parity_lift(-y, -x, -z)
-    stabiliser = (1 if z else 2) * (8 if x == y == 0 else 2 if x == 0 or x == y else 1)
+    rep = canonical_member(x, y, z)
     r, root = divisibility(rep)
     _, gram = orthogonal_complement(rep)
     tx = canonical(from_gram(gram))
@@ -173,7 +166,7 @@ def _orbit_class(n: int, x: int, y: int, z: int) -> OrbitClass:
         raise IndexAnomaly(n, d, f"n*d = {n * d} is not 10 times a square")
     return OrbitClass(
         canonical=rep,
-        orbit_size=16 // stabiliser,
+        orbit_size=orbit_size(x, y, z),
         divisibility=r,
         primitive_root=root,
         tx=tx,
@@ -198,9 +191,6 @@ def _report(n: int, points: list[list[int]]) -> PolarizationReport:
             div1_solvable=div_feasible(10, n, f.discriminant),
             div2_solvable=div_feasible(40, n, f.discriminant),
             quadrics_eq_solvable=div_feasible(90, n, f.discriminant),
-            n_divides_10=10 % n == 0,
-            n_divides_40=40 % n == 0,
-            n_divides_90=90 % n == 0,
         )
         for f in tx_classes
     )

@@ -7,16 +7,26 @@ library answers in closed form or by reduction, by plain search:
   norm 4n, by a table scan of 4n - 10 delta^2 = x^2 + y^2 (checks the
   closed form `is_representable`);
 - `unimodular_entries` / `transform_forms`: the forms a bounded SL2(Z)
-  search reaches from (a, b, c) (checks Gauss reduction).
+  search reaches from (a, b, c) (checks Gauss reduction);
+- `generate_group` / `orbit`: the 16 isometries as the closure of three
+  3x3 matrices, and an orbit as the set of its images (checks the
+  split-coordinate closed forms in `isometries`);
+- `enumerate_solutions`: every vector of norm 4n, by a scan over delta and
+  lam (checks the orbit walk `kernels.orbit_reps`).
 
-They work in int64 numpy arrays; callers keep the inputs small.
+The range scan and the SL2(Z) search work in int64 numpy arrays, the group
+and the enumeration over python ints; callers keep the inputs small.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from math import isqrt
 
 import numpy as np
+
+from k3m20.lattice import GRAM, Mat3, Vec, mat_det, norm
 
 
 def two_square_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -65,3 +75,106 @@ def transform_forms(a: int, b: int, c: int, ts: np.ndarray) -> np.ndarray:
     b2 = 2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s
     c2 = a * q * q + b * q * s + c * s * s
     return np.stack([a2, b2, c2], axis=1)
+
+
+# The isometry group of the invariant lattice is generated by -id together with
+#
+#     rho1 = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]      (swap e and f)
+#     rho2 = [[1, 0, -1], [0, -1, 0], [0, 0, -1]]   (reflection)
+#
+# acting on column vectors.  It closes to 16 elements, is isomorphic to
+# D4 x {+-1}, and every element carries delta to +-delta.
+
+IDENTITY: Mat3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+NEG_IDENTITY: Mat3 = ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
+RHO1: Mat3 = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
+RHO2: Mat3 = ((1, 0, -1), (0, -1, 0), (0, 0, -1))
+
+GENERATORS: tuple[Mat3, ...] = (NEG_IDENTITY, RHO1, RHO2)
+
+_GROUP_BOUND = 64  # safety stop for the closure loop
+
+
+def mat_mul(m: Mat3, n: Mat3) -> Mat3:
+    return tuple(
+        tuple(sum(m[i][k] * n[k][j] for k in range(3)) for j in range(3))
+        for i in range(3)
+    )  # type: ignore[return-value]
+
+
+def mat_vec(m: Mat3, v: Vec) -> Vec:
+    return (
+        m[0][0] * v[0] + m[0][1] * v[1] + m[0][2] * v[2],
+        m[1][0] * v[0] + m[1][1] * v[1] + m[1][2] * v[2],
+        m[2][0] * v[0] + m[2][1] * v[1] + m[2][2] * v[2],
+    )
+
+
+def is_isometry(m: Mat3) -> bool:
+    """m^T G m == G with m integral and det +-1."""
+    if mat_det(m) not in (1, -1):
+        return False
+    for i in range(3):
+        for j in range(3):
+            s = sum(m[k][i] * GRAM[k][l] * m[l][j] for k in range(3) for l in range(3))
+            if s != GRAM[i][j]:
+                return False
+    return True
+
+
+@lru_cache(maxsize=1)
+def generate_group() -> tuple[Mat3, ...]:
+    """Close the generators under multiplication.
+
+    Each generator is checked to preserve the Gram matrix, and the closure
+    is aborted if it exceeds the safety bound (the group has order 16).
+    """
+    for g in GENERATORS:
+        if not is_isometry(g):
+            raise AssertionError("generator does not preserve the gram matrix")
+    group = {IDENTITY}
+    frontier = [IDENTITY]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in GENERATORS:
+                prod = mat_mul(g, m)
+                if prod not in group:
+                    group.add(prod)
+                    nxt.append(prod)
+        if len(group) > _GROUP_BOUND:
+            raise RuntimeError("isometry group closure exceeded safety bound")
+        frontier = nxt
+    return tuple(sorted(group))
+
+
+def orbit(v: Vec) -> set[Vec]:
+    """All images of v under the 16 isometries."""
+    return {mat_vec(m, v) for m in generate_group()}
+
+
+def enumerate_solutions(n: int) -> list[Vec]:
+    """All lattice vectors of norm 4n, in lexicographic order.
+
+    Exact over python ints for any n; the reference that
+    `kernels.orbit_reps` is tested against.
+    """
+    if n < 1:
+        raise ValueError("degree parameter n must be positive")
+    four_n = 4 * n
+    out: list[Vec] = []
+    dmax = isqrt(four_n // 10)
+    for delta in range(-dmax, dmax + 1):
+        rest = four_n - 10 * delta * delta
+        x_top = isqrt(rest)
+        for lam in range(-((x_top - delta) // 2), (x_top + delta) // 2 + 1):
+            rem = rest - (2 * lam - delta) ** 2
+            s = isqrt(rem)
+            if s * s != rem or (s - delta) % 2 != 0:
+                continue
+            out.append((lam, (delta + s) // 2, delta))
+            if s > 0:
+                out.append((lam, (delta - s) // 2, delta))
+    out.sort()
+    assert all(norm(v) == four_n for v in out)
+    return out

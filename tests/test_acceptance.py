@@ -15,19 +15,8 @@ import pytest
 
 from k3m20.binary_forms import EvenBinaryForm, canonical, equivalent, from_gram, reduce, transform
 from k3m20.golden import GOLDEN_ROWS, documented_corrections, golden_check
-from k3m20.isometries import (
-    GRAM,
-    IDENTITY,
-    NEG_IDENTITY,
-    RHO1,
-    RHO2,
-    generate_group,
-    mat_mul,
-    mat_vec,
-    orbit,
-    same_orbit,
-)
-from k3m20.lattice import inner, is_primitive, norm
+from k3m20.isometries import same_orbit
+from k3m20.lattice import GRAM, inner, is_primitive, norm
 from k3m20.polarizations import (
     DOUBLED_DEGREES,
     FEASIBLE,
@@ -37,14 +26,22 @@ from k3m20.polarizations import (
     div_feasible,
     model_verdict,
 )
-from k3m20.representability import (
-    enumerate_solutions,
-    infinitude_scan,
-    is_prime,
-    is_representable,
-)
+from k3m20.representability import infinitude_scan, is_prime, is_representable
 from k3m20.veronese import doubled_model_dims, quadrics_on_veronese2, scaled_quartic_dims
-from oracles import representable_range, transform_forms, unimodular_entries
+from oracles import (
+    IDENTITY,
+    NEG_IDENTITY,
+    RHO1,
+    RHO2,
+    enumerate_solutions,
+    generate_group,
+    mat_mul,
+    mat_vec,
+    orbit,
+    representable_range,
+    transform_forms,
+    unimodular_entries,
+)
 
 
 @pytest.fixture(scope="module")

@@ -200,7 +200,8 @@ def test_veronese_degree_without_quadrics_fails_cleanly(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["classify", "--n", "5"], ["table", "--max-n", "5"], ["scan", "--max-n", "5"]]
+    "argv",
+    [["classify", "--n", "5"], ["table", "--max-n", "5"], ["scan", "--max-n", "5"], ["golden-check"]],
 )
 def test_enumeration_anomaly_exits_1(capsys, monkeypatch, argv):
     # a representative off the fundamental domain must stop the run, not print a table

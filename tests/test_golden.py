@@ -1,5 +1,6 @@
 import dataclasses
 
+from k3m20 import golden
 from k3m20.golden import (
     GOLDEN_ROWS,
     NON_REPRESENTABLE_GOLDEN,
@@ -8,6 +9,7 @@ from k3m20.golden import (
     golden_check,
 )
 from k3m20.lattice import norm
+from k3m20.polarizations import classify
 
 
 def test_rows_cover_expected_degrees():
@@ -45,6 +47,13 @@ def test_documented_corrections():
         (15, (5, 0, 25), "form"),
         (15, (5, 0, 25), "index"),
     }
+
+
+def test_golden_check_classifies_each_degree_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(golden, "classify", lambda n: calls.append(n) or classify(n))
+    assert golden_check().ok
+    assert sorted(calls) == sorted({*NON_REPRESENTABLE_GOLDEN, *(r.n for r in GOLDEN_ROWS)})
 
 
 def test_golden_check_passes():

@@ -2,21 +2,21 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from k3m20.binary_forms import EvenBinaryForm, equivalent, from_gram
-from k3m20.isometries import (
+from k3m20.isometries import canonical_member, canonical_rep, domain_point, orbit_size, same_orbit
+from k3m20.lattice import norm, orthogonal_complement
+from oracles import (
     GENERATORS,
     IDENTITY,
     NEG_IDENTITY,
     RHO1,
     RHO2,
-    canonical_rep,
+    enumerate_solutions,
     generate_group,
     is_isometry,
     mat_mul,
     mat_vec,
     orbit,
-    same_orbit,
 )
-from k3m20.lattice import norm, orthogonal_complement
 
 small = st.integers(min_value=-20, max_value=20)
 vectors = st.tuples(small, small, small)
@@ -166,3 +166,21 @@ def test_canonical_rep_is_orbit_constant():
         rep = canonical_rep(v)
         assert {canonical_rep(w) for w in orbit(v)} == {rep}
         assert rep in orbit(v)
+
+
+def test_closed_form_matches_oracle_group_up_to_norm_400():
+    # every vector of norm <= 400: same_orbit is checked on every pair within
+    # a norm shell, and each orbit's smallest member against every vector
+    shells = [[(0, 0, 0)]] + [enumerate_solutions(n) for n in range(1, 101)]
+    everything = [v for shell in shells for v in shell]
+    assert len(everything) == len(vectors_of_norm_up_to(400)) + 1
+    for shell in shells:
+        for v in shell:
+            orb = orbit(v)
+            point = domain_point(v)
+            assert canonical_rep(v) == canonical_member(*point) == min(orb), v
+            assert orbit_size(*point) == len(orb), v
+            for w in shell:
+                assert same_orbit(v, w) == (w in orb), (v, w)
+            if v == min(orb):
+                assert [w for w in everything if same_orbit(v, w)] == sorted(orb), v

@@ -1,8 +1,8 @@
 """Orbit representatives and their closed-form orbit data against the exact reference.
 
-The reference enumerates every vector of norm 4n (`enumerate_solutions`,
-pure python) and builds each orbit as the set of its 16 images
-(`isometries.orbit`).  `orbit_reps` must return exactly the reference's
+The reference enumerates every vector of norm 4n
+(`tests/oracles.py::enumerate_solutions`, pure python) and builds each
+orbit as the set of its 16 images (`tests/oracles.py::orbit`).  `orbit_reps` must return exactly the reference's
 vectors in the fundamental domain 0 <= x <= y, z >= 0 of the split
 coordinates x = 2 lam - delta, y = 2 mu - delta, z = delta, and the
 `canonical` and `orbit_size` that `classify` derives from each of them in
@@ -18,10 +18,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from k3m20.isometries import orbit
 from k3m20.polarizations import classify, classify_range
 from k3m20.kernels import MAX_N, _isqrt_np, orbit_reps
-from k3m20.representability import enumerate_solutions
+from oracles import enumerate_solutions, orbit
 
 RANGE_N = 2000
 

@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from k3m20 import polarizations
-from k3m20.isometries import orbit
 from k3m20.lattice import divisibility, norm
 from k3m20.polarizations import (
     DOUBLED,
@@ -26,6 +25,7 @@ from k3m20.polarizations import (
     scale_embedding,
 )
 from k3m20.kernels import MAX_N
+from oracles import orbit
 
 
 # ---------------------------------------------------------------------------

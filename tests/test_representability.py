@@ -2,17 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from k3m20.isometries import generate_group, mat_vec
+from k3m20.isometries import parity_lift
 from k3m20.lattice import is_primitive, norm
-from k3m20.representability import (
-    enumerate_solutions,
-    infinitude_scan,
-    is_prime,
-    is_representable,
-    parity_lift,
-    two_squares,
-)
-from oracles import representable_range
+from k3m20.representability import infinitude_scan, is_prime, is_representable, two_squares
+from oracles import enumerate_solutions, generate_group, mat_vec, representable_range
 
 
 def test_closed_form_examples():
