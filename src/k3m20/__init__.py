@@ -6,9 +6,10 @@ lattice.  This package decides which polarization degrees L^2 = 4n embed
 into it, classifies the solution vectors up to the lattice's 16
 isometries, computes the resulting transcendental lattices as reduced
 binary quadratic forms and checks the projective-model obstructions.
-All lattice arithmetic is exact over python integers; the orbit
-representatives are walked over a fundamental domain of the isometries in
-exact int64 numpy blocks (see `kernels.orbit_reps`).
+All lattice arithmetic is exact; the orbit representatives are walked
+over a fundamental domain of the isometries, and their invariants
+computed, in numpy blocks of int64 or, where int64 could overflow, of
+python ints (see `kernels`).
 """
 
 __version__ = "0.1.0"

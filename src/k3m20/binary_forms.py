@@ -23,7 +23,8 @@ IDENTITY2: Mat2 = ((1, 0), (0, 1))
 
 
 class ReductionAnomaly(ValueError):
-    """Gauss reduction's witness does not carry the form to its reduced form."""
+    """Gauss reduction's witness does not carry the form to its reduced form,
+    or a reduced form breaks an inequality every reduced form satisfies."""
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,9 @@ class ReducedForm(EvenBinaryForm):
         super().__post_init__()
         if not self.is_reduced():
             raise ValueError("form is not reduced")
-        # b^2 <= ac <= d/3 for any reduced positive form
-        assert self.b * self.b <= self.a * self.c
-        assert 3 * self.a * self.c <= self.discriminant
+        # b^2 <= ac, that is 3ac <= d, for any reduced positive form
+        if self.b * self.b > self.a * self.c:
+            raise ReductionAnomaly(f"reduction anomaly: reduced form {self.triple()} breaks b^2 <= ac")
 
 
 def from_gram(gram: Gram2) -> EvenBinaryForm:

@@ -1,10 +1,14 @@
-"""The int64 orbit walk: one vector per isometry orbit of a band of norms.
+"""The numpy array layer: the orbit walk and the per-orbit invariants.
 
-This is the library's only numeric kernel.  It is exact while every
-square, sum and difference it forms fits in int64, which holds for norms
-up to 4 * MAX_N = 2**62; callers refuse larger degrees.  The exact
-pure-python reference it is tested against is the enumeration of every
-norm-4n vector in `tests/oracles.py`.
+`orbit_reps` walks one vector per isometry orbit of a band of norms;
+`orbit_classes` turns rows of those representatives into the invariants
+`classify` reports (canonical member, divisibility, reduced transcendental
+form, discriminant, index, orbit size), running every check of the
+scalar path on whole arrays and raising its named error, so that the
+checks survive `python -O`.  Both are exact: the walk in int64 for norms up
+to 4 * MAX_N = 2**62, the invariants in int64 up to BATCH_MAX_N and on
+python-int (`dtype=object`) arrays above it.  The exact pure-python
+references they are tested against are in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -13,15 +17,58 @@ from math import isqrt
 
 import numpy as np
 
+from .binary_forms import ReductionAnomaly
+from .lattice import GRAM, ComplementAnomaly
+
 # largest n accepted by orbit_reps: 4n <= 2**62, so every square, sum and
 # difference formed while walking norms up to 4n is exact in int64
 MAX_N = 2**60
 # (z, x) pairs per numpy block in orbit_reps; bounds its working memory
 _CHUNK = 2**13
 
+# Largest n whose invariants orbit_classes computes in int64.  With
+# m = 4n = x^2 + y^2 + 10 z^2, the functional G v = (-2y, -2x, x + y - 10z)
+# has entries at most 2 sqrt(m), 2 sqrt(m) and sqrt(12 m) (Cauchy-Schwarz),
+# and so has its primitive part (a, b, c); the extended-gcd cofactors s, t
+# are at most max(|a|, |b|) <= 2 sqrt(m).  So the complement basis
+# u1 = (-b, a, 0) / g, u2 = (c s, c t, -g) has entries at most 2 sqrt(m)
+# and 4 sqrt(3) m, and the largest intermediate is the Gram entry
+# u2^T G u2: its terms add up in absolute value to at most
+# 384 m^2 + 64 sqrt(3) m^1.5 + 48 m = 6144 n^2 + 887 n^1.5 + 192 n.
+# Everything after it is smaller: Gauss reduction never grows the form
+# past its first shifted diagonal entry (at most the Gram entry above),
+# every witness entry is at most 2 C / sqrt(d) <= 2 C / sqrt(3) by Cramer's
+# rule, with C that entry, the witness check evaluates the reduced form at
+# the columns of the inverse witness, where each term is at most 4/3 of
+# the value, and the index squares are below 160 n^2.  At n = 2**24 the
+# bound is below 2**61, a factor 4 under the int64 limit 2**63.
+BATCH_MAX_N = 2**24
+# rows per block in orbit_classes; bounds its working memory
+_ROWS = 2**11
+
+
+class IndexAnomaly(ValueError):
+    """160 n / d failed to be a perfect square; carries (n, d)."""
+
+    def __init__(self, n: int, d: int, message: str | None = None):
+        self.n = n
+        self.d = d
+        super().__init__(message or f"index anomaly: 160*{n}/{d} is not a perfect square")
+
+
+class EnumerationAnomaly(ValueError):
+    """The orbit representatives of degree 4n broke an invariant; carries n."""
+
+    def __init__(self, n: int, message: str):
+        self.n = n
+        super().__init__(f"enumeration anomaly at n = {n}: {message}")
+
 
 def _isqrt_np(m: np.ndarray) -> np.ndarray:
-    """floor(sqrt(m)) for int64 0 <= m <= 2**62: the float estimate is off by at most 1."""
+    """floor(sqrt(m)) for int64 0 <= m <= 2**62 (the float estimate is off by at most 1),
+    and by math.isqrt for python-int (object) arrays."""
+    if m.dtype == object:
+        return np.frompyfunc(isqrt, 1, 1)(m)
     s = np.sqrt(m.astype(np.float64)).astype(np.int64)
     s -= (s * s > m).astype(np.int64)
     s += ((s + 1) * (s + 1) <= m).astype(np.int64)
@@ -68,3 +115,191 @@ def orbit_reps(lo: int, hi: int) -> np.ndarray:
         y = np.repeat(y_lo, count) + 2 * step
         blocks.append(np.stack([np.repeat(x, count), y, np.repeat(z, count)], axis=1))
     return np.concatenate(blocks)
+
+
+def orbit_classes(ns: np.ndarray, reps: np.ndarray) -> list[list[int]]:
+    """The invariants of the orbits with domain points reps, of degrees ns.
+
+    reps is a (k, 3) int64 array of split-coordinate points (x, y, z) as
+    returned by orbit_reps, ns the (k,) degrees they must have
+    (x^2 + y^2 + 10 z^2 = 4 n).  Row i of the result lists, as python ints,
+    [lam, mu, delta, r, a, b, c, d, I, size] for orbit i: its canonical
+    member (lam, mu, delta), the member's divisibility r, the canonical
+    reduced transcendental form (a, b, c), its discriminant d, the index I
+    with d I^2 = 160 n and the orbit size.
+
+    Rows are processed in blocks of `_ROWS`, each turned into python ints at
+    once, so no array grows with k; a block holding a degree above
+    BATCH_MAX_N runs on python-int arrays, which are exact at any size.
+    """
+    rows: list[list[int]] = []
+    for i in range(0, len(ns), _ROWS):
+        n, pts = ns[i : i + _ROWS], reps[i : i + _ROWS]
+        if n.max() > BATCH_MAX_N:
+            n, pts = n.astype(object), pts.astype(object)
+        rows += _classes_block(n, pts).tolist()
+    return rows
+
+
+def _first_bad(bad: np.ndarray) -> int | None:
+    return int(np.argmax(bad)) if bad.any() else None
+
+
+def _classes_block(n: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """orbit_classes for one block, on int64 or python-int arrays alike."""
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    i = _first_bad((x < 0) | (x > y) | (z < 0) | ((x - z) % 2 != 0) | ((y - z) % 2 != 0))
+    if i is not None:
+        raise EnumerationAnomaly(int(n[i]), f"{tuple(pts[i].tolist())} is outside the fundamental domain")
+    i = _first_bad(x * x + y * y + 10 * z * z != 4 * n)
+    if i is not None:
+        raise EnumerationAnomaly(int(n[i]), f"{tuple(pts[i].tolist())} does not have norm {4 * int(n[i])}")
+
+    # the canonical member, the lift of (-y, -x, -z) (see isometries.canonical_member)
+    rep = np.stack([(-y - z) // 2, (-x - z) // 2, -z], axis=1)
+    r = np.gcd(np.gcd(rep[:, 0], rep[:, 1]), rep[:, 2])
+    # the complement is the kernel of w -> <rep, w>, the row G rep divided by its content
+    w = np.stack([-2 * y, -2 * x, x + y - 10 * z], axis=1)
+    p = w // np.gcd(np.gcd(w[:, 0], w[:, 1]), w[:, 2])[:, None]
+    gab, s, t = _xgcd(p[:, 0], p[:, 1])
+    flat = gab == 0  # p = (0, 0, +-1): the kernel is spanned by (1, 0, 0) and (0, 1, 0)
+    g1 = np.where(flat, 1, gab)
+    u = np.stack(
+        [
+            np.stack([np.where(flat, 1, -p[:, 1] // g1), p[:, 0] // g1, 0 * gab], axis=1),
+            np.stack([np.where(flat, 0, p[:, 2] * s), np.where(flat, 1, p[:, 2] * t), -gab], axis=1),
+        ],
+        axis=1,
+    )
+    i = _first_bad(((u * w[:, None, :]).sum(axis=2) != 0).any(axis=1))
+    if i is not None:
+        u1, u2 = (tuple(b) for b in u[i].tolist())
+        raise ComplementAnomaly(
+            f"complement anomaly: {u1}, {u2} are not both orthogonal to {tuple(rep[i].tolist())}"
+        )
+    # u G u^T by products and sums, which (unlike einsum before numpy 1.25) take object arrays
+    ug = u @ np.array(GRAM, dtype=pts.dtype)
+    gram = (ug[:, :, None, :] * u[:, None, :, :]).sum(axis=3)
+    g11, g12, g21, g22 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 0], gram[:, 1, 1]
+    # lattice.check_gram2, but for the determinant: past g11 > 0, positive
+    # definiteness is left to _reduce, which certifies it without forming it
+    for bad, what in (
+        (g12 != g21, "is not symmetric"),
+        ((g11 % 4 != 0) | (g22 % 4 != 0), "has a diagonal entry not divisible by 4"),
+        (g12 % 2 != 0, "has an odd off-diagonal entry"),
+        (g11 <= 0, "is not positive definite"),
+    ):
+        i = _first_bad(bad)
+        if i is not None:
+            raise ComplementAnomaly(f"complement anomaly: Gram matrix {gram[i].tolist()} {what}")
+
+    form = (g11 // 4, g12 // 2, g22 // 4)
+    (a, b, c), witness = _reduce(*form)
+    _check_witness(form, (a, b, c), witness)
+    d = 4 * a * c - b * b
+    index = _index(n, d)
+
+    # 16 over the stabiliser (see isometries.orbit_size)
+    stabiliser = np.where(z == 0, 2, 1) * np.where(
+        (x == 0) & (y == 0), 8, np.where((x == 0) | (x == y), 2, 1)
+    )
+    return np.column_stack([rep, r, a, b, c, d, index, 16 // stabiliser])
+
+
+def _index(n: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The sublattice index I with d I^2 = 160 n, for discriminants d > 0.
+
+    The complement has index I in the full orthogonal sublattice of v, and
+    n d = 10 t^2 for the same reason; both must be exact squares, or
+    IndexAnomaly is raised.  (A square 160 n / d implies a square n d / 10,
+    not conversely, so the second is checked first: then each check can
+    fire alone.)
+    """
+    nd = n * d
+    i = _first_bad((nd % 10 != 0) | (_isqrt_np(nd // 10) ** 2 * 10 != nd))
+    if i is not None:
+        raise IndexAnomaly(int(n[i]), int(d[i]), f"n*d = {int(nd[i])} is not 10 times a square")
+    num = 160 * n
+    index = _isqrt_np(num // d)
+    i = _first_bad((num % d != 0) | (index * index * d != num))
+    if i is not None:
+        raise IndexAnomaly(int(n[i]), int(d[i]))
+    return index
+
+
+def _xgcd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lattice._xgcd row by row: (g, s, t) with g = gcd(a, b) >= 0 and s a + t b = g."""
+    old_r, r = a.copy(), b.copy()
+    old_s, s = np.ones_like(a), np.zeros_like(a)
+    old_t, t = np.zeros_like(a), np.ones_like(a)
+    live = np.flatnonzero(r != 0)
+    while live.size:
+        q = old_r[live] // r[live]
+        old_r[live], r[live] = r[live], old_r[live] - q * r[live]
+        old_s[live], s[live] = s[live], old_s[live] - q * s[live]
+        old_t[live], t[live] = t[live], old_t[live] - q * t[live]
+        live = live[r[live] != 0]
+    sign = np.where(old_r < 0, -1, 1)
+    return sign * old_r, sign * old_s, sign * old_t
+
+
+def _reduce(a: np.ndarray, b: np.ndarray, c: np.ndarray):
+    """Gauss reduction of the forms (a, b, c) with a > 0 to their canonical reduced forms.
+
+    Returns ((a, b, c), (p, q, r, s)) with t = [[p, q], [r, s]] in SL2(Z)
+    carrying each form to its reduced one, as binary_forms.reduce does row
+    by row: b is shifted into (-a, a], and (a, b, c) -> (c, -b, a) while
+    a > c.  One more swap when a = c and b < 0 makes b >= 0 in that case,
+    which is binary_forms.canonical.  A reduced row shifts by 0 and does not
+    swap, so the loop runs until no row swaps.
+
+    A positive definite form takes only positive values, so a value c <= 0
+    raises ComplementAnomaly.  Each swap but the last lowers the positive
+    integer a, so the loop ends on any input, and then
+    d = 4ac - b^2 >= 3 a^2 > 0: a form that reduces is positive definite.
+    """
+    one, zero = np.ones_like(a), np.zeros_like(a)
+    p, q, r, s = one, zero, zero, one
+    while True:
+        k = (a - b) // (2 * a)
+        c = c + (a * k + b) * k
+        b = b + 2 * k * a
+        q, s = q + p * k, s + r * k
+        i = _first_bad(c <= 0)
+        if i is not None:
+            form = (int(a[i]), int(b[i]), int(c[i]))
+            raise ComplementAnomaly(f"complement anomaly: the form {form} is not positive definite")
+        swap = (a > c) | ((a == c) & (b < 0))
+        if not swap.any():
+            return (a, b, c), (p, q, r, s)
+        a, b, c = np.where(swap, c, a), np.where(swap, -b, b), np.where(swap, a, c)
+        p, q, r, s = np.where(swap, q, p), np.where(swap, -p, q), np.where(swap, s, r), np.where(swap, -r, s)
+
+
+def _check_witness(form, reduced, witness) -> None:
+    """Raise ReductionAnomaly unless each witness t has det 1, carries form to
+    reduced, and reduced is canonical: -a < b <= a <= c, b >= 0 when a = c.
+
+    t carries form to reduced exactly when its inverse [[s, -q], [-r, p]]
+    carries reduced back to form, and that direction keeps every term
+    below the form's own entries (see BATCH_MAX_N).
+    """
+    a, b, c = reduced
+    p, q, r, s = witness
+    back = (
+        a * s * s - b * s * r + c * r * r,
+        b * (s * p + q * r) - 2 * a * s * q - 2 * c * r * p,
+        a * q * q - b * q * p + c * p * p,
+    )
+    bad = p * s - q * r != 1
+    for have, want in zip(back, form):
+        bad |= have != want
+    bad |= ~((-a < b) & (b <= a) & (a <= c) & ((a < c) | (b >= 0)))
+    i = _first_bad(bad)
+    if i is not None:
+        t = ((int(p[i]), int(q[i])), (int(r[i]), int(s[i])))
+        have = tuple(int(f[i]) for f in form)
+        want = (int(a[i]), int(b[i]), int(c[i]))
+        raise ReductionAnomaly(
+            f"reduction anomaly: {want} is not the canonical reduced form of {have} by witness {t}"
+        )

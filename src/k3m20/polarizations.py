@@ -27,28 +27,10 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .binary_forms import ReducedForm, canonical, from_gram
-from .isometries import canonical_member, orbit_size
-from .kernels import MAX_N, orbit_reps
-from .lattice import Vec, divisibility, orthogonal_complement
+from .binary_forms import ReducedForm
+from .kernels import MAX_N, EnumerationAnomaly, IndexAnomaly, orbit_classes, orbit_reps
+from .lattice import Vec
 from .representability import is_representable
-
-
-class IndexAnomaly(ValueError):
-    """160 n / d failed to be a perfect square; carries (n, d)."""
-
-    def __init__(self, n: int, d: int, message: str | None = None):
-        self.n = n
-        self.d = d
-        super().__init__(message or f"index anomaly: 160*{n}/{d} is not a perfect square")
-
-
-class EnumerationAnomaly(ValueError):
-    """The orbit representatives of degree 4n broke an invariant; carries n."""
-
-    def __init__(self, n: int, message: str):
-        self.n = n
-        super().__init__(f"enumeration anomaly at n = {n}: {message}")
 
 
 @dataclass(frozen=True)
@@ -144,56 +126,50 @@ def scale_embedding(v: Vec, r: int) -> Vec:
     return (r * v[0], r * v[1], r * v[2])
 
 
-def _orbit_class(n: int, x: int, y: int, z: int) -> OrbitClass:
-    """The orbit of the split-coordinate point (x, y, z) and its invariants.
+def _reports(lo: int, hi: int, reps: np.ndarray) -> list[PolarizationReport]:
+    """The reports of degrees lo..hi from all their orbit representatives (see orbit_reps)."""
+    x, y, z = reps[:, 0], reps[:, 1], reps[:, 2]
+    norms = x * x + y * y + 10 * z * z
+    # by degree, then by canonical member ((-y - z) / 2, (-x - z) / 2, -z)
+    order = np.lexsort((-z, -x - z, -y - z, norms))
+    # a norm off 4 lo..4 hi, or not divisible by 4, fails orbit_classes' norm check
+    ns = np.clip(norms[order] // 4, lo, hi)
+    rows = orbit_classes(ns, reps[order])
+    cuts = np.searchsorted(ns, np.arange(lo, hi + 2)).tolist()
+    forms: dict[tuple[int, int, int], ReducedForm] = {}
+    return [_report(n, rows[cuts[i] : cuts[i + 1]], forms) for i, n in enumerate(range(lo, hi + 1))]
 
-    (x, y, z) must be the orbit's domain point, 0 <= x <= y, z >= 0 (see
-    `isometries`).
+
+def _report(n: int, rows: list[list[int]], forms: dict) -> PolarizationReport:
+    """The report of degree 4n from its orbit_classes rows, ordered by canonical member.
+
+    forms holds one ReducedForm per triple, shared by every orbit carrying it.
     """
-    if not (0 <= x <= y and z >= 0 and (x - z) % 2 == (y - z) % 2 == 0):
-        raise EnumerationAnomaly(n, f"({x}, {y}, {z}) is outside the fundamental domain")
-    if x * x + y * y + 10 * z * z != 4 * n:
-        raise EnumerationAnomaly(n, f"({x}, {y}, {z}) does not have norm {4 * n}")
-    rep = canonical_member(x, y, z)
-    r, root = divisibility(rep)
-    _, gram = orthogonal_complement(rep)
-    tx = canonical(from_gram(gram))
-    d = tx.discriminant
-    idx = index_from(n, d)
-    # the complement has index I in the full orthogonal sublattice of v,
-    # and n * d = 10 t^2 for the same reason; both must be exact squares
-    if (n * d) % 10 or isqrt(n * d // 10) ** 2 * 10 != n * d:
-        raise IndexAnomaly(n, d, f"n*d = {n * d} is not 10 times a square")
-    return OrbitClass(
-        canonical=rep,
-        orbit_size=orbit_size(x, y, z),
-        divisibility=r,
-        primitive_root=root,
-        tx=tx,
-        discriminant=d,
-        index=idx,
-    )
-
-
-def _report(n: int, points: list[list[int]]) -> PolarizationReport:
-    """The report of degree 4n from its orbit representatives (see orbit_reps)."""
     representable = is_representable(n)
-    if representable != bool(points):
+    if representable != bool(rows):
         raise EnumerationAnomaly(
-            n, f"{len(points)} orbits found, but the closed form says representable={representable}"
+            n, f"{len(rows)} orbits found, but the closed form says representable={representable}"
         )
-    orbits = sorted((_orbit_class(n, x, y, z) for x, y, z in points), key=lambda o: o.canonical)
-    tx_classes = tuple(sorted({o.tx for o in orbits}, key=lambda f: f.triple()))
-    feasibility = tuple(
-        ClassFeasibility(
-            tx=f,
-            discriminant=f.discriminant,
-            div1_solvable=div_feasible(10, n, f.discriminant),
-            div2_solvable=div_feasible(40, n, f.discriminant),
-            quadrics_eq_solvable=div_feasible(90, n, f.discriminant),
+    orbits = []
+    classes: dict[tuple[int, int, int], ReducedForm] = {}
+    for lam, mu, delta, r, a, b, c, d, index, size in rows:
+        tx = forms.get((a, b, c))
+        if tx is None:
+            tx = forms[a, b, c] = ReducedForm(a, b, c)
+        classes[a, b, c] = tx
+        orbits.append(
+            OrbitClass(
+                canonical=(lam, mu, delta),
+                orbit_size=size,
+                divisibility=r,
+                primitive_root=(lam // r, mu // r, delta // r),
+                tx=tx,
+                discriminant=d,
+                index=index,
+            )
         )
-        for f in tx_classes
-    )
+    tx_classes = tuple(classes[t] for t in sorted(classes))
+    feasibility = tuple(_feasibility(n, f) for f in tx_classes)
     return PolarizationReport(
         n=n,
         l_squared=4 * n,
@@ -203,6 +179,17 @@ def _report(n: int, points: list[list[int]]) -> PolarizationReport:
         quadric_count=quadric_count(n),
         ambient_dim=ambient_dim(n),
         feasibility=feasibility,
+    )
+
+
+def _feasibility(n: int, f: ReducedForm) -> ClassFeasibility:
+    d = f.discriminant
+    return ClassFeasibility(
+        tx=f,
+        discriminant=d,
+        div1_solvable=div_feasible(10, n, d),
+        div2_solvable=div_feasible(40, n, d),
+        quadrics_eq_solvable=div_feasible(90, n, d),
     )
 
 
@@ -216,8 +203,8 @@ def classify(n: int) -> PolarizationReport:
     """
     if not 1 <= n <= MAX_N:
         raise ValueError(f"degree parameter n must be in 1..{MAX_N}")
-    points = orbit_reps(n, n).tolist() if is_representable(n) else []
-    return _report(n, points)
+    reps = orbit_reps(n, n) if is_representable(n) else np.zeros((0, 3), dtype=np.int64)
+    return _reports(n, n, reps)[0]
 
 
 # degrees whose projective models were settled before this classification;
@@ -315,13 +302,9 @@ def classify_range(max_n: int) -> list[PolarizationReport]:
     """Reports for n = 1..max_n, ascending, equal to [classify(n) for n in 1..max_n].
 
     One sweep of orbit_reps(1, max_n) finds the representatives of every
-    degree at once; they are bucketed by n = norm / 4.
+    degree at once; orbit_classes computes their invariants in one batch,
+    and they are bucketed by n = norm / 4.
     """
     if not 1 <= max_n <= MAX_N:
         raise ValueError(f"scan limit must be in 1..{MAX_N}")
-    reps = orbit_reps(1, max_n)
-    ns = (reps * reps) @ np.array([1, 1, 10], dtype=np.int64) // 4
-    order = np.argsort(ns, kind="stable")
-    cuts = np.searchsorted(ns[order], np.arange(1, max_n + 2)).tolist()
-    points = reps[order].tolist()
-    return [_report(n, points[cuts[n - 1] : cuts[n]]) for n in range(1, max_n + 1)]
+    return _reports(1, max_n, orbit_reps(1, max_n))

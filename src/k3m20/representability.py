@@ -51,6 +51,11 @@ def two_squares(p: int) -> tuple[int, int]:
     """
     if not is_prime(p) or p % 4 != 1:
         raise ValueError("need a prime congruent to 1 mod 4")
+    return _two_squares(p)
+
+
+def _two_squares(p: int) -> tuple[int, int]:
+    """two_squares for a p already known to be a prime congruent to 1 mod 4."""
     lam = 1
     while 2 * lam * lam <= p:
         rem = p - lam * lam
@@ -69,7 +74,7 @@ def prime_witnesses() -> Iterator[tuple[int, Vec]]:
     """
     for p in itertools.count(5, 4):
         if is_prime(p):
-            lam, mu = two_squares(p)
+            lam, mu = _two_squares(p)
             v: Vec = (lam, mu, 0)
             assert norm(v) == 4 * p
             yield p, v

@@ -12,10 +12,14 @@ library answers in closed form or by reduction, by plain search:
   3x3 matrices, and an orbit as the set of its images (checks the
   split-coordinate closed forms in `isometries`);
 - `enumerate_solutions`: every vector of norm 4n, by a scan over delta and
-  lam (checks the orbit walk `kernels.orbit_reps`).
+  lam (checks the orbit walk `kernels.orbit_reps`);
+- `orbit_class`: one orbit's invariants over python ints, one orbit at a
+  time, through `lattice.orthogonal_complement` and
+  `binary_forms.canonical` (checks the batched `kernels.orbit_classes`).
 
-The range scan and the SL2(Z) search work in int64 numpy arrays, the group
-and the enumeration over python ints; callers keep the inputs small.
+The range scan and the SL2(Z) search work in int64 numpy arrays; the group,
+the enumeration and `orbit_class` work over python ints; callers keep the
+inputs small.
 """
 
 from __future__ import annotations
@@ -26,7 +30,10 @@ from math import isqrt
 
 import numpy as np
 
-from k3m20.lattice import GRAM, Mat3, Vec, mat_det, norm
+from k3m20.binary_forms import canonical, from_gram
+from k3m20.isometries import canonical_member, orbit_size
+from k3m20.lattice import GRAM, Mat3, Vec, divisibility, mat_det, norm, orthogonal_complement
+from k3m20.polarizations import EnumerationAnomaly, IndexAnomaly, OrbitClass, index_from
 
 
 def two_square_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -178,3 +185,34 @@ def enumerate_solutions(n: int) -> list[Vec]:
     out.sort()
     assert all(norm(v) == four_n for v in out)
     return out
+
+
+def orbit_class(n: int, x: int, y: int, z: int) -> OrbitClass:
+    """The orbit of the split-coordinate point (x, y, z) and its invariants.
+
+    (x, y, z) must be the orbit's domain point, 0 <= x <= y, z >= 0 (see
+    `isometries`).
+    """
+    if not (0 <= x <= y and z >= 0 and (x - z) % 2 == (y - z) % 2 == 0):
+        raise EnumerationAnomaly(n, f"({x}, {y}, {z}) is outside the fundamental domain")
+    if x * x + y * y + 10 * z * z != 4 * n:
+        raise EnumerationAnomaly(n, f"({x}, {y}, {z}) does not have norm {4 * n}")
+    rep = canonical_member(x, y, z)
+    r, root = divisibility(rep)
+    _, gram = orthogonal_complement(rep)
+    tx = canonical(from_gram(gram))
+    d = tx.discriminant
+    idx = index_from(n, d)
+    # the complement has index I in the full orthogonal sublattice of v,
+    # and n * d = 10 t^2 for the same reason; both must be exact squares
+    if (n * d) % 10 or isqrt(n * d // 10) ** 2 * 10 != n * d:
+        raise IndexAnomaly(n, d, f"n*d = {n * d} is not 10 times a square")
+    return OrbitClass(
+        canonical=rep,
+        orbit_size=orbit_size(x, y, z),
+        divisibility=r,
+        primitive_root=root,
+        tx=tx,
+        discriminant=d,
+        index=idx,
+    )

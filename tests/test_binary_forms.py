@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from k3m20.binary_forms import (
     EvenBinaryForm,
     ReducedForm,
+    ReductionAnomaly,
     canonical,
     equivalent,
     from_gram,
@@ -79,6 +80,13 @@ def test_reduced_form_predicate():
         ReducedForm(3, 0, 2)  # a > c
     with pytest.raises(ValueError):
         ReducedForm(2, 3, 5)  # b > a
+
+
+def test_reduced_form_inequality_is_checked(monkeypatch):
+    # is_reduced implies b^2 <= ac; the check stands on its own should it break
+    monkeypatch.setattr(EvenBinaryForm, "is_reduced", lambda self: True)
+    with pytest.raises(ReductionAnomaly, match="b\\^2 <= ac"):
+        ReducedForm(2, 6, 15)
 
 
 def test_reduce_worked_case():

@@ -214,22 +214,42 @@ def test_enumeration_anomaly_exits_1(capsys, monkeypatch, argv):
     assert "enumeration anomaly" in err
 
 
-@pytest.mark.parametrize(
-    "module, attr, fault, error",
-    [
-        ("binary_forms", "_mat2_mul", "lambda m, t: m", "ReductionAnomaly"),  # witness stays id
-        ("lattice", "_xgcd", "lambda a, b: (1, 0, 0)", "ComplementAnomaly"),  # wrong cofactors
-    ],
-    ids=["reduction", "complement"],
+# each fault breaks one step of classify's batched per-orbit layer
+_IDENTITY_WITNESS = (
+    "reduce = kernels._reduce\n"
+    "kernels._reduce = lambda a, b, c: (reduce(a, b, c)[0], (a * 0 + 1, a * 0, a * 0, a * 0 + 1))\n"
 )
-def test_result_guards_fire_under_python_optimize(module, attr, fault, error):
+_WRONG_COFACTORS = "kernels._xgcd = lambda a, b: (a * 0 + 1, a * 0, a * 0)\n"
+# b^2 > ac in a form let through both the batched check and is_reduced
+_UNREDUCED_FORM = (
+    "classes = polarizations.orbit_classes\n"
+    "def corrupt(ns, reps):\n"
+    "    rows = classes(ns, reps)\n"
+    "    for row in rows:\n"
+    "        row[5] = 3 * row[4]\n"
+    "    return rows\n"
+    "polarizations.orbit_classes = corrupt\n"
+    "binary_forms.EvenBinaryForm.is_reduced = lambda self: True\n"
+)
+
+
+@pytest.mark.parametrize(
+    "fault, error, message",
+    [
+        (_IDENTITY_WITNESS, "ReductionAnomaly", "not the canonical reduced form"),
+        (_WRONG_COFACTORS, "ComplementAnomaly", "not both orthogonal"),
+        (_UNREDUCED_FORM, "ReductionAnomaly", "b^2 <= ac"),
+    ],
+    ids=["reduction", "complement", "reduced-form"],
+)
+def test_result_guards_fire_under_python_optimize(fault, error, message):
     # the guards are explicit checks, not asserts, so -O keeps them; each is a
     # ValueError, so main reports it and exits 1
     code = (
         "import sys\n"
-        f"from k3m20 import cli, classify, {module} as m\n"
-        f"m.{attr} = {fault}\n"
-        "try:\n"
+        "from k3m20 import binary_forms, cli, classify, kernels, polarizations\n"
+        + fault
+        + "try:\n"
         "    classify(3)\n"
         "except ValueError as exc:\n"
         "    print(type(exc).__name__)\n"
@@ -238,7 +258,7 @@ def test_result_guards_fire_under_python_optimize(module, attr, fault, error):
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert out.stdout.strip() == error
     assert out.returncode == 1
-    assert out.stderr.startswith("error: ") and "anomaly" in out.stderr
+    assert out.stderr.startswith("error: ") and "anomaly" in out.stderr and message in out.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,18 @@
+import itertools
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from k3m20 import representability
+from k3m20.cli import main
 from k3m20.isometries import parity_lift
 from k3m20.lattice import is_primitive, norm
 from k3m20.representability import infinitude_scan, is_prime, is_representable, two_squares
 from oracles import enumerate_solutions, generate_group, mat_vec, representable_range
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_closed_form_examples():
@@ -123,3 +130,14 @@ def test_infinitude_witnesses_give_distinct_norms():
     for p, _ in ws:
         assert is_representable(p)
 
+
+
+def test_prime_witnesses_test_each_candidate_once(monkeypatch, capsys):
+    # scan stops at the first witness beyond --max-n, so it tests every
+    # p = 1 (mod 4) from 5 up to that witness, each exactly once
+    calls = []
+    monkeypatch.setattr(representability, "is_prime", lambda p: calls.append(p) or is_prime(p))
+    assert main(["scan", "--max-n", "1000", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (DATA / "scan_1000.json").read_text()
+    last = next(p for p in itertools.count(1001) if p % 4 == 1 and is_prime(p))
+    assert calls == list(range(5, last + 1, 4))
