@@ -40,7 +40,7 @@ MAX_CLASSIFY_N = 10**9
 MAX_RANGE_N = 2 * 10**4
 _TOO_COSTLY_N = (
     "--n must be at most 10**9: classify walks about 0.45 n vector pairs"
-    " (about 20 s at n = 10**9), linear in n"
+    " (about 21 s at n = 10**9), linear in n"
 )
 _TOO_COSTLY_MAX_N = (
     "--max-n must be at most 2*10**4: a range keeps about 0.17 N^1.5 orbits in memory"

@@ -1,9 +1,9 @@
 """The numpy array layer: the orbit walk and the per-orbit invariants.
 
 `orbit_reps` walks one vector per isometry orbit of a band of norms;
-`orbit_classes` turns rows of those representatives into the invariants
-`classify` reports (canonical member, divisibility, reduced transcendental
-form, discriminant, index, orbit size), running every check of the
+`orbit_classes` turns rows of those representatives into the per-orbit
+invariants `classify` reports (canonical member, divisibility, reduced
+transcendental form, discriminant, orbit size), running every check of the
 scalar path on whole arrays and raising its named error, so that the
 checks survive `python -O`.  Both are exact: the walk in int64 for norms up
 to 4 * MAX_N = 2**62, the invariants in int64 up to BATCH_MAX_N and on
@@ -38,22 +38,14 @@ _CHUNK = 2**13
 # Everything after it is smaller: Gauss reduction never grows the form
 # past its first shifted diagonal entry (at most the Gram entry above),
 # every witness entry is at most 2 C / sqrt(d) <= 2 C / sqrt(3) by Cramer's
-# rule, with C that entry, the witness check evaluates the reduced form at
-# the columns of the inverse witness, where each term is at most 4/3 of
-# the value, and the index squares are below 160 n^2.  At n = 2**24 the
-# bound is below 2**61, a factor 4 under the int64 limit 2**63.
+# rule, with C that entry, and the witness check evaluates the reduced form
+# at the columns of the inverse witness, where each term is at most 4/3 of
+# the value.  The orthogonality check u G rep has terms at most 16 |u| |rep|
+# with |rep| <= sqrt(m), far below the Gram bound.  At n = 2**24 the bound
+# is below 2**61, a factor 4 under the int64 limit 2**63.
 BATCH_MAX_N = 2**24
 # rows per block in orbit_classes; bounds its working memory
 _ROWS = 2**11
-
-
-class IndexAnomaly(ValueError):
-    """160 n / d failed to be a perfect square; carries (n, d)."""
-
-    def __init__(self, n: int, d: int, message: str | None = None):
-        self.n = n
-        self.d = d
-        super().__init__(message or f"index anomaly: 160*{n}/{d} is not a perfect square")
 
 
 class EnumerationAnomaly(ValueError):
@@ -65,10 +57,7 @@ class EnumerationAnomaly(ValueError):
 
 
 def _isqrt_np(m: np.ndarray) -> np.ndarray:
-    """floor(sqrt(m)) for int64 0 <= m <= 2**62 (the float estimate is off by at most 1),
-    and by math.isqrt for python-int (object) arrays."""
-    if m.dtype == object:
-        return np.frompyfunc(isqrt, 1, 1)(m)
+    """floor(sqrt(m)) for int64 0 <= m <= 2**62 (the float estimate is off by at most 1)."""
     s = np.sqrt(m.astype(np.float64)).astype(np.int64)
     s -= (s * s > m).astype(np.int64)
     s += ((s + 1) * (s + 1) <= m).astype(np.int64)
@@ -123,10 +112,11 @@ def orbit_classes(ns: np.ndarray, reps: np.ndarray) -> list[list[int]]:
     reps is a (k, 3) int64 array of split-coordinate points (x, y, z) as
     returned by orbit_reps, ns the (k,) degrees they must have
     (x^2 + y^2 + 10 z^2 = 4 n).  Row i of the result lists, as python ints,
-    [lam, mu, delta, r, a, b, c, d, I, size] for orbit i: its canonical
+    [lam, mu, delta, r, a, b, c, d, size] for orbit i: its canonical
     member (lam, mu, delta), the member's divisibility r, the canonical
-    reduced transcendental form (a, b, c), its discriminant d, the index I
-    with d I^2 = 160 n and the orbit size.
+    reduced transcendental form (a, b, c), its discriminant d and the orbit
+    size.  The index depends on (n, d) alone; `polarizations.index_from`
+    computes it once per class.
 
     Rows are processed in blocks of `_ROWS`, each turned into python ints at
     once, so no array grows with k; a block holding a degree above
@@ -171,18 +161,33 @@ def _classes_block(n: np.ndarray, pts: np.ndarray) -> np.ndarray:
         ],
         axis=1,
     )
-    i = _first_bad(((u * w[:, None, :]).sum(axis=2) != 0).any(axis=1))
+    # u G rep by products and sums, which (unlike einsum before numpy 1.25) take object arrays
+    ug = u @ np.array(GRAM, dtype=pts.dtype)
+    i = _first_bad(((ug * rep[:, None, :]).sum(axis=2) != 0).any(axis=1))
     if i is not None:
         u1, u2 = (tuple(b) for b in u[i].tolist())
         raise ComplementAnomaly(
             f"complement anomaly: {u1}, {u2} are not both orthogonal to {tuple(rep[i].tolist())}"
         )
-    # u G u^T by products and sums, which (unlike einsum before numpy 1.25) take object arrays
-    ug = u @ np.array(GRAM, dtype=pts.dtype)
     gram = (ug[:, :, None, :] * u[:, None, :, :]).sum(axis=3)
+    _check_gram(gram)
+    form = (gram[:, 0, 0] // 4, gram[:, 0, 1] // 2, gram[:, 1, 1] // 4)
+    (a, b, c), witness = _reduce(*form)
+    _check_witness(form, (a, b, c), witness)
+    d = 4 * a * c - b * b
+
+    # 16 over the stabiliser (see isometries.orbit_size)
+    stabiliser = np.where(z == 0, 2, 1) * np.where(
+        (x == 0) & (y == 0), 8, np.where((x == 0) | (x == y), 2, 1)
+    )
+    return np.column_stack([rep, r, a, b, c, d, 16 // stabiliser])
+
+
+def _check_gram(gram: np.ndarray) -> None:
+    """lattice.check_gram2 on a (k, 2, 2) array, raising ComplementAnomaly, but
+    for the determinant: past g11 > 0, positive definiteness is left to
+    _reduce, which certifies it without forming it."""
     g11, g12, g21, g22 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 0], gram[:, 1, 1]
-    # lattice.check_gram2, but for the determinant: past g11 > 0, positive
-    # definiteness is left to _reduce, which certifies it without forming it
     for bad, what in (
         (g12 != g21, "is not symmetric"),
         ((g11 % 4 != 0) | (g22 % 4 != 0), "has a diagonal entry not divisible by 4"),
@@ -192,39 +197,6 @@ def _classes_block(n: np.ndarray, pts: np.ndarray) -> np.ndarray:
         i = _first_bad(bad)
         if i is not None:
             raise ComplementAnomaly(f"complement anomaly: Gram matrix {gram[i].tolist()} {what}")
-
-    form = (g11 // 4, g12 // 2, g22 // 4)
-    (a, b, c), witness = _reduce(*form)
-    _check_witness(form, (a, b, c), witness)
-    d = 4 * a * c - b * b
-    index = _index(n, d)
-
-    # 16 over the stabiliser (see isometries.orbit_size)
-    stabiliser = np.where(z == 0, 2, 1) * np.where(
-        (x == 0) & (y == 0), 8, np.where((x == 0) | (x == y), 2, 1)
-    )
-    return np.column_stack([rep, r, a, b, c, d, index, 16 // stabiliser])
-
-
-def _index(n: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The sublattice index I with d I^2 = 160 n, for discriminants d > 0.
-
-    The complement has index I in the full orthogonal sublattice of v, and
-    n d = 10 t^2 for the same reason; both must be exact squares, or
-    IndexAnomaly is raised.  (A square 160 n / d implies a square n d / 10,
-    not conversely, so the second is checked first: then each check can
-    fire alone.)
-    """
-    nd = n * d
-    i = _first_bad((nd % 10 != 0) | (_isqrt_np(nd // 10) ** 2 * 10 != nd))
-    if i is not None:
-        raise IndexAnomaly(int(n[i]), int(d[i]), f"n*d = {int(nd[i])} is not 10 times a square")
-    num = 160 * n
-    index = _isqrt_np(num // d)
-    i = _first_bad((num % d != 0) | (index * index * d != num))
-    if i is not None:
-        raise IndexAnomaly(int(n[i]), int(d[i]))
-    return index
 
 
 def _xgcd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -28,9 +28,18 @@ from math import comb, isqrt
 import numpy as np
 
 from .binary_forms import ReducedForm
-from .kernels import MAX_N, EnumerationAnomaly, IndexAnomaly, orbit_classes, orbit_reps
+from .kernels import MAX_N, EnumerationAnomaly, orbit_classes, orbit_reps
 from .lattice import Vec
 from .representability import is_representable
+
+
+class IndexAnomaly(ValueError):
+    """160 n / d failed to be a perfect square; carries (n, d)."""
+
+    def __init__(self, n: int, d: int, message: str | None = None):
+        self.n = n
+        self.d = d
+        super().__init__(message or f"index anomaly: 160*{n}/{d} is not a perfect square")
 
 
 @dataclass(frozen=True)
@@ -94,9 +103,18 @@ def ambient_dim(n: int) -> int:
 
 
 def index_from(n: int, d: int) -> int:
-    """Sublattice index I with d * I^2 = 160 n; anomaly unless square."""
+    """Sublattice index I with d * I^2 = 160 n; anomaly unless square.
+
+    The complement of a degree-4n vector has index I in the full orthogonal
+    sublattice of the vector, and n d = 10 t^2 for the same reason; both
+    must be exact squares, or IndexAnomaly is raised.  (A square 160 n / d
+    implies a square n d / 10, not conversely, so the second is checked
+    first: then each check can fire alone.)
+    """
     if n < 1 or d < 1:
         raise ValueError("need positive n and d")
+    if (n * d) % 10 or isqrt(n * d // 10) ** 2 * 10 != n * d:
+        raise IndexAnomaly(n, d, f"n*d = {n * d} is not 10 times a square")
     num = 160 * n
     if num % d:
         raise IndexAnomaly(n, d)
@@ -143,7 +161,8 @@ def _reports(lo: int, hi: int, reps: np.ndarray) -> list[PolarizationReport]:
 def _report(n: int, rows: list[list[int]], forms: dict) -> PolarizationReport:
     """The report of degree 4n from its orbit_classes rows, ordered by canonical member.
 
-    forms holds one ReducedForm per triple, shared by every orbit carrying it.
+    forms holds one ReducedForm per triple, shared by every orbit carrying it;
+    the index is computed once per discriminant.
     """
     representable = is_representable(n)
     if representable != bool(rows):
@@ -152,11 +171,15 @@ def _report(n: int, rows: list[list[int]], forms: dict) -> PolarizationReport:
         )
     orbits = []
     classes: dict[tuple[int, int, int], ReducedForm] = {}
-    for lam, mu, delta, r, a, b, c, d, index, size in rows:
+    indices: dict[int, int] = {}
+    for lam, mu, delta, r, a, b, c, d, size in rows:
         tx = forms.get((a, b, c))
         if tx is None:
             tx = forms[a, b, c] = ReducedForm(a, b, c)
         classes[a, b, c] = tx
+        index = indices.get(d)
+        if index is None:
+            index = indices[d] = index_from(n, d)
         orbits.append(
             OrbitClass(
                 canonical=(lam, mu, delta),

@@ -33,7 +33,7 @@ import numpy as np
 from k3m20.binary_forms import canonical, from_gram
 from k3m20.isometries import canonical_member, orbit_size
 from k3m20.lattice import GRAM, Mat3, Vec, divisibility, mat_det, norm, orthogonal_complement
-from k3m20.polarizations import EnumerationAnomaly, IndexAnomaly, OrbitClass, index_from
+from k3m20.polarizations import EnumerationAnomaly, OrbitClass, index_from
 
 
 def two_square_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -203,10 +203,6 @@ def orbit_class(n: int, x: int, y: int, z: int) -> OrbitClass:
     tx = canonical(from_gram(gram))
     d = tx.discriminant
     idx = index_from(n, d)
-    # the complement has index I in the full orthogonal sublattice of v,
-    # and n * d = 10 t^2 for the same reason; both must be exact squares
-    if (n * d) % 10 or isqrt(n * d // 10) ** 2 * 10 != n * d:
-        raise IndexAnomaly(n, d, f"n*d = {n * d} is not 10 times a square")
     return OrbitClass(
         canonical=rep,
         orbit_size=orbit_size(x, y, z),

@@ -231,34 +231,52 @@ _UNREDUCED_FORM = (
     "polarizations.orbit_classes = corrupt\n"
     "binary_forms.EvenBinaryForm.is_reduced = lambda self: True\n"
 )
+_CLASSIFY = "classify(3)"
 
 
 @pytest.mark.parametrize(
-    "fault, error, message",
+    "fault, call, error, message",
     [
-        (_IDENTITY_WITNESS, "ReductionAnomaly", "not the canonical reduced form"),
-        (_WRONG_COFACTORS, "ComplementAnomaly", "not both orthogonal"),
-        (_UNREDUCED_FORM, "ReductionAnomaly", "b^2 <= ac"),
+        # the scalar references binary_forms.reduce and lattice.orthogonal_complement
+        (
+            "binary_forms._mat2_mul = lambda m, t: m\n",  # the witness stays the identity
+            "binary_forms.reduce(binary_forms.EvenBinaryForm(2, -8, 23))",
+            "ReductionAnomaly",
+            "does not carry",
+        ),
+        (
+            "lattice._xgcd = lambda a, b: (1, 0, 0)\n",  # wrong cofactors
+            "lattice.orthogonal_complement((1, 1, 1))",
+            "ComplementAnomaly",
+            "not both orthogonal",
+        ),
+        (_IDENTITY_WITNESS, _CLASSIFY, "ReductionAnomaly", "not the canonical reduced form"),
+        (_WRONG_COFACTORS, _CLASSIFY, "ComplementAnomaly", "not both orthogonal"),
+        (_UNREDUCED_FORM, _CLASSIFY, "ReductionAnomaly", "b^2 <= ac"),
     ],
-    ids=["reduction", "complement", "reduced-form"],
+    ids=["reduction", "complement", "batched-reduction", "batched-complement", "reduced-form"],
 )
-def test_result_guards_fire_under_python_optimize(fault, error, message):
+def test_result_guards_fire_under_python_optimize(fault, call, error, message):
     # the guards are explicit checks, not asserts, so -O keeps them; each is a
-    # ValueError, so main reports it and exits 1
+    # ValueError, so main reports one in classify's path and exits 1
     code = (
         "import sys\n"
-        "from k3m20 import binary_forms, cli, classify, kernels, polarizations\n"
+        "from k3m20 import binary_forms, cli, classify, kernels, lattice, polarizations\n"
         + fault
         + "try:\n"
-        "    classify(3)\n"
+        f"    {call}\n"
         "except ValueError as exc:\n"
         "    print(type(exc).__name__)\n"
-        "sys.exit(cli.main(['classify', '--n', '3']))\n"
+        "    print(exc)\n"
+        + ("sys.exit(cli.main(['classify', '--n', '3']))\n" if call == _CLASSIFY else "")
     )
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
-    assert out.stdout.strip() == error
-    assert out.returncode == 1
-    assert out.stderr.startswith("error: ") and "anomaly" in out.stderr and message in out.stderr
+    name, text = out.stdout.splitlines()
+    assert name == error
+    assert "anomaly" in text and message in text
+    if call == _CLASSIFY:
+        assert out.returncode == 1
+        assert out.stderr.startswith("error: ") and message in out.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from k3m20.binary_forms import EvenBinaryForm, ReductionAnomaly, canonical, tran
 from k3m20.kernels import (
     BATCH_MAX_N,
     EnumerationAnomaly,
-    IndexAnomaly,
     orbit_classes,
     orbit_reps,
 )
@@ -34,7 +33,7 @@ RANGE_N = 2000
 
 def _oracle_row(n, x, y, z):
     o = orbit_class(n, x, y, z)
-    return [*o.canonical, o.divisibility, *o.tx.triple(), o.discriminant, o.index, o.orbit_size]
+    return [*o.canonical, o.divisibility, *o.tx.triple(), o.discriminant, o.orbit_size]
 
 
 def _degrees(reps):
@@ -161,24 +160,51 @@ def _classify_3(monkeypatch, attr, value):
     return orbit_classes(np.array([3]), np.array([[1, 1, 1]]))
 
 
-def test_orthogonality_guard(monkeypatch):
+@pytest.mark.parametrize(
+    "attr, value",
+    [
+        ("_xgcd", lambda a, b: (a * 0 + 1, a * 0, a * 0)),  # wrong cofactors
+        ("GRAM", ((4, 0, 0), (0, 4, 0), (0, 0, -40))),  # G rep is not the functional used
+        ("GRAM", ((4, 0, -2), (0, 4, -2), (-2, 0, 12))),
+    ],
+    ids=["cofactors", "functional", "functional-asymmetric"],
+)
+def test_orthogonality_guard(monkeypatch, attr, value):
     with pytest.raises(ComplementAnomaly, match="not both orthogonal"):
-        _classify_3(monkeypatch, "_xgcd", lambda a, b: (a * 0 + 1, a * 0, a * 0))
+        _classify_3(monkeypatch, attr, value)
 
 
 @pytest.mark.parametrize(
     "gram, message",
     [
-        (((4, 0, -2), (0, 4, -2), (-2, 0, 12)), "is not symmetric"),
-        (((2, 0, -2), (0, 4, -2), (-2, -2, 12)), "not divisible by 4"),
-        (((4, 0, -1), (0, 4, -2), (-1, -2, 12)), "odd off-diagonal"),
-        (((-4, 0, 2), (0, -4, 2), (2, 2, -12)), "not positive definite"),
-        (((4, 4, -2), (4, 4, -2), (-2, -2, 12)), "not positive definite"),  # g11 = 0
-        (((4, 0, 0), (0, 4, 0), (0, 0, -40)), "not positive definite"),  # indefinite, g11 > 0
+        ([[4, 2], [0, 4]], "is not symmetric"),
+        ([[2, 0], [0, 4]], "not divisible by 4"),
+        ([[4, 0], [0, 6]], "not divisible by 4"),
+        ([[4, 1], [1, 4]], "odd off-diagonal"),
+        ([[-4, 0], [0, 4]], "not positive definite"),
+        ([[0, 0], [0, 4]], "not positive definite"),
     ],
-    ids=["symmetric", "diagonal", "off-diagonal", "negative", "zero", "indefinite"],
+    ids=["symmetric", "diagonal-11", "diagonal-22", "off-diagonal", "negative", "zero"],
 )
-def test_gram_guards(monkeypatch, gram, message):
+def test_gram_guards(gram, message):
+    good = [[4, 2], [2, 8]]
+    with pytest.raises(ComplementAnomaly, match=message):
+        kernels._check_gram(np.array([good, gram, good]))
+
+
+# GRAM matrices that keep G rep = (-2, -2, -8) for the point (1, 1, 1), so the
+# complement basis stays orthogonal and the Gram matrix is what goes wrong
+@pytest.mark.parametrize(
+    "gram, message",
+    [
+        (((2, 0, 0), (0, 4, -2), (-2, -2, 12)), "Gram matrix .* is not symmetric"),
+        (((5, 0, -3), (0, 4, -2), (-3, -2, 13)), "Gram matrix .* not divisible by 4"),
+        (((2, 2, -2), (2, 2, -2), (-2, -2, 12)), "Gram matrix .* not positive definite"),  # g11 = 0
+        (((4, 0, -2), (0, 0, 2), (-2, 2, 8)), r"the form .* not positive definite"),  # indefinite
+    ],
+    ids=["symmetric", "diagonal", "zero", "indefinite"],
+)
+def test_wrong_gram_reaches_the_gram_guards(monkeypatch, gram, message):
     with pytest.raises(ComplementAnomaly, match=message):
         _classify_3(monkeypatch, "GRAM", gram)
 
@@ -205,16 +231,3 @@ def test_witness_guard(form, reduced, witness):
     with pytest.raises(ReductionAnomaly, match="not the canonical reduced form"):
         kernels._check_witness(*(tuple(np.array([e]) for e in part) for part in (form, reduced, witness)))
 
-
-@pytest.mark.parametrize(
-    "n, d, message", [(3, 4, r"n\*d = 12 is not"), (1, 1000, r"160\*1/1000")], ids=["n*d", "160n/d"]
-)
-def test_index_guards(n, d, message):
-    with pytest.raises(IndexAnomaly, match=message) as exc:
-        kernels._index(np.array([n]), np.array([d]))
-    assert (exc.value.n, exc.value.d) == (n, d)
-
-
-def test_index_matches_known_pairs():
-    ns, ds = np.array([1, 2, 3, 10, 15, 45]), np.array([40, 20, 120, 4, 600, 1800])
-    assert kernels._index(ns, ds).tolist() == [2, 4, 2, 20, 2, 2]

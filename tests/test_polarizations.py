@@ -86,6 +86,16 @@ def test_index_from_anomalies():
         index_from(1, 0)
 
 
+@pytest.mark.parametrize(
+    "n, d, message", [(3, 4, r"n\*d = 12 is not"), (1, 1000, r"160\*1/1000")], ids=["n*d", "160n/d"]
+)
+def test_index_from_each_check_fires_alone(n, d, message):
+    # n d = 10 is 10 times a square, but 160 / 1000 is not a square
+    with pytest.raises(IndexAnomaly, match=message) as exc:
+        index_from(n, d)
+    assert (exc.value.n, exc.value.d) == (n, d)
+
+
 @given(st.integers(min_value=1, max_value=500), st.integers(min_value=1, max_value=40))
 def test_index_from_roundtrip(n, i):
     # construct d so that d * i^2 = 160 n exactly, whenever possible
