@@ -9,7 +9,8 @@ binary quadratic forms and checks the projective-model obstructions.
 All lattice arithmetic is exact; the orbit representatives are walked
 over a fundamental domain of the isometries, and their invariants
 computed, in numpy blocks of int64 or, where int64 could overflow, of
-python ints (see `kernels`).
+python ints (see `kernels`); `class_table` groups them into the
+classification table, one row per degree and transcendental class.
 """
 
 __version__ = "0.1.0"
@@ -18,10 +19,12 @@ from .binary_forms import EvenBinaryForm, ReducedForm, canonical, equivalent, fr
 from .isometries import canonical_rep, parity_lift, same_orbit
 from .lattice import GRAM, divisibility, inner, is_primitive, norm, orthogonal_complement
 from .polarizations import (
+    ClassTable,
     EnumerationAnomaly,
     IndexAnomaly,
     OrbitClass,
     PolarizationReport,
+    class_table,
     classify,
     classify_range,
     div_feasible,
@@ -33,6 +36,7 @@ from .polarizations import (
 from .representability import infinitude_scan, is_representable, two_squares
 
 __all__ = [
+    "ClassTable",
     "EnumerationAnomaly",
     "EvenBinaryForm",
     "GRAM",
@@ -42,6 +46,7 @@ __all__ = [
     "ReducedForm",
     "canonical",
     "canonical_rep",
+    "class_table",
     "classify",
     "classify_range",
     "div_feasible",

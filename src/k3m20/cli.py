@@ -20,19 +20,30 @@ import json
 import sys
 from collections.abc import Sequence
 
+import numpy as np
+
 from . import __version__
 from .golden import golden_check
 from .polarizations import (
+    FEASIBLE,
+    ClassTable,
     ModelVerdict,
     PolarizationReport,
+    class_statuses,
+    class_table,
     classify,
-    classify_range,
     model_verdict,
+    quadric_count,
 )
 from .representability import prime_witnesses
 from .veronese import doubled_model_dims, quadrics_on_veronese2, scaled_quartic_dims
 
 CSV_HEADER = "n,l2,q,a,b,c,lambda,mu,delta,index"
+_KEYS = CSV_HEADER.split(",")
+# one table row in each format; the json one is a row object as json.dumps(rows, indent=2) prints it
+_CSV_ROW = ",".join(["%d"] * len(_KEYS))
+_TEXT_ROW = "\t".join(["%d"] * len(_KEYS))
+_JSON_ROW = "  {\n" + ",\n".join(f'    "{key}": %d' for key in _KEYS) + "\n  }"
 _PARALLEL_HELP = "accepted for compatibility; a range is swept once, in one process"
 # cost caps, far below the exact int64 bound kernels.MAX_N; the times in the
 # messages were measured on a 2-CPU Xeon VM
@@ -44,7 +55,7 @@ _TOO_COSTLY_N = (
 )
 _TOO_COSTLY_MAX_N = (
     "--max-n must be at most 2*10**4: a range keeps about 0.17 N^1.5 orbits in memory"
-    " (about 10 s and 0.5 GB at N = 2*10**4), growing as N^1.5"
+    " (about 4 s and 0.3 GB at N = 2*10**4), growing as N^1.5"
 )
 
 
@@ -116,10 +127,15 @@ def _class_rows(report: PolarizationReport) -> list[tuple[int, ...]]:
     return rows
 
 
+def _table_rows(table: ClassTable) -> list[tuple[int, ...]]:
+    """The rows of _class_rows for every report of a range, from its class table."""
+    n = table.n
+    columns = (n, 4 * n, quadric_count(n), table.a, table.b, table.c, table.lam, table.mu, table.delta)
+    return list(zip(*(col.tolist() for col in columns + (table.index,))))
+
+
 def emit_table_csv(rows: list[tuple[int, ...]]) -> str:
-    out = [CSV_HEADER]
-    out.extend(",".join(str(x) for x in row) for row in rows)
-    return "\n".join(out) + "\n"
+    return "\n".join([CSV_HEADER, *(_CSV_ROW % row for row in rows)]) + "\n"
 
 
 def parse_table_csv(text: str) -> list[tuple[int, ...]]:
@@ -177,18 +193,14 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    reports = classify_range(args.max_n)
-    rows = [row for rep in reports if rep.representable for row in _class_rows(rep)]
+    rows = _table_rows(class_table(args.max_n))
     if args.format == "json":
-        keys = CSV_HEADER.split(",")
-        print(json.dumps([dict(zip(keys, row)) for row in rows], indent=2))
+        print("[\n" + ",\n".join(_JSON_ROW % row for row in rows) + "\n]")
     elif args.format == "csv":
         print(emit_table_csv(rows), end="")
     else:
         print(_banner())
-        print(CSV_HEADER.replace(",", "\t"))
-        for row in rows:
-            print("\t".join(str(x) for x in row))
+        print("\n".join([CSV_HEADER.replace(",", "\t"), *(_TEXT_ROW % row for row in rows)]))
     return 0
 
 
@@ -206,19 +218,22 @@ def _cmd_golden_check(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    reports = classify_range(args.max_n)
-    non_rep = [r.n for r in reports if not r.representable]
-    classes = sorted({f.triple() for r in reports for f in r.tx_classes})
+    table = class_table(args.max_n)
+    # the degrees without a class, which class_table has checked are the non-representable ones
+    non_rep = np.setdiff1d(np.arange(1, args.max_n + 1), table.n).tolist()
+    classes = sorted(set(zip(table.a.tolist(), table.b.tolist(), table.c.tolist())))
     witnesses = list(itertools.takewhile(lambda w: w[0] <= args.max_n, prime_witnesses()))
-    inconsistent = [
-        r.n for r in reports if r.representable and not model_verdict(r).consistent
-    ]
+    # the degrees with a class that some obstruction check finds FEASIBLE
+    columns = (table.n, table.d, table.div1, table.div2, table.eq90, table.odd)
+    inconsistent = {
+        row[0] for row in zip(*(col.tolist() for col in columns)) if FEASIBLE in class_statuses(*row)
+    }
     if args.format == "json":
         print(
             json.dumps(
                 {
                     "max_n": args.max_n,
-                    "representable_count": len(reports) - len(non_rep),
+                    "representable_count": args.max_n - len(non_rep),
                     "non_representable": non_rep,
                     "tx_class_count": len(classes),
                     "tx_classes": [list(c) for c in classes],
@@ -231,7 +246,7 @@ def _cmd_scan(args) -> int:
     else:
         print(_banner())
         print(f"scan 1..{args.max_n}")
-        print(f"representable: {len(reports) - len(non_rep)}/{args.max_n}")
+        print(f"representable: {args.max_n - len(non_rep)}/{args.max_n}")
         print(f"no embedding: {', '.join(str(n) for n in non_rep) or '-'}")
         print(f"distinct transcendental classes: {len(classes)}")
         print(f"anomalies: {len(inconsistent)}")

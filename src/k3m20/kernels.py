@@ -106,28 +106,30 @@ def orbit_reps(lo: int, hi: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def orbit_classes(ns: np.ndarray, reps: np.ndarray) -> list[list[int]]:
+def orbit_classes(ns: np.ndarray, reps: np.ndarray) -> np.ndarray:
     """The invariants of the orbits with domain points reps, of degrees ns.
 
     reps is a (k, 3) int64 array of split-coordinate points (x, y, z) as
     returned by orbit_reps, ns the (k,) degrees they must have
-    (x^2 + y^2 + 10 z^2 = 4 n).  Row i of the result lists, as python ints,
+    (x^2 + y^2 + 10 z^2 = 4 n).  Row i of the (k, 9) result is
     [lam, mu, delta, r, a, b, c, d, size] for orbit i: its canonical
     member (lam, mu, delta), the member's divisibility r, the canonical
     reduced transcendental form (a, b, c), its discriminant d and the orbit
-    size.  The index depends on (n, d) alone; `polarizations.index_from`
-    computes it once per class.
+    size.  The index depends on (n, d) alone; `polarizations.class_table`
+    computes it once per distinct pair.
 
-    Rows are processed in blocks of `_ROWS`, each turned into python ints at
-    once, so no array grows with k; a block holding a degree above
-    BATCH_MAX_N runs on python-int arrays, which are exact at any size.
+    Rows are processed in blocks of `_ROWS`, so no intermediate grows with
+    k.  The result is int64 when every degree is at most BATCH_MAX_N; else
+    it is a python-int (`dtype=object`) array, and each block holding a
+    degree above BATCH_MAX_N runs on python ints, which are exact at any size.
     """
-    rows: list[list[int]] = []
+    big = len(ns) > 0 and ns.max() > BATCH_MAX_N
+    rows = np.empty((len(ns), 9), dtype=object if big else np.int64)
     for i in range(0, len(ns), _ROWS):
         n, pts = ns[i : i + _ROWS], reps[i : i + _ROWS]
         if n.max() > BATCH_MAX_N:
             n, pts = n.astype(object), pts.astype(object)
-        rows += _classes_block(n, pts).tolist()
+        rows[i : i + _ROWS] = _classes_block(n, pts)
     return rows
 
 

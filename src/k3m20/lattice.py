@@ -31,6 +31,10 @@ class ComplementAnomaly(ValueError):
     """A computed complement basis vector is not orthogonal to its vector."""
 
 
+class NormAnomaly(ValueError):
+    """A norm disagrees with the value an identity of the lattice requires."""
+
+
 def mat_det(m: Mat3) -> int:
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
@@ -78,7 +82,11 @@ def _norm_split(v: Vec) -> int:
 def norm(v: Vec) -> int:
     """<v, v>.  Always a nonnegative multiple of 4."""
     n = inner(v, v)
-    assert n == _norm_split(v)
+    split = _norm_split(v)
+    if n != split:
+        raise NormAnomaly(
+            f"norm anomaly: {v} has norm {n} by the Gram matrix but {split} by the split form"
+        )
     return n
 
 

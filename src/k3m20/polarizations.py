@@ -13,9 +13,13 @@ the polarized sublattice forces an index equation
     target = n * alpha^2 * d * m        (alpha, m >= 1 integers)
 
 with target in {10, 40, 90} for the base-point-free, hyperelliptic and
-quadric-generation obstructions respectively.  `div_feasible` decides that
-equation; `model_verdict` combines the three checks per transcendental
-class, routing the handful of degrees settled by previously known models
+quadric-generation obstructions respectively.  Since n d = 10 t^2 with
+t = 4n / I, the equation is solvable exactly when t = 1, t | 2 or t | 3.
+The class layer (`class_table`, and `classify` through it) uses that
+closed form for every class at once; `div_feasible`, which decides the
+equation by search, is its reference.  `class_statuses` turns one class's
+three checks into statuses and `model_verdict` collects them per degree,
+routing the handful of degrees settled by previously known models
 (quartic, triple-quadric, and the diag(4, 4) degree-40 case) and doubled
 polarizations L = 2M through explicit exclusion branches instead.
 """
@@ -27,8 +31,8 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .binary_forms import ReducedForm
-from .kernels import MAX_N, EnumerationAnomaly, orbit_classes, orbit_reps
+from .binary_forms import ReducedForm, ReductionAnomaly
+from .kernels import MAX_N, EnumerationAnomaly, _first_bad, orbit_classes, orbit_reps
 from .lattice import Vec
 from .representability import is_representable
 
@@ -78,9 +82,9 @@ class PolarizationReport:
     feasibility: tuple[ClassFeasibility, ...]
 
 
-def quadric_count(n: int) -> int:
-    """Quadrics through the degree-4n model: 2 n^2 - 3 n + 1."""
-    if n < 1:
+def quadric_count(n):
+    """Quadrics through the degree-4n model: 2 n^2 - 3 n + 1 (elementwise on an array of n)."""
+    if np.any(n < 1):
         raise ValueError("degree parameter n must be positive")
     return 2 * n * n - 3 * n + 1
 
@@ -144,8 +148,39 @@ def scale_embedding(v: Vec, r: int) -> Vec:
     return (r * v[0], r * v[1], r * v[2])
 
 
-def _reports(lo: int, hi: int, reps: np.ndarray) -> list[PolarizationReport]:
-    """The reports of degrees lo..hi from all their orbit representatives (see orbit_reps)."""
+@dataclass(frozen=True, eq=False)
+class ClassTable:
+    """The classification table: one row per degree 4n and transcendental class.
+
+    Each field is a column, an int64 array (python-int above
+    kernels.BATCH_MAX_N) or a bool array.  Rows are ordered by n, then by the
+    class's reduced form (a, b, c); (lam, mu, delta) is the smallest
+    canonical member of the class's orbits and index the sublattice index.
+    div1, div2 and eq90 say whether the obstruction equation with target
+    10, 40 or 90 is solvable (see div_feasible), odd whether some orbit of
+    the class has odd divisibility.
+    """
+
+    n: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+    lam: np.ndarray
+    mu: np.ndarray
+    delta: np.ndarray
+    index: np.ndarray
+    div1: np.ndarray
+    div2: np.ndarray
+    eq90: np.ndarray
+    odd: np.ndarray
+
+
+def _orbit_rows(lo: int, hi: int, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(ns, rows): the orbit_classes rows of degrees lo..hi from all their
+    orbit representatives (see orbit_reps), ordered by degree ns, then by
+    canonical member; EnumerationAnomaly unless exactly the representable
+    degrees have orbits."""
     x, y, z = reps[:, 0], reps[:, 1], reps[:, 2]
     norms = x * x + y * y + 10 * z * z
     # by degree, then by canonical member ((-y - z) / 2, (-x - z) / 2, -z)
@@ -153,67 +188,125 @@ def _reports(lo: int, hi: int, reps: np.ndarray) -> list[PolarizationReport]:
     # a norm off 4 lo..4 hi, or not divisible by 4, fails orbit_classes' norm check
     ns = np.clip(norms[order] // 4, lo, hi)
     rows = orbit_classes(ns, reps[order])
-    cuts = np.searchsorted(ns, np.arange(lo, hi + 2)).tolist()
-    forms: dict[tuple[int, int, int], ReducedForm] = {}
-    return [_report(n, rows[cuts[i] : cuts[i + 1]], forms) for i, n in enumerate(range(lo, hi + 1))]
-
-
-def _report(n: int, rows: list[list[int]], forms: dict) -> PolarizationReport:
-    """The report of degree 4n from its orbit_classes rows, ordered by canonical member.
-
-    forms holds one ReducedForm per triple, shared by every orbit carrying it;
-    the index is computed once per discriminant.
-    """
-    representable = is_representable(n)
-    if representable != bool(rows):
+    counts = np.diff(np.searchsorted(ns, np.arange(lo, hi + 2)))
+    representable = np.array([is_representable(n) for n in range(lo, hi + 1)])
+    bad = np.flatnonzero((counts > 0) != representable)
+    if bad.size:
+        i = int(bad[0])
         raise EnumerationAnomaly(
-            n, f"{len(rows)} orbits found, but the closed form says representable={representable}"
+            lo + i, f"{counts[i]} orbits found, but the closed form says representable={representable[i]}"
         )
-    orbits = []
-    classes: dict[tuple[int, int, int], ReducedForm] = {}
-    indices: dict[int, int] = {}
-    for lam, mu, delta, r, a, b, c, d, size in rows:
-        tx = forms.get((a, b, c))
-        if tx is None:
-            tx = forms[a, b, c] = ReducedForm(a, b, c)
-        classes[a, b, c] = tx
-        index = indices.get(d)
-        if index is None:
-            index = indices[d] = index_from(n, d)
-        orbits.append(
-            OrbitClass(
-                canonical=(lam, mu, delta),
-                orbit_size=size,
-                divisibility=r,
-                primitive_root=(lam // r, mu // r, delta // r),
-                tx=tx,
-                discriminant=d,
-                index=index,
-            )
-        )
-    tx_classes = tuple(classes[t] for t in sorted(classes))
-    feasibility = tuple(_feasibility(n, f) for f in tx_classes)
-    return PolarizationReport(
-        n=n,
-        l_squared=4 * n,
-        representable=representable,
-        orbits=tuple(orbits),
-        tx_classes=tx_classes,
-        quadric_count=quadric_count(n),
-        ambient_dim=ambient_dim(n),
-        feasibility=feasibility,
-    )
+    return ns, rows
 
 
-def _feasibility(n: int, f: ReducedForm) -> ClassFeasibility:
-    d = f.discriminant
-    return ClassFeasibility(
-        tx=f,
-        discriminant=d,
-        div1_solvable=div_feasible(10, n, d),
-        div2_solvable=div_feasible(40, n, d),
-        quadrics_eq_solvable=div_feasible(90, n, d),
+def _classes(ns: np.ndarray, rows: np.ndarray) -> tuple[ClassTable, np.ndarray]:
+    """Group orbit rows (ordered as _orbit_rows orders them) by (n, a, b, c).
+
+    Returns the ClassTable and, for each orbit row, the table row of its
+    class.  The sort is stable, so the first orbit of a class is its
+    smallest canonical member.  The index comes from index_from once per
+    distinct (n, d); every class is checked for a, c, d > 0 and b^2 <= ac
+    (ReductionAnomaly) and for d I^2 = 160 n (IndexAnomaly), which the
+    closed-form obstruction checks rest on.
+    """
+    a, b, c = rows[:, 4], rows[:, 5], rows[:, 6]
+    order = np.lexsort((c, b, a, ns))
+    # python ints along with the rows, so that 160 n stays exact
+    n, cls = ns[order].astype(rows.dtype, copy=False), rows[order]
+    first = np.ones(len(n), dtype=bool)
+    first[1:] = (n[1:] != n[:-1]) | (cls[1:, 4:7] != cls[:-1, 4:7]).any(axis=1)
+    starts = np.flatnonzero(first)
+    odd = np.logical_or.reduceat(cls[:, 3] % 2 == 1, starts)
+    class_of = np.empty(len(n), dtype=np.intp)
+    class_of[order] = np.cumsum(first) - 1
+    n, (lam, mu, delta, _, a, b, c, d, _) = n[starts], cls[starts].T
+
+    i = _first_bad((a <= 0) | (c <= 0) | (d <= 0) | (b * b > a * c))
+    if i is not None:
+        form = (int(a[i]), int(b[i]), int(c[i]))
+        raise ReductionAnomaly(
+            f"reduction anomaly: reduced form {form} of discriminant {int(d[i])} at n = {int(n[i])}"
+            " breaks a, c, d > 0 and b^2 <= ac"
+        )
+    pairs = list(zip(n.tolist(), d.tolist()))
+    indices = {pair: index_from(*pair) for pair in dict.fromkeys(pairs)}
+    index = np.array([indices[pair] for pair in pairs], dtype=rows.dtype)
+    # d I^2 = 160 n makes t = 4n / I an integer (I^2 | 160 n forces I | 4n) with n d = 10 t^2
+    i = _first_bad(d * index * index != 160 * n)
+    if i is not None:
+        bad_n, bad_d = int(n[i]), int(d[i])
+        message = f"index anomaly: I = {int(index[i])} breaks d I^2 = 160 n at n = {bad_n}, d = {bad_d}"
+        raise IndexAnomaly(bad_n, bad_d, message)
+    t = 4 * n // index
+    # the obstruction equations in closed form (div_feasible is their oracle):
+    # n alpha^2 d m = 10 (t alpha)^2 m is 10, 40 or 90 for some alpha, m >= 1
+    # exactly when t = 1, t | 2 or t | 3
+    table = ClassTable(
+        n=n, a=a, b=b, c=c, d=d, lam=lam, mu=mu, delta=delta, index=index,
+        div1=t == 1, div2=2 % t == 0, eq90=3 % t == 0, odd=odd
     )
+    return table, class_of
+
+
+def class_table(max_n: int) -> ClassTable:
+    """The classification table of n = 1..max_n, from one sweep of orbit_reps(1, max_n).
+
+    Row for row it is the one classify_range's reports give: the classes of
+    each report in order, each with its smallest orbit, index and
+    feasibility; no per-orbit object is built.
+    """
+    if not 1 <= max_n <= MAX_N:
+        raise ValueError(f"scan limit must be in 1..{MAX_N}")
+    return _classes(*_orbit_rows(1, max_n, orbit_reps(1, max_n)))[0]
+
+
+def _reports(lo: int, hi: int, reps: np.ndarray) -> list[PolarizationReport]:
+    """The reports of degrees lo..hi from all their orbit representatives (see orbit_reps).
+
+    One ReducedForm is built per class triple and shared by every orbit and
+    degree carrying it.
+    """
+    ns, rows = _orbit_rows(lo, hi, reps)
+    table, class_of = _classes(ns, rows)
+    cuts = np.searchsorted(ns, np.arange(lo, hi + 2)).tolist()
+    class_cuts = np.searchsorted(table.n, np.arange(lo, hi + 2)).tolist()
+    forms: dict[tuple[int, int, int], ReducedForm] = {}
+    tx = []
+    for triple in zip(table.a.tolist(), table.b.tolist(), table.c.tolist()):
+        form = forms.get(triple)
+        if form is None:
+            form = forms[triple] = ReducedForm(*triple)
+        tx.append(form)
+    d, index = table.d.tolist(), table.index.tolist()
+    feasibility = [
+        ClassFeasibility(tx=f, discriminant=e, div1_solvable=x, div2_solvable=y, quadrics_eq_solvable=z)
+        for f, e, x, y, z in zip(tx, d, table.div1.tolist(), table.div2.tolist(), table.eq90.tolist())
+    ]
+    orbits = [
+        OrbitClass(
+            canonical=(lam, mu, delta),
+            orbit_size=size,
+            divisibility=r,
+            primitive_root=(lam // r, mu // r, delta // r),
+            tx=tx[k],
+            discriminant=d[k],
+            index=index[k],
+        )
+        for (lam, mu, delta, r, _, _, _, _, size), k in zip(rows.tolist(), class_of.tolist())
+    ]
+    return [
+        PolarizationReport(
+            n=n,
+            l_squared=4 * n,
+            representable=cuts[i] < cuts[i + 1],
+            orbits=tuple(orbits[cuts[i] : cuts[i + 1]]),
+            tx_classes=tuple(tx[class_cuts[i] : class_cuts[i + 1]]),
+            quadric_count=quadric_count(n),
+            ambient_dim=ambient_dim(n),
+            feasibility=tuple(feasibility[class_cuts[i] : class_cuts[i + 1]]),
+        )
+        for i, n in enumerate(range(lo, hi + 1))
+    ]
 
 
 def classify(n: int) -> PolarizationReport:
@@ -275,6 +368,24 @@ class ModelVerdict:
     label: str
 
 
+def class_statuses(
+    n: int, d: int, div1: bool, div2: bool, eq90: bool, odd: bool
+) -> tuple[str, str, str]:
+    """The (base-point, hyperelliptic, quadrics) statuses of one transcendental
+    class of degree 4n and discriminant d, from its obstruction feasibility
+    (see ClassTable) and whether some orbit of it has odd divisibility.
+
+    A class of a prior model is a known model; a class of a doubled degree
+    whose orbits all have even divisibility is a doubled polarization for
+    the hyperelliptic check; any other solvable equation is FEASIBLE.
+    """
+    prior = (n, d) in PRIOR_MODELS
+    doubled = n in DOUBLED_DEGREES and not odd
+    bp = KNOWN_MODEL if prior else FEASIBLE if div1 else INFEASIBLE
+    hyp = KNOWN_MODEL if prior else DOUBLED if doubled else FEASIBLE if div2 else INFEASIBLE
+    return bp, hyp, FEASIBLE if eq90 else INFEASIBLE
+
+
 def model_verdict(report: PolarizationReport) -> ModelVerdict:
     """Combine the obstruction checks into a per-class verdict.
 
@@ -284,32 +395,21 @@ def model_verdict(report: PolarizationReport) -> ModelVerdict:
     if not report.representable:
         raise ValueError("no model verdict for a non-representable degree")
     n = report.n
-    # a class is doubled when every one of its orbits has even divisibility
     odd_classes = {o.tx for o in report.orbits if o.divisibility % 2}
     classes: list[ClassVerdict] = []
     for feas in report.feasibility:
-        d = feas.discriminant
-        prior = PRIOR_MODELS.get((n, d))
-        doubled = n in DOUBLED_DEGREES and feas.tx not in odd_classes
-        if prior:
-            bp = KNOWN_MODEL
-        elif feas.div1_solvable:
-            bp = FEASIBLE
-        else:
-            bp = INFEASIBLE
-        if prior:
-            hyp = KNOWN_MODEL
-        elif doubled:
-            hyp = DOUBLED
-        elif feas.div2_solvable:
-            hyp = FEASIBLE
-        else:
-            hyp = INFEASIBLE
-        quad = FEASIBLE if feas.quadrics_eq_solvable else INFEASIBLE
+        bp, hyp, quad = class_statuses(
+            n,
+            feas.discriminant,
+            feas.div1_solvable,
+            feas.div2_solvable,
+            feas.quadrics_eq_solvable,
+            feas.tx in odd_classes,
+        )
         classes.append(
             ClassVerdict(
                 tx=feas.tx,
-                discriminant=d,
+                discriminant=feas.discriminant,
                 base_point_status=bp,
                 hyperelliptic_status=hyp,
                 quadrics_status=quad,

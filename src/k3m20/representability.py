@@ -17,7 +17,7 @@ import itertools
 from collections.abc import Iterator
 from math import isqrt
 
-from .lattice import Vec, norm
+from .lattice import NormAnomaly, Vec, norm
 
 
 def is_representable(n: int) -> bool:
@@ -76,7 +76,8 @@ def prime_witnesses() -> Iterator[tuple[int, Vec]]:
         if is_prime(p):
             lam, mu = _two_squares(p)
             v: Vec = (lam, mu, 0)
-            assert norm(v) == 4 * p
+            if norm(v) != 4 * p:
+                raise NormAnomaly(f"norm anomaly: the witness {v} of p = {p} does not have norm {4 * p}")
             yield p, v
 
 

@@ -13,6 +13,10 @@ from math import comb
 from .polarizations import ambient_dim, quadric_count
 
 
+class DimensionAnomaly(ValueError):
+    """A dimension chase missed the closed form it must reach."""
+
+
 def veronese_target_dim(n: int, d: int) -> int:
     """Dimension of the target of the degree-d Veronese map on P^n."""
     if n < 1 or d < 1:
@@ -45,7 +49,10 @@ def doubled_model_dims(n: int) -> tuple[int, int, int, int]:
     before = ambient_dim(n)
     veronese = veronese_target_dim(before, 2)
     after = veronese - q
-    assert after == 8 * n + 1
+    if after != 8 * n + 1:
+        raise DimensionAnomaly(
+            f"dimension anomaly: the doubled model of n = {n} is in P^{after}, not P^{8 * n + 1}"
+        )
     return before, veronese, q, after
 
 
@@ -61,5 +68,8 @@ def scaled_quartic_dims(r: int) -> tuple[int, int, int]:
     veronese = veronese_target_dim(3, r)
     cut = comb(r - 1, 3)
     after = veronese - cut
-    assert after - 1 == 2 * r * r
+    if after - 1 != 2 * r * r:
+        raise DimensionAnomaly(
+            f"dimension anomaly: the quartic model scaled by {r} is in P^{after}, not P^{2 * r * r + 1}"
+        )
     return veronese, cut, after

@@ -1,0 +1,226 @@
+"""The class layer `polarizations.class_table` against per-orbit data and `div_feasible`.
+
+`class_table` groups the orbit rows of `kernels.orbit_classes` into one row
+per degree and transcendental class, with the smallest canonical member,
+the index, the closed-form obstruction checks and whether some orbit has odd
+divisibility.  Here each column is recomputed from the orbit rows in plain
+python, the obstruction checks by `div_feasible`'s search, and each guard
+of the layer must raise its named error.
+"""
+
+from math import isqrt
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from k3m20 import polarizations
+from k3m20.binary_forms import ReductionAnomaly
+from k3m20.kernels import MAX_N, orbit_reps
+from k3m20.polarizations import (
+    DOUBLED,
+    DOUBLED_DEGREES,
+    FEASIBLE,
+    INFEASIBLE,
+    KNOWN_MODEL,
+    PRIOR_MODELS,
+    EnumerationAnomaly,
+    IndexAnomaly,
+    class_statuses,
+    class_table,
+    classify,
+    div_feasible,
+    index_from,
+    model_verdict,
+)
+
+RANGE_N = 3000
+_COLUMNS = ("n", "a", "b", "c", "d", "lam", "mu", "delta", "index", "div1", "div2", "eq90", "odd")
+
+
+def _rows(table):
+    return list(zip(*(getattr(table, name).tolist() for name in _COLUMNS)))
+
+
+def _feasible(n, d):
+    return tuple(div_feasible(target, n, d) for target in (10, 40, 90))
+
+
+def _expected_rows(ns, rows):
+    """The table rows recomputed one orbit row at a time."""
+    classes: dict = {}
+    for n, (lam, mu, delta, r, a, b, c, d, _) in zip(ns.tolist(), rows.tolist()):
+        d0, member, odd = classes.get((n, a, b, c), (d, (lam, mu, delta), False))
+        assert d0 == d
+        classes[n, a, b, c] = (d, min(member, (lam, mu, delta)), odd or r % 2 == 1)
+    return [
+        (n, a, b, c, d, *member, index_from(n, d), *_feasible(n, d), odd)
+        for (n, a, b, c), (d, member, odd) in sorted(classes.items())
+    ]
+
+
+def test_matches_orbit_rows_and_div_feasible_up_to_3000():
+    ns, rows = polarizations._orbit_rows(1, RANGE_N, orbit_reps(1, RANGE_N))
+    table = class_table(RANGE_N)
+    assert _rows(table) == _expected_rows(ns, rows)
+    # the prior models' hyperelliptic equations are the only solvable ones
+    solvable = zip(table.n.tolist(), table.d.tolist(), table.div1 | table.div2 | table.eq90)
+    assert {(n, d) for n, d, any_solvable in solvable if any_solvable} == set(PRIOR_MODELS)
+    assert table.n.dtype == np.int64 and table.odd.any() and not table.odd.all()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(RANGE_N + 1, 10**6))
+@example(10**6)
+def test_classify_feasibility_matches_div_feasible_large_n(n):
+    report = classify(n)
+    assert [f.tx for f in report.feasibility] == list(report.tx_classes)
+    assert [f.tx.triple() for f in report.feasibility] == sorted({o.tx.triple() for o in report.orbits})
+    for f in report.feasibility:
+        assert (f.div1_solvable, f.div2_solvable, f.quadrics_eq_solvable) == _feasible(n, f.discriminant)
+
+
+def _fake_rows(pairs):
+    """One orbit row per (n, d), each with its own form (d, 0, d), which the
+    layer's guards accept."""
+    ns = np.array([n for n, _ in pairs], dtype=np.int64)
+    rows = np.array([[-1, 0, 0, 1, d, 0, d, d, 1] for _, d in pairs], dtype=np.int64)
+    return ns, rows
+
+
+def test_closed_form_on_every_index_pair():
+    # every (n, d) index_from accepts, including n d = 10 and 90, which no
+    # transcendental form reaches (its discriminant is 0 or 3 mod 4)
+    pairs = []
+    for n in range(1, 400):
+        for i in range(isqrt(160 * n), 0, -1):
+            if 160 * n % (i * i) == 0:
+                d = 160 * n // (i * i)
+                try:
+                    index_from(n, d)
+                except IndexAnomaly:
+                    continue
+                pairs.append((n, d))
+    assert {(1, 10), (9, 10)} <= set(pairs)  # t = 1 and t = 3
+    pairs.sort()
+    table, _ = polarizations._classes(*_fake_rows(pairs))
+    got = list(zip(*(col.tolist() for col in (table.n, table.d, table.div1, table.div2, table.eq90))))
+    assert got == [(n, d, *_feasible(n, d)) for n, d in pairs]
+    assert table.div1.any() and (table.div2 & ~table.div1).any() and (table.eq90 & ~table.div1).any()
+
+
+def test_python_int_rows_give_the_same_table():
+    ns, rows = polarizations._orbit_rows(1, 300, orbit_reps(1, 300))
+    table, class_of = polarizations._classes(ns, rows)
+    big, big_class_of = polarizations._classes(ns, rows.astype(object))
+    assert big.n.dtype == object and big.index.dtype == object
+    assert _rows(big) == _rows(table)
+    assert big_class_of.tolist() == class_of.tolist()
+
+
+def test_python_int_rows_past_int64():
+    # 160 n overflows int64 at n = 2**59; d = 80 and I = 2**30 satisfy d I^2 = 160 n
+    ns = np.array([2**59], dtype=np.int64)
+    rows = np.array([[-1, 0, 0, 1, 80, 0, 80, 80, 1]], dtype=object)
+    table, _ = polarizations._classes(ns, rows)
+    assert table.index.tolist() == [2**30] and table.n.tolist() == [2**59]
+    assert not (table.div1[0] or table.div2[0] or table.eq90[0])
+
+
+def test_class_of_points_each_orbit_at_its_class():
+    ns, rows = polarizations._orbit_rows(1, 500, orbit_reps(1, 500))
+    table, class_of = polarizations._classes(ns, rows)
+    for n, row, k in zip(ns.tolist(), rows.tolist(), class_of.tolist()):
+        assert (n, *row[4:8]) == (table.n[k], table.a[k], table.b[k], table.c[k], table.d[k])
+
+
+def test_class_table_guards():
+    for max_n in (0, MAX_N + 1):
+        with pytest.raises(ValueError):
+            class_table(max_n)
+
+
+# ---------------------------------------------------------------------------
+# every guard of the layer raises its named error
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [(4, 0), (6, 0), (7, 0), (5, 6)],
+    ids=["a", "c", "d", "b^2>ac"],
+)
+def test_form_guard(column, value):
+    # the one class of n = 3 is (2, 0, 15), d = 120; each edit breaks one clause
+    ns, rows = polarizations._orbit_rows(3, 3, orbit_reps(3, 3))
+    rows[:, column] = value
+    with pytest.raises(ReductionAnomaly, match=r"breaks a, c, d > 0 and b\^2 <= ac"):
+        polarizations._classes(ns, rows)
+
+
+def test_index_guard(monkeypatch):
+    monkeypatch.setattr(polarizations, "index_from", lambda n, d: 2 * index_from(n, d))
+    with pytest.raises(IndexAnomaly, match=r"I = 4 breaks d I\^2 = 160 n at n = 1, d = 40") as exc:
+        class_table(5)
+    assert (exc.value.n, exc.value.d) == (1, 40)
+
+
+def test_index_from_guards_reach_the_table():
+    ns, rows = polarizations._orbit_rows(1, 5, orbit_reps(1, 5))
+    rows[:, 7] += 4  # d = 44 at n = 1: n d is not 10 times a square
+    with pytest.raises(IndexAnomaly, match="not 10 times a square"):
+        polarizations._classes(ns, rows)
+
+
+def test_orbits_of_a_degree_the_closed_form_rejects(monkeypatch):
+    monkeypatch.setattr(polarizations, "is_representable", lambda n: n != 5)
+    with pytest.raises(EnumerationAnomaly, match="2 orbits found, .* representable=False") as exc:
+        class_table(8)
+    assert exc.value.n == 5
+
+
+def test_no_orbits_for_a_representable_degree(monkeypatch):
+    walk = polarizations.orbit_reps
+
+    def without_degree_5(lo, hi):
+        reps = walk(lo, hi)
+        return reps[(reps * reps) @ np.array([1, 1, 10]) != 20]
+
+    monkeypatch.setattr(polarizations, "orbit_reps", without_degree_5)
+    with pytest.raises(EnumerationAnomaly, match="0 orbits found, .* representable=True") as exc:
+        class_table(8)
+    assert exc.value.n == 5
+
+
+# ---------------------------------------------------------------------------
+# one decision for scan and model_verdict
+
+
+@pytest.mark.parametrize(
+    "n, d, div1, div2, eq90, odd, want",
+    [
+        (1, 40, False, True, False, True, (KNOWN_MODEL, KNOWN_MODEL, INFEASIBLE)),
+        (4, 16, False, True, False, False, (INFEASIBLE, DOUBLED, INFEASIBLE)),
+        (4, 16, False, True, False, True, (INFEASIBLE, FEASIBLE, INFEASIBLE)),
+        (3, 120, True, False, True, True, (FEASIBLE, INFEASIBLE, FEASIBLE)),
+        (3, 120, False, False, False, True, (INFEASIBLE, INFEASIBLE, INFEASIBLE)),
+    ],
+    ids=["prior", "doubled", "doubled-odd", "feasible", "plain"],
+)
+def test_class_statuses(n, d, div1, div2, eq90, odd, want):
+    assert class_statuses(n, d, div1, div2, eq90, odd) == want
+
+
+def test_model_verdict_reads_the_class_table():
+    max_n = 120
+    table = class_table(max_n)
+    columns = (table.n, table.d, table.div1, table.div2, table.eq90, table.odd)
+    statuses = [class_statuses(*row) for row in zip(*(col.tolist() for col in columns))]
+    verdicts = [
+        (c.base_point_status, c.hyperelliptic_status, c.quadrics_status)
+        for n in range(1, max_n + 1)
+        if (report := classify(n)).representable
+        for c in model_verdict(report).classes
+    ]
+    assert verdicts == statuses
+    assert {n for n, s in zip(table.n.tolist(), statuses) if DOUBLED in s} == DOUBLED_DEGREES

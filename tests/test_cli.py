@@ -220,18 +220,24 @@ _IDENTITY_WITNESS = (
     "kernels._reduce = lambda a, b, c: (reduce(a, b, c)[0], (a * 0 + 1, a * 0, a * 0, a * 0 + 1))\n"
 )
 _WRONG_COFACTORS = "kernels._xgcd = lambda a, b: (a * 0 + 1, a * 0, a * 0)\n"
-# b^2 > ac in a form let through both the batched check and is_reduced
+# b^2 > ac in every form orbit_classes returns; classify's ReducedForm would
+# catch it too, so is_reduced lets it through there
 _UNREDUCED_FORM = (
     "classes = polarizations.orbit_classes\n"
     "def corrupt(ns, reps):\n"
     "    rows = classes(ns, reps)\n"
-    "    for row in rows:\n"
-    "        row[5] = 3 * row[4]\n"
+    "    rows[:, 5] = 3 * rows[:, 4]\n"
     "    return rows\n"
     "polarizations.orbit_classes = corrupt\n"
-    "binary_forms.EvenBinaryForm.is_reduced = lambda self: True\n"
 )
-_CLASSIFY = "classify(3)"
+_LET_THROUGH = "binary_forms.EvenBinaryForm.is_reduced = lambda self: True\n"
+# index_from returns twice the index
+_WRONG_INDEX = (
+    "index_from = polarizations.index_from\n"
+    "polarizations.index_from = lambda n, d: 2 * index_from(n, d)\n"
+)
+_CLASSIFY = ("classify(3)", ["classify", "--n", "3"])
+_TABLE = ("polarizations.class_table(5)", ["table", "--max-n", "5"])
 
 
 @pytest.mark.parametrize(
@@ -240,41 +246,84 @@ _CLASSIFY = "classify(3)"
         # the scalar references binary_forms.reduce and lattice.orthogonal_complement
         (
             "binary_forms._mat2_mul = lambda m, t: m\n",  # the witness stays the identity
-            "binary_forms.reduce(binary_forms.EvenBinaryForm(2, -8, 23))",
+            ("binary_forms.reduce(binary_forms.EvenBinaryForm(2, -8, 23))", None),
             "ReductionAnomaly",
             "does not carry",
         ),
         (
             "lattice._xgcd = lambda a, b: (1, 0, 0)\n",  # wrong cofactors
-            "lattice.orthogonal_complement((1, 1, 1))",
+            ("lattice.orthogonal_complement((1, 1, 1))", None),
             "ComplementAnomaly",
             "not both orthogonal",
         ),
         (_IDENTITY_WITNESS, _CLASSIFY, "ReductionAnomaly", "not the canonical reduced form"),
         (_WRONG_COFACTORS, _CLASSIFY, "ComplementAnomaly", "not both orthogonal"),
-        (_UNREDUCED_FORM, _CLASSIFY, "ReductionAnomaly", "b^2 <= ac"),
+        (_UNREDUCED_FORM + _LET_THROUGH, _CLASSIFY, "ReductionAnomaly", "b^2 <= ac"),
+        # the class layer of table and scan, which builds no ReducedForm
+        (_UNREDUCED_FORM, _TABLE, "ReductionAnomaly", "b^2 <= ac"),
+        (_WRONG_INDEX, _TABLE, "IndexAnomaly", "breaks d I^2 = 160 n"),
+        # the split form of the norm, against a Gram matrix with the wrong last entry
+        (
+            "lattice.GRAM = ((4, 0, -2), (0, 4, -2), (-2, -2, 10))\n",
+            ("lattice.norm((0, 0, 1))", None),
+            "NormAnomaly",
+            "by the split form",
+        ),
+        (
+            "representability._two_squares = lambda p: (1, 1)\n",  # a witness of norm 8
+            ("next(representability.prime_witnesses())", ["scan", "--max-n", "5"]),
+            "NormAnomaly",
+            "does not have norm 20",
+        ),
+        (
+            "veronese.quadric_count = lambda n: 2 * n * n - 3 * n + 2\n",  # one quadric too many
+            ("veronese.doubled_model_dims(3)", ["veronese", "--n", "3"]),
+            "DimensionAnomaly",
+            "not P^25",
+        ),
+        (
+            "dim = veronese.veronese_target_dim\n"
+            "veronese.veronese_target_dim = lambda n, d: dim(n, d) + 1\n",
+            ("veronese.scaled_quartic_dims(5)", ["veronese", "--r", "5"]),
+            "DimensionAnomaly",
+            "not P^51",
+        ),
     ],
-    ids=["reduction", "complement", "batched-reduction", "batched-complement", "reduced-form"],
+    ids=[
+        "reduction",
+        "complement",
+        "batched-reduction",
+        "batched-complement",
+        "reduced-form",
+        "table-reduced-form",
+        "table-index",
+        "norm",
+        "witness-norm",
+        "doubled-dims",
+        "scaled-dims",
+    ],
 )
 def test_result_guards_fire_under_python_optimize(fault, call, error, message):
     # the guards are explicit checks, not asserts, so -O keeps them; each is a
-    # ValueError, so main reports one in classify's path and exits 1
+    # ValueError, so main reports one that its command meets and exits 1
+    expression, argv = call
     code = (
         "import sys\n"
         "from k3m20 import binary_forms, cli, classify, kernels, lattice, polarizations\n"
+        "from k3m20 import representability, veronese\n"
         + fault
         + "try:\n"
-        f"    {call}\n"
+        f"    {expression}\n"
         "except ValueError as exc:\n"
         "    print(type(exc).__name__)\n"
         "    print(exc)\n"
-        + ("sys.exit(cli.main(['classify', '--n', '3']))\n" if call == _CLASSIFY else "")
+        + (f"sys.exit(cli.main({argv!r}))\n" if argv else "")
     )
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     name, text = out.stdout.splitlines()
     assert name == error
     assert "anomaly" in text and message in text
-    if call == _CLASSIFY:
+    if argv:
         assert out.returncode == 1
         assert out.stderr.startswith("error: ") and message in out.stderr
 

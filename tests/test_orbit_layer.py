@@ -42,13 +42,15 @@ def _degrees(reps):
 
 def _check_rows(ns, reps):
     rows = orbit_classes(ns, reps)
-    assert len(rows) == len(reps)
-    for n, (x, y, z), row in zip(ns.tolist(), reps.tolist(), rows):
+    assert rows.shape == (len(reps), 9)
+    for n, (x, y, z), row in zip(ns.tolist(), reps.tolist(), rows.tolist()):
         assert row == _oracle_row(n, x, y, z), (n, x, y, z)
+    return rows
 
 
 def test_no_rows():
-    assert orbit_classes(np.zeros(0, dtype=np.int64), np.zeros((0, 3), dtype=np.int64)) == []
+    rows = orbit_classes(np.zeros(0, dtype=np.int64), np.zeros((0, 3), dtype=np.int64))
+    assert rows.shape == (0, 9) and rows.dtype == np.int64
 
 
 def test_matches_oracle_for_every_orbit_up_to_2000():
@@ -93,10 +95,11 @@ def test_matches_oracle_around_the_int64_bound(monkeypatch, lo, hi):
     dtypes = []
     block = kernels._classes_block
     monkeypatch.setattr(kernels, "_classes_block", lambda n, pts: dtypes.append(n.dtype) or block(n, pts))
-    _check_rows(ns, reps)
-    assert dtypes == [np.dtype(np.int64) if hi <= BATCH_MAX_N else np.dtype(object)]
+    rows = _check_rows(ns, reps)
+    dtype = np.dtype(np.int64) if hi <= BATCH_MAX_N else np.dtype(object)
+    assert dtypes == [dtype] and rows.dtype == dtype
     # the same block on python ints, where nothing can wrap, gives the same rows
-    assert orbit_classes(ns, reps) == block(ns.astype(object), reps.astype(object)).tolist()
+    assert rows.tolist() == block(ns.astype(object), reps.astype(object)).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
-"""Byte-exact CLI output for two range runs, recorded before the orbit walk replaced
-per-degree enumeration; any change to them is a change of results."""
+"""Byte-exact CLI output for range runs; any change to them is a change of results.
+
+The csv table and the scan were recorded before the orbit walk replaced
+per-degree enumeration, the json and text tables before the class layer
+replaced per-report table rows."""
 
 from pathlib import Path
 
@@ -16,6 +19,8 @@ DATA = Path(__file__).parent / "data"
         (["table", "--max-n", "1000", "--format", "csv"], "table_1000.csv"),
         (["scan", "--max-n", "1000", "--format", "json"], "scan_1000.json"),
         (["scan", "--max-n", "1000", "--parallel", "2", "--format", "json"], "scan_1000.json"),
+        (["table", "--max-n", "1000", "--format", "json"], "table_1000.json"),
+        (["table", "--max-n", "1000"], "table_1000.txt"),
     ],
 )
 def test_output_matches_snapshot(capsys, argv, snapshot):
