@@ -15,9 +15,9 @@ classification table, one row per degree and transcendental class.
 
 __version__ = "0.1.0"
 
-from .binary_forms import EvenBinaryForm, ReducedForm, canonical, equivalent, from_gram, reduce
-from .isometries import canonical_rep, parity_lift, same_orbit
-from .lattice import GRAM, divisibility, inner, is_primitive, norm, orthogonal_complement
+from .binary_forms import EvenBinaryForm, ReducedForm
+from .isometries import same_orbit
+from .lattice import GRAM, inner, norm
 from .polarizations import (
     ClassTable,
     EnumerationAnomaly,
@@ -27,13 +27,11 @@ from .polarizations import (
     class_table,
     classify,
     classify_range,
-    div_feasible,
     index_from,
     model_verdict,
     quadric_count,
-    scale_embedding,
 )
-from .representability import infinitude_scan, is_representable, two_squares
+from .representability import is_representable
 
 __all__ = [
     "ClassTable",
@@ -44,28 +42,15 @@ __all__ = [
     "OrbitClass",
     "PolarizationReport",
     "ReducedForm",
-    "canonical",
-    "canonical_rep",
     "class_table",
     "classify",
     "classify_range",
-    "div_feasible",
-    "divisibility",
-    "equivalent",
-    "from_gram",
     "index_from",
-    "infinitude_scan",
     "inner",
-    "is_primitive",
     "is_representable",
     "model_verdict",
     "norm",
-    "orthogonal_complement",
-    "parity_lift",
     "quadric_count",
-    "reduce",
     "same_orbit",
-    "scale_embedding",
-    "two_squares",
     "__version__",
 ]

@@ -13,8 +13,6 @@ embedding, 1 anomaly or mismatch, 64 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import sys
@@ -136,14 +134,6 @@ def _table_rows(table: ClassTable) -> list[tuple[int, ...]]:
 
 def emit_table_csv(rows: list[tuple[int, ...]]) -> str:
     return "\n".join([CSV_HEADER, *(_CSV_ROW % row for row in rows)]) + "\n"
-
-
-def parse_table_csv(text: str) -> list[tuple[int, ...]]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != CSV_HEADER.split(","):
-        raise ValueError("bad csv header")
-    return [tuple(int(x) for x in row) for row in reader if row]
 
 
 def report_text(report: PolarizationReport, verdict: ModelVerdict | None) -> str:

@@ -4,8 +4,8 @@
 `orbit_classes` turns rows of those representatives into the per-orbit
 invariants `classify` reports (canonical member, divisibility, reduced
 transcendental form, discriminant, orbit size), running every check of the
-scalar path on whole arrays and raising its named error, so that the
-checks survive `python -O`.  Both are exact: the walk in int64 for norms up
+one-orbit reference on whole arrays and raising its named error, so that
+the checks survive `python -O`.  Both are exact: the walk in int64 for norms up
 to 4 * MAX_N = 2**62, the invariants in int64 up to BATCH_MAX_N and on
 python-int (`dtype=object`) arrays above it.  The exact pure-python
 references they are tested against are in `tests/oracles.py`.
@@ -147,7 +147,7 @@ def _classes_block(n: np.ndarray, pts: np.ndarray) -> np.ndarray:
     if i is not None:
         raise EnumerationAnomaly(int(n[i]), f"{tuple(pts[i].tolist())} does not have norm {4 * int(n[i])}")
 
-    # the canonical member, the lift of (-y, -x, -z) (see isometries.canonical_member)
+    # the canonical member, the lift of (-y, -x, -z) (see oracles.canonical_member)
     rep = np.stack([(-y - z) // 2, (-x - z) // 2, -z], axis=1)
     r = np.gcd(np.gcd(rep[:, 0], rep[:, 1]), rep[:, 2])
     # the complement is the kernel of w -> <rep, w>, the row G rep divided by its content
@@ -178,7 +178,7 @@ def _classes_block(n: np.ndarray, pts: np.ndarray) -> np.ndarray:
     _check_witness(form, (a, b, c), witness)
     d = 4 * a * c - b * b
 
-    # 16 over the stabiliser (see isometries.orbit_size)
+    # 16 over the stabiliser (see oracles.orbit_size)
     stabiliser = np.where(z == 0, 2, 1) * np.where(
         (x == 0) & (y == 0), 8, np.where((x == 0) | (x == y), 2, 1)
     )
@@ -186,7 +186,7 @@ def _classes_block(n: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def _check_gram(gram: np.ndarray) -> None:
-    """lattice.check_gram2 on a (k, 2, 2) array, raising ComplementAnomaly, but
+    """oracles.check_gram2 on a (k, 2, 2) array, raising ComplementAnomaly, but
     for the determinant: past g11 > 0, positive definiteness is left to
     _reduce, which certifies it without forming it."""
     g11, g12, g21, g22 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 0], gram[:, 1, 1]
@@ -202,7 +202,7 @@ def _check_gram(gram: np.ndarray) -> None:
 
 
 def _xgcd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """lattice._xgcd row by row: (g, s, t) with g = gcd(a, b) >= 0 and s a + t b = g."""
+    """oracles._xgcd row by row: (g, s, t) with g = gcd(a, b) >= 0 and s a + t b = g."""
     old_r, r = a.copy(), b.copy()
     old_s, s = np.ones_like(a), np.zeros_like(a)
     old_t, t = np.zeros_like(a), np.ones_like(a)
@@ -221,10 +221,10 @@ def _reduce(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Gauss reduction of the forms (a, b, c) with a > 0 to their canonical reduced forms.
 
     Returns ((a, b, c), (p, q, r, s)) with t = [[p, q], [r, s]] in SL2(Z)
-    carrying each form to its reduced one, as binary_forms.reduce does row
+    carrying each form to its reduced one, as oracles.reduce does row
     by row: b is shifted into (-a, a], and (a, b, c) -> (c, -b, a) while
     a > c.  One more swap when a = c and b < 0 makes b >= 0 in that case,
-    which is binary_forms.canonical.  A reduced row shifts by 0 and does not
+    which is oracles.canonical.  A reduced row shifts by 0 and does not
     swap, so the loop runs until no row swaps.
 
     A positive definite form takes only positive values, so a value c <= 0

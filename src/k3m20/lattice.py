@@ -1,4 +1,4 @@
-"""The rank-3 invariant lattice and its integral linear algebra.
+"""The rank-3 invariant lattice: its Gram matrix, inner products and norms.
 
 The lattice is Z^3 with basis (e, f, h) and Gram matrix
 
@@ -13,11 +13,11 @@ of determinant 160.  A vector is written by its coordinates
 
 so every norm is divisible by 4 and every inner product is even.
 All arithmetic is over plain Python integers; nothing here overflows.
+Orthogonal complements are computed in `kernels.orbit_classes`; the
+one-vector reference is in `tests/oracles.py`.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 Vec = tuple[int, int, int]
 Mat3 = tuple[Vec, Vec, Vec]
@@ -88,83 +88,3 @@ def norm(v: Vec) -> int:
             f"norm anomaly: {v} has norm {n} by the Gram matrix but {split} by the split form"
         )
     return n
-
-
-def is_primitive(v: Vec) -> bool:
-    """True when gcd of the coordinates is 1.  The zero vector is rejected."""
-    r = gcd(gcd(v[0], v[1]), v[2])
-    if r == 0:
-        raise ValueError("zero vector has no primitivity")
-    return r == 1
-
-
-def divisibility(v: Vec) -> tuple[int, Vec]:
-    """Split v = r * v0 with r = gcd of coordinates and v0 primitive."""
-    r = gcd(gcd(v[0], v[1]), v[2])
-    if r == 0:
-        raise ValueError("zero vector has no primitivity")
-    return r, (v[0] // r, v[1] // r, v[2] // r)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def check_gram2(g: Gram2) -> None:
-    """Validate a 2x2 Gram matrix of an even positive definite sublattice.
-
-    Raises ValueError naming the violated condition.
-    """
-    (g11, g12), (g21, g22) = g
-    if g12 != g21:
-        raise ValueError("gram matrix is not symmetric")
-    if g11 % 4 or g22 % 4:
-        raise ValueError("diagonal entries must be divisible by 4")
-    if g12 % 2:
-        raise ValueError("off-diagonal entry must be even")
-    if g11 <= 0 or g11 * g22 - g12 * g12 <= 0:
-        raise ValueError("gram matrix is not positive definite")
-
-
-def orthogonal_complement(v: Vec) -> tuple[tuple[Vec, Vec], Gram2]:
-    """Basis and Gram matrix of the saturated rank-2 lattice orthogonal to v.
-
-    The complement is the kernel of the functional w -> <v, w>, i.e. of the
-    integer row G*v divided by its content.  A basis (u1, u2) of that kernel
-    is produced by extended gcd; u1 x u2 = +-p with p primitive certifies
-    saturation.
-    """
-    if v == (0, 0, 0):
-        raise ValueError("zero vector has no orthogonal complement of rank 2")
-    w = gram_apply(v)
-    g = gcd(gcd(w[0], w[1]), w[2])
-    p = (w[0] // g, w[1] // g, w[2] // g)
-    a, b, c = p
-    gab = gcd(a, b)
-    if gab == 0:
-        # p = (0, 0, +-1)
-        u1: Vec = (1, 0, 0)
-        u2: Vec = (0, 1, 0)
-    else:
-        _, s, t = _xgcd(a, b)
-        u1 = (-b // gab, a // gab, 0)
-        u2 = (c * s, c * t, -gab)
-    if inner(v, u1) or inner(v, u2):
-        raise ComplementAnomaly(f"complement anomaly: {u1}, {u2} are not both orthogonal to {v}")
-    gram: Gram2 = (
-        (inner(u1, u1), inner(u1, u2)),
-        (inner(u2, u1), inner(u2, u2)),
-    )
-    check_gram2(gram)
-    return (u1, u2), gram

@@ -16,18 +16,19 @@ with target in {10, 40, 90} for the base-point-free, hyperelliptic and
 quadric-generation obstructions respectively.  Since n d = 10 t^2 with
 t = 4n / I, the equation is solvable exactly when t = 1, t | 2 or t | 3.
 The class layer (`class_table`, and `classify` through it) uses that
-closed form for every class at once; `div_feasible`, which decides the
-equation by search, is its reference.  `class_statuses` turns one class's
-three checks into statuses and `model_verdict` collects them per degree,
-routing the handful of degrees settled by previously known models
-(quartic, triple-quadric, and the diag(4, 4) degree-40 case) and doubled
-polarizations L = 2M through explicit exclusion branches instead.
+closed form for every class at once; its reference, `div_feasible` in
+`tests/oracles.py`, decides the equation by search.  `class_statuses`
+turns one class's three checks into statuses and `model_verdict` collects
+them per degree, routing the handful of degrees settled by previously
+known models (quartic, triple-quadric, and the diag(4, 4) degree-40 case)
+and doubled polarizations L = 2M through explicit exclusion branches
+instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -89,16 +90,6 @@ def quadric_count(n):
     return 2 * n * n - 3 * n + 1
 
 
-def quadric_count_parts(n: int) -> tuple[int, int]:
-    """(quadrics in the ambient P^(2n+1), sections of the doubled class).
-
-    Their difference is quadric_count: C(2n+3, 2) - (2 + 8n).
-    """
-    if n < 1:
-        raise ValueError("degree parameter n must be positive")
-    return comb(2 * n + 3, 2), 8 * n + 2
-
-
 def ambient_dim(n: int) -> int:
     """Projective dimension of the model's ambient space, 2n + 1."""
     if n < 1:
@@ -128,26 +119,6 @@ def index_from(n: int, d: int) -> int:
     return i
 
 
-def div_feasible(target: int, n: int, d: int) -> bool:
-    """Is target = n * alpha^2 * d * m solvable with integers alpha, m >= 1?"""
-    if target < 1 or n < 1 or d < 1:
-        raise ValueError("need positive arguments")
-    base = n * d
-    alpha = 1
-    while base * alpha * alpha <= target:
-        if target % (base * alpha * alpha) == 0:
-            return True
-        alpha += 1
-    return False
-
-
-def scale_embedding(v: Vec, r: int) -> Vec:
-    """The degree-(r^2 n) vector r*v obtained by scaling a degree-n one."""
-    if r < 1:
-        raise ValueError("scale factor must be positive")
-    return (r * v[0], r * v[1], r * v[2])
-
-
 @dataclass(frozen=True, eq=False)
 class ClassTable:
     """The classification table: one row per degree 4n and transcendental class.
@@ -157,7 +128,7 @@ class ClassTable:
     class's reduced form (a, b, c); (lam, mu, delta) is the smallest
     canonical member of the class's orbits and index the sublattice index.
     div1, div2 and eq90 say whether the obstruction equation with target
-    10, 40 or 90 is solvable (see div_feasible), odd whether some orbit of
+    10, 40 or 90 is solvable (see the module docstring), odd whether some orbit of
     the class has odd divisibility.
     """
 
@@ -238,7 +209,7 @@ def _classes(ns: np.ndarray, rows: np.ndarray) -> tuple[ClassTable, np.ndarray]:
         message = f"index anomaly: I = {int(index[i])} breaks d I^2 = 160 n at n = {bad_n}, d = {bad_d}"
         raise IndexAnomaly(bad_n, bad_d, message)
     t = 4 * n // index
-    # the obstruction equations in closed form (div_feasible is their oracle):
+    # the obstruction equations in closed form (oracles.div_feasible is their reference):
     # n alpha^2 d m = 10 (t alpha)^2 m is 10, 40 or 90 for some alpha, m >= 1
     # exactly when t = 1, t | 2 or t | 3
     table = ClassTable(

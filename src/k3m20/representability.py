@@ -44,18 +44,9 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def two_squares(p: int) -> tuple[int, int]:
-    """The essentially unique (lam, mu) with lam^2 + mu^2 = p, lam <= mu.
-
-    Requires p prime with p = 1 (mod 4); found by brute force.
-    """
-    if not is_prime(p) or p % 4 != 1:
-        raise ValueError("need a prime congruent to 1 mod 4")
-    return _two_squares(p)
-
-
 def _two_squares(p: int) -> tuple[int, int]:
-    """two_squares for a p already known to be a prime congruent to 1 mod 4."""
+    """The essentially unique (lam, mu) with lam^2 + mu^2 = p, lam <= mu,
+    for a p already known to be a prime congruent to 1 mod 4; found by brute force."""
     lam = 1
     while 2 * lam * lam <= p:
         rem = p - lam * lam
@@ -79,10 +70,3 @@ def prime_witnesses() -> Iterator[tuple[int, Vec]]:
             if norm(v) != 4 * p:
                 raise NormAnomaly(f"norm anomaly: the witness {v} of p = {p} does not have norm {4 * p}")
             yield p, v
-
-
-def infinitude_scan(count: int) -> list[tuple[int, Vec]]:
-    """The first `count` prime witnesses (see prime_witnesses)."""
-    if count < 1:
-        raise ValueError("need at least one witness")
-    return list(itertools.islice(prime_witnesses(), count))

@@ -1,39 +1,57 @@
-"""Brute-force oracles the library is checked against.
+"""Exact references and brute-force oracles the library is checked against.
 
 None of these is on the library's path.  Each one answers a question the
-library answers in closed form or by reduction, by plain search:
+library answers in closed form, by reduction or in numpy blocks, by plain
+search or one value at a time over python ints:
 
 - `two_square_tables` / `representable_range`: which n have a vector of
   norm 4n, by a table scan of 4n - 10 delta^2 = x^2 + y^2 (checks the
-  closed form `is_representable`);
+  closed form `is_representable`); `two_squares` is the checked entry
+  to the decomposition behind `prime_witnesses`;
 - `unimodular_entries` / `transform_forms`: the forms a bounded SL2(Z)
   search reaches from (a, b, c) (checks Gauss reduction);
 - `generate_group` / `orbit`: the 16 isometries as the closure of three
-  3x3 matrices, and an orbit as the set of its images (checks the
-  split-coordinate closed forms in `isometries`);
+  3x3 matrices, and an orbit as the set of its images (checks
+  `isometries.domain_point` and the split-coordinate closed forms);
+  `parity_lift`, `canonical_member`, `orbit_size` and `canonical_rep` are
+  those closed forms one orbit at a time (`kernels.orbit_classes` evaluates
+  them on whole arrays);
 - `enumerate_solutions`: every vector of norm 4n, by a scan over delta and
   lam (checks the orbit walk `kernels.orbit_reps`);
+- the one-vector lattice algebra `is_primitive`, `divisibility`, `_xgcd`,
+  `check_gram2` and `orthogonal_complement`, and the one-form Gauss
+  reduction `from_gram`, `transform`, `reduce`, `canonical` and
+  `equivalent` with its SL2(Z) witness;
 - `orbit_class`: one orbit's invariants over python ints, one orbit at a
-  time, through `lattice.orthogonal_complement` and
-  `binary_forms.canonical` (checks the batched `kernels.orbit_classes`).
+  time, through `orthogonal_complement` and `canonical` (checks the
+  batched `kernels.orbit_classes`);
+- `div_feasible`: the obstruction equation target = n alpha^2 d m by
+  search (checks the closed form t = 1, t | 2, t | 3 of
+  `polarizations.class_table`), and `quadric_count_parts`, the two counts
+  whose difference is `quadric_count`;
+- `parse_table_csv`: reads `table --format csv` back into integer rows.
 
 The range scan and the SL2(Z) search work in int64 numpy arrays; the group,
-the enumeration and `orbit_class` work over python ints; callers keep the
-inputs small.
+the enumeration and the one-orbit references work over python ints;
+callers keep the inputs small.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from functools import lru_cache
-from math import isqrt
+from math import comb, gcd, isqrt
 
 import numpy as np
 
-from k3m20.binary_forms import canonical, from_gram
-from k3m20.isometries import canonical_member, orbit_size
-from k3m20.lattice import GRAM, Mat3, Vec, divisibility, mat_det, norm, orthogonal_complement
+from k3m20.binary_forms import EvenBinaryForm, ReducedForm, ReductionAnomaly
+from k3m20.cli import CSV_HEADER
+from k3m20.isometries import domain_point
+from k3m20.lattice import GRAM, ComplementAnomaly, Gram2, Mat3, Vec, gram_apply, inner, mat_det, norm
 from k3m20.polarizations import EnumerationAnomaly, OrbitClass, index_from
+from k3m20.representability import _two_squares, is_prime
 
 
 def two_square_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -185,6 +203,254 @@ def enumerate_solutions(n: int) -> list[Vec]:
     out.sort()
     assert all(norm(v) == four_n for v in out)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the lattice, one vector at a time (checks kernels.orbit_classes' complement)
+
+
+def is_primitive(v: Vec) -> bool:
+    """True when gcd of the coordinates is 1.  The zero vector is rejected."""
+    r = gcd(gcd(v[0], v[1]), v[2])
+    if r == 0:
+        raise ValueError("zero vector has no primitivity")
+    return r == 1
+
+
+def divisibility(v: Vec) -> tuple[int, Vec]:
+    """Split v = r * v0 with r = gcd of coordinates and v0 primitive."""
+    r = gcd(gcd(v[0], v[1]), v[2])
+    if r == 0:
+        raise ValueError("zero vector has no primitivity")
+    return r, (v[0] // r, v[1] // r, v[2] // r)
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def check_gram2(g: Gram2) -> None:
+    """Validate a 2x2 Gram matrix of an even positive definite sublattice.
+
+    Raises ValueError naming the violated condition.
+    """
+    (g11, g12), (g21, g22) = g
+    if g12 != g21:
+        raise ValueError("gram matrix is not symmetric")
+    if g11 % 4 or g22 % 4:
+        raise ValueError("diagonal entries must be divisible by 4")
+    if g12 % 2:
+        raise ValueError("off-diagonal entry must be even")
+    if g11 <= 0 or g11 * g22 - g12 * g12 <= 0:
+        raise ValueError("gram matrix is not positive definite")
+
+
+def orthogonal_complement(v: Vec) -> tuple[tuple[Vec, Vec], Gram2]:
+    """Basis and Gram matrix of the saturated rank-2 lattice orthogonal to v.
+
+    The complement is the kernel of the functional w -> <v, w>, i.e. of the
+    integer row G*v divided by its content.  A basis (u1, u2) of that kernel
+    is produced by extended gcd; u1 x u2 = +-p with p primitive certifies
+    saturation.
+    """
+    if v == (0, 0, 0):
+        raise ValueError("zero vector has no orthogonal complement of rank 2")
+    w = gram_apply(v)
+    g = gcd(gcd(w[0], w[1]), w[2])
+    p = (w[0] // g, w[1] // g, w[2] // g)
+    a, b, c = p
+    gab = gcd(a, b)
+    if gab == 0:
+        # p = (0, 0, +-1)
+        u1: Vec = (1, 0, 0)
+        u2: Vec = (0, 1, 0)
+    else:
+        _, s, t = _xgcd(a, b)
+        u1 = (-b // gab, a // gab, 0)
+        u2 = (c * s, c * t, -gab)
+    if inner(v, u1) or inner(v, u2):
+        raise ComplementAnomaly(f"complement anomaly: {u1}, {u2} are not both orthogonal to {v}")
+    gram: Gram2 = (
+        (inner(u1, u1), inner(u1, u2)),
+        (inner(u2, u1), inner(u2, u2)),
+    )
+    check_gram2(gram)
+    return (u1, u2), gram
+
+
+# ---------------------------------------------------------------------------
+# binary forms: Gauss reduction of one form with its SL2(Z) witness (checks kernels._reduce)
+
+
+Mat2 = tuple[tuple[int, int], tuple[int, int]]
+
+IDENTITY2: Mat2 = ((1, 0), (0, 1))
+
+
+def from_gram(gram: Gram2) -> EvenBinaryForm:
+    """Read (a, b, c) off an even positive definite 2x2 Gram matrix."""
+    check_gram2(gram)
+    return EvenBinaryForm(gram[0][0] // 4, gram[0][1] // 2, gram[1][1] // 4)
+
+
+def _mat2_mul(m: Mat2, n: Mat2) -> Mat2:
+    return (
+        (m[0][0] * n[0][0] + m[0][1] * n[1][0], m[0][0] * n[0][1] + m[0][1] * n[1][1]),
+        (m[1][0] * n[0][0] + m[1][1] * n[1][0], m[1][0] * n[0][1] + m[1][1] * n[1][1]),
+    )
+
+
+def transform(form: EvenBinaryForm, t: Mat2) -> EvenBinaryForm:
+    """The form of the basis change by t in SL2(Z): x -> p x' + q y', y -> r x' + s y'."""
+    (p, q), (r, s) = t
+    if p * s - q * r != 1:
+        raise ValueError("transform must have determinant 1")
+    a, b, c = form.a, form.b, form.c
+    return EvenBinaryForm(
+        a * p * p + b * p * r + c * r * r,
+        2 * a * p * q + b * (p * s + q * r) + 2 * c * r * s,
+        a * q * q + b * q * s + c * s * s,
+    )
+
+
+def reduce(form: EvenBinaryForm) -> tuple[ReducedForm, Mat2]:
+    """Gauss-reduce, returning (reduced, t) with t^T Gram(form) t = Gram(reduced).
+
+    Normalisation shifts b into (-a, a] by b -> b + 2ka; when a > c the swap
+    (a, b, c) -> (c, -b, a) applies.  Each swap strictly drops a, so the loop
+    terminates.
+    """
+    a, b, c = form.a, form.b, form.c
+    t: Mat2 = IDENTITY2
+    while True:
+        if not -a < b <= a:
+            k = (a - b) // (2 * a)
+            b, c = b + 2 * k * a, a * k * k + b * k + c
+            t = _mat2_mul(t, ((1, k), (0, 1)))
+        if a > c:
+            a, b, c = c, -b, a
+            t = _mat2_mul(t, ((0, -1), (1, 0)))
+        elif -a < b <= a:
+            break
+    reduced = ReducedForm(a, b, c)
+    if transform(form, t).triple() != reduced.triple():
+        raise ReductionAnomaly(
+            f"reduction anomaly: witness {t} does not carry {form.triple()} to {reduced.triple()}"
+        )
+    return reduced, t
+
+
+def canonical(form: EvenBinaryForm) -> ReducedForm:
+    """Class label: the reduced form with b >= 0 in the exceptional cases."""
+    r, _ = reduce(form)
+    if r.b < 0 and (r.b == -r.a or r.a == r.c):
+        return ReducedForm(r.a, -r.b, r.c)
+    return r
+
+
+def equivalent(f1: EvenBinaryForm, f2: EvenBinaryForm) -> bool:
+    """SL2(Z)-equivalence of forms."""
+    return canonical(f1).triple() == canonical(f2).triple()
+
+
+# ---------------------------------------------------------------------------
+# the orbit model of one domain point (checks orbit_classes' canonical member and size)
+
+
+def parity_lift(x: int, y: int, z: int) -> Vec:
+    """Invert the unfolding: (x, y, z) -> (lam, mu, delta) = ((x+z)/2, (y+z)/2, z)."""
+    if (x - z) % 2 or (y - z) % 2:
+        raise ValueError("x, y, z must share one parity")
+    return ((x + z) // 2, (y + z) // 2, z)
+
+
+def canonical_member(x: int, y: int, z: int) -> Vec:
+    """The lexicographically smallest (lam, mu, delta) in the orbit of domain point (x, y, z).
+
+    The members lift (+-x, +-y, +-z) and (+-y, +-x, +-z); lam, then mu, then
+    delta is smallest for the lift of (-y, -x, -z).
+    """
+    return parity_lift(-y, -x, -z)
+
+
+def orbit_size(x: int, y: int, z: int) -> int:
+    """The size of the orbit of domain point (x, y, z): 16 over its stabiliser.
+
+    The stabiliser is the sign of z when z = 0 times the signed permutations
+    fixing (x, y): all 8 at the origin, 2 on an axis or the diagonal, else
+    only the identity.
+    """
+    stabiliser = (1 if z else 2) * (8 if x == y == 0 else 2 if x == 0 or x == y else 1)
+    return 16 // stabiliser
+
+
+def canonical_rep(v: Vec) -> Vec:
+    """Deterministic orbit label: the lexicographically smallest member."""
+    return canonical_member(*domain_point(v))
+
+
+# ---------------------------------------------------------------------------
+# representability, obstruction search and quadric counts
+
+
+def two_squares(p: int) -> tuple[int, int]:
+    """The essentially unique (lam, mu) with lam^2 + mu^2 = p, lam <= mu.
+
+    Requires p prime with p = 1 (mod 4); found by brute force.
+    """
+    if not is_prime(p) or p % 4 != 1:
+        raise ValueError("need a prime congruent to 1 mod 4")
+    return _two_squares(p)
+
+
+def quadric_count_parts(n: int) -> tuple[int, int]:
+    """(quadrics in the ambient P^(2n+1), sections of the doubled class).
+
+    Their difference is quadric_count: C(2n+3, 2) - (2 + 8n).
+    """
+    if n < 1:
+        raise ValueError("degree parameter n must be positive")
+    return comb(2 * n + 3, 2), 8 * n + 2
+
+
+def div_feasible(target: int, n: int, d: int) -> bool:
+    """Is target = n * alpha^2 * d * m solvable with integers alpha, m >= 1?"""
+    if target < 1 or n < 1 or d < 1:
+        raise ValueError("need positive arguments")
+    base = n * d
+    alpha = 1
+    while base * alpha * alpha <= target:
+        if target % (base * alpha * alpha) == 0:
+            return True
+        alpha += 1
+    return False
+
+
+# ---------------------------------------------------------------------------
+# the csv table read back
+
+
+def parse_table_csv(text: str) -> list[tuple[int, ...]]:
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header != CSV_HEADER.split(","):
+        raise ValueError("bad csv header")
+    return [tuple(int(x) for x in row) for row in reader if row]
+
+
+# ---------------------------------------------------------------------------
+# one orbit's invariants
 
 
 def orbit_class(n: int, x: int, y: int, z: int) -> OrbitClass:

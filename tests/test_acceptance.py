@@ -6,6 +6,7 @@ prints a single `criterion NN: PASS (...)` line.  A failed criterion fails
 its test, so the pass/fail state is always visible in the pytest output.
 """
 
+import itertools
 import math
 import random
 import time
@@ -13,32 +14,38 @@ import time
 import numpy as np
 import pytest
 
-from k3m20.binary_forms import EvenBinaryForm, canonical, equivalent, from_gram, reduce, transform
+from k3m20.binary_forms import EvenBinaryForm
 from k3m20.golden import GOLDEN_ROWS, documented_corrections, golden_check
 from k3m20.isometries import same_orbit
-from k3m20.lattice import GRAM, inner, is_primitive, norm
+from k3m20.lattice import GRAM, inner, norm
 from k3m20.polarizations import (
     DOUBLED_DEGREES,
     FEASIBLE,
     PRIOR_MODELS,
     classify,
     classify_range,
-    div_feasible,
     model_verdict,
 )
-from k3m20.representability import infinitude_scan, is_prime, is_representable
+from k3m20.representability import is_prime, is_representable, prime_witnesses
 from k3m20.veronese import doubled_model_dims, quadrics_on_veronese2, scaled_quartic_dims
 from oracles import (
     IDENTITY,
     NEG_IDENTITY,
     RHO1,
     RHO2,
+    canonical,
+    div_feasible,
     enumerate_solutions,
+    equivalent,
+    from_gram,
     generate_group,
+    is_primitive,
     mat_mul,
     mat_vec,
     orbit,
+    reduce,
     representable_range,
+    transform,
     transform_forms,
     unimodular_entries,
 )
@@ -309,7 +316,7 @@ def test_criterion_09_reduction_vs_bounded_brute_force(capsys):
 
 def test_criterion_10_prime_witness_infinitude(capsys):
     t0 = time.perf_counter()
-    witnesses = infinitude_scan(100)
+    witnesses = list(itertools.islice(prime_witnesses(), 100))
     assert len(witnesses) == 100
     primes = [p for p, _ in witnesses]
     assert primes[0] == 5 and witnesses[0][1] == (1, 2, 0)

@@ -2,16 +2,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from k3m20.binary_forms import (
-    EvenBinaryForm,
-    ReducedForm,
-    ReductionAnomaly,
-    canonical,
-    equivalent,
-    from_gram,
-    reduce,
-    transform,
-)
+from k3m20.binary_forms import EvenBinaryForm, ReducedForm, ReductionAnomaly
+from oracles import canonical, equivalent, from_gram, reduce, transform
 
 entries = st.integers(min_value=-60, max_value=60)
 

@@ -30,10 +30,10 @@ from k3m20.polarizations import (
     class_statuses,
     class_table,
     classify,
-    div_feasible,
     index_from,
     model_verdict,
 )
+from oracles import div_feasible
 
 RANGE_N = 3000
 _COLUMNS = ("n", "a", "b", "c", "d", "lam", "mu", "delta", "index", "div1", "div2", "eq90", "odd")

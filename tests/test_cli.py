@@ -1,12 +1,16 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from k3m20 import __version__, polarizations
-from k3m20.cli import emit_table_csv, main, parse_table_csv
+from k3m20.cli import emit_table_csv, main
+from oracles import parse_table_csv
+
+TESTS = Path(__file__).parent
 
 
 def run(capsys, *argv):
@@ -243,16 +247,16 @@ _TABLE = ("polarizations.class_table(5)", ["table", "--max-n", "5"])
 @pytest.mark.parametrize(
     "fault, call, error, message",
     [
-        # the scalar references binary_forms.reduce and lattice.orthogonal_complement
+        # the one-orbit references oracles.reduce and oracles.orthogonal_complement
         (
-            "binary_forms._mat2_mul = lambda m, t: m\n",  # the witness stays the identity
-            ("binary_forms.reduce(binary_forms.EvenBinaryForm(2, -8, 23))", None),
+            "oracles._mat2_mul = lambda m, t: m\n",  # the witness stays the identity
+            ("oracles.reduce(binary_forms.EvenBinaryForm(2, -8, 23))", None),
             "ReductionAnomaly",
             "does not carry",
         ),
         (
-            "lattice._xgcd = lambda a, b: (1, 0, 0)\n",  # wrong cofactors
-            ("lattice.orthogonal_complement((1, 1, 1))", None),
+            "oracles._xgcd = lambda a, b: (1, 0, 0)\n",  # wrong cofactors
+            ("oracles.orthogonal_complement((1, 1, 1))", None),
             "ComplementAnomaly",
             "not both orthogonal",
         ),
@@ -309,6 +313,8 @@ def test_result_guards_fire_under_python_optimize(fault, call, error, message):
     expression, argv = call
     code = (
         "import sys\n"
+        f"sys.path.insert(0, {str(TESTS)!r})\n"  # for the oracles
+        "import oracles\n"
         "from k3m20 import binary_forms, cli, classify, kernels, lattice, polarizations\n"
         "from k3m20 import representability, veronese\n"
         + fault

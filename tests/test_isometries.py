@@ -1,21 +1,27 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from k3m20.binary_forms import EvenBinaryForm, equivalent, from_gram
-from k3m20.isometries import canonical_member, canonical_rep, domain_point, orbit_size, same_orbit
-from k3m20.lattice import norm, orthogonal_complement
+from k3m20.binary_forms import EvenBinaryForm
+from k3m20.isometries import domain_point, same_orbit
+from k3m20.lattice import norm
 from oracles import (
     GENERATORS,
     IDENTITY,
     NEG_IDENTITY,
     RHO1,
     RHO2,
+    canonical_member,
+    canonical_rep,
     enumerate_solutions,
+    equivalent,
+    from_gram,
     generate_group,
     is_isometry,
     mat_mul,
     mat_vec,
     orbit,
+    orbit_size,
+    orthogonal_complement,
 )
 
 small = st.integers(min_value=-20, max_value=20)

@@ -1,9 +1,11 @@
 """The brute-force oracles in tests/oracles.py against plainer loops and the exact code."""
 
 import numpy as np
+import pytest
 
-from k3m20.binary_forms import EvenBinaryForm, transform
-from oracles import transform_forms, two_square_tables, unimodular_entries
+from k3m20.binary_forms import EvenBinaryForm
+from k3m20.representability import is_representable
+from oracles import representable_range, transform, transform_forms, two_square_tables, unimodular_entries
 
 
 def test_two_square_tables():
@@ -50,3 +52,12 @@ def test_transform_forms_matches_exact():
     for row, img in zip(ts, out):
         t = ((int(row[0]), int(row[1])), (int(row[2]), int(row[3])))
         assert transform(f, t).triple() == tuple(int(x) for x in img)
+
+
+# the int64 numpy table scan of 4n - 10 delta^2 = x^2 + y^2
+@pytest.mark.parametrize("scan", [representable_range], ids=["numpy"])
+def test_representable_range_agrees(scan):
+    flags = scan(500)
+    assert not flags[0]
+    for n in range(1, 501):
+        assert bool(flags[n]) == is_representable(n), n

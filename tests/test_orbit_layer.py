@@ -1,8 +1,8 @@
 """The batched per-orbit layer `kernels.orbit_classes` against the one-orbit oracle.
 
 `tests/oracles.py::orbit_class` computes an orbit's invariants over python
-ints, one orbit at a time, through `lattice.orthogonal_complement` and
-`binary_forms.canonical`.  The batched layer must give the same canonical
+ints, one orbit at a time, through the oracles `orthogonal_complement` and
+`canonical`.  The batched layer must give the same canonical
 member, divisibility, reduced form, discriminant, index and orbit size for
 every orbit, in its int64 branch up to `BATCH_MAX_N` and its python-int
 branch above, and each of its guards must raise its named error.
@@ -17,16 +17,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3m20 import kernels
-from k3m20.binary_forms import EvenBinaryForm, ReductionAnomaly, canonical, transform
+from k3m20.binary_forms import EvenBinaryForm, ReductionAnomaly
 from k3m20.kernels import (
     BATCH_MAX_N,
     EnumerationAnomaly,
     orbit_classes,
     orbit_reps,
 )
-from k3m20.lattice import ComplementAnomaly, _xgcd
+from k3m20.lattice import ComplementAnomaly
 from k3m20.polarizations import classify
-from oracles import orbit_class
+from oracles import _xgcd, canonical, orbit_class, transform
 
 RANGE_N = 2000
 

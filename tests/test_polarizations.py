@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from k3m20 import polarizations
-from k3m20.lattice import divisibility, norm
+from k3m20.lattice import norm
 from k3m20.polarizations import (
     DOUBLED,
     DOUBLED_DEGREES,
@@ -17,15 +17,12 @@ from k3m20.polarizations import (
     ambient_dim,
     classify,
     classify_range,
-    div_feasible,
     index_from,
     model_verdict,
     quadric_count,
-    quadric_count_parts,
-    scale_embedding,
 )
 from k3m20.kernels import MAX_N
-from oracles import orbit
+from oracles import div_feasible, divisibility, orbit, quadric_count_parts
 
 
 # ---------------------------------------------------------------------------
@@ -139,18 +136,6 @@ def test_div_feasible_matches_brute_force(target, n, d):
         if n * alpha * alpha * d * m <= target
     )
     assert div_feasible(target, n, d) == brute
-
-
-# ---------------------------------------------------------------------------
-# scaling
-
-
-def test_scale_embedding():
-    v = (1, 1, 1)
-    assert scale_embedding(v, 3) == (3, 3, 3)
-    assert norm(scale_embedding(v, 5)) == 25 * norm(v)
-    with pytest.raises(ValueError):
-        scale_embedding(v, 0)
 
 
 # ---------------------------------------------------------------------------

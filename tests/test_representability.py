@@ -7,10 +7,17 @@ from hypothesis import strategies as st
 
 from k3m20 import representability
 from k3m20.cli import main
-from k3m20.isometries import parity_lift
-from k3m20.lattice import is_primitive, norm
-from k3m20.representability import infinitude_scan, is_prime, is_representable, two_squares
-from oracles import enumerate_solutions, generate_group, mat_vec, representable_range
+from k3m20.lattice import norm
+from k3m20.representability import is_prime, is_representable, prime_witnesses
+from oracles import (
+    enumerate_solutions,
+    generate_group,
+    is_primitive,
+    mat_vec,
+    parity_lift,
+    representable_range,
+    two_squares,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -111,20 +118,18 @@ def test_two_squares():
 
 
 def test_infinitude_scan():
-    assert infinitude_scan(1) == [(5, (1, 2, 0))]
-    ws = infinitude_scan(8)
+    assert list(itertools.islice(prime_witnesses(), 1)) == [(5, (1, 2, 0))]
+    ws = list(itertools.islice(prime_witnesses(), 8))
     assert [p for p, _ in ws] == [5, 13, 17, 29, 37, 41, 53, 61]
     for p, v in ws:
         assert is_prime(p) and p % 4 == 1
         assert v[2] == 0
         assert is_primitive(v)
         assert norm(v) == 4 * p
-    with pytest.raises(ValueError):
-        infinitude_scan(0)
 
 
 def test_infinitude_witnesses_give_distinct_norms():
-    ws = infinitude_scan(30)
+    ws = list(itertools.islice(prime_witnesses(), 30))
     ps = [p for p, _ in ws]
     assert ps == sorted(set(ps))
     for p, _ in ws:
