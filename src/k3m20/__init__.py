@@ -10,7 +10,8 @@ All lattice arithmetic is exact; the orbit representatives are walked
 over a fundamental domain of the isometries, and their invariants
 computed, in numpy blocks of int64 or, where int64 could overflow, of
 python ints (see `kernels`); `class_table` groups them into the
-classification table, one row per degree and transcendental class.
+classification table, one row per degree and transcendental class, and a
+report's `classes` are those rows, one `TxClass` each.
 """
 
 __version__ = "0.1.0"
@@ -24,6 +25,7 @@ from .polarizations import (
     IndexAnomaly,
     OrbitClass,
     PolarizationReport,
+    TxClass,
     class_table,
     classify,
     classify_range,
@@ -42,6 +44,7 @@ __all__ = [
     "OrbitClass",
     "PolarizationReport",
     "ReducedForm",
+    "TxClass",
     "class_table",
     "classify",
     "classify_range",

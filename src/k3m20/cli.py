@@ -27,11 +27,11 @@ from .polarizations import (
     ClassTable,
     ModelVerdict,
     PolarizationReport,
-    class_statuses,
     class_table,
     classify,
     model_verdict,
     quadric_count,
+    table_statuses,
 )
 from .representability import prime_witnesses
 from .veronese import doubled_model_dims, quadrics_on_veronese2, scaled_quartic_dims
@@ -92,37 +92,17 @@ def report_to_dict(report: PolarizationReport) -> dict:
         "quadric_count": report.quadric_count,
         "ambient_dim": report.ambient_dim,
         "feasibility": {
-            "div1": any(f.div1_solvable for f in report.feasibility),
-            "div2": any(f.div2_solvable for f in report.feasibility),
-            "eq90": any(f.quadrics_eq_solvable for f in report.feasibility),
+            "div1": any(c.div1_solvable for c in report.classes),
+            "div2": any(c.div2_solvable for c in report.classes),
+            "eq90": any(c.quadrics_eq_solvable for c in report.classes),
         },
     }
 
 
 def _class_rows(report: PolarizationReport) -> list[tuple[int, ...]]:
-    """One table row per transcendental class: the class data plus the
-    lexicographically smallest orbit representative carrying it."""
-    first: dict = {}  # orbits are sorted by canonical, so the first of a class is its smallest
-    for o in report.orbits:
-        first.setdefault(o.tx, o)
-    rows = []
-    for f in report.tx_classes:
-        vec = first[f].canonical
-        rows.append(
-            (
-                report.n,
-                report.l_squared,
-                report.quadric_count,
-                f.a,
-                f.b,
-                f.c,
-                vec[0],
-                vec[1],
-                vec[2],
-                first[f].index,
-            )
-        )
-    return rows
+    """One table row per transcendental class: the class data plus its smallest member."""
+    head = (report.n, report.l_squared, report.quadric_count)
+    return [(*head, *c.tx.triple(), *c.member, c.index) for c in report.classes]
 
 
 def _table_rows(table: ClassTable) -> list[tuple[int, ...]]:
@@ -148,7 +128,7 @@ def report_text(report: PolarizationReport, verdict: ModelVerdict | None) -> str
             f"  canonical {o.canonical}  size {o.orbit_size}  div {o.divisibility}"
             f"  tx (a,b,c) = {o.tx.triple()}  d = {o.discriminant}  I = {o.index}"
         )
-    classes = ", ".join(str(f.triple()) for f in report.tx_classes)
+    classes = ", ".join(str(c.tx.triple()) for c in report.classes)
     lines.append(f"transcendental classes: {classes}")
     lines.append(f"quadrics: {report.quadric_count}" + ("  (degree-4 model: none)" if report.n == 1 else ""))
     lines.append(f"ambient: P^{report.ambient_dim}")
@@ -214,10 +194,7 @@ def _cmd_scan(args) -> int:
     classes = sorted(set(zip(table.a.tolist(), table.b.tolist(), table.c.tolist())))
     witnesses = list(itertools.takewhile(lambda w: w[0] <= args.max_n, prime_witnesses()))
     # the degrees with a class that some obstruction check finds FEASIBLE
-    columns = (table.n, table.d, table.div1, table.div2, table.eq90, table.odd)
-    inconsistent = {
-        row[0] for row in zip(*(col.tolist() for col in columns)) if FEASIBLE in class_statuses(*row)
-    }
+    inconsistent = {n for n, s in zip(table.n.tolist(), table_statuses(table)) if FEASIBLE in s}
     if args.format == "json":
         print(
             json.dumps(

@@ -101,20 +101,6 @@ GOLDEN_ROWS: tuple[GoldenRow, ...] = (
 NON_REPRESENTABLE_GOLDEN: tuple[int, ...] = (6,)
 
 
-def documented_corrections() -> tuple[tuple[int, tuple[int, int, int], str], ...]:
-    """(n, published form, field) for every published value overridden here."""
-    out: list[tuple[int, tuple[int, int, int], str]] = []
-    for row in GOLDEN_ROWS:
-        for field, override in (
-            ("q", row.q_expected),
-            ("form", row.form_expected),
-            ("index", row.index_expected),
-        ):
-            if override is not None:
-                out.append((row.n, row.form, field))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class GoldenDiff:
     n: int
@@ -165,7 +151,7 @@ def golden_check(rows: tuple[GoldenRow, ...] = GOLDEN_ROWS) -> GoldenCheckResult
             row_diffs.append(GoldenDiff(row.n, row.form, "q", row.want_q, rep.quadric_count))
         if rep.l_squared != row.l_squared:
             row_diffs.append(GoldenDiff(row.n, row.form, "l_squared", row.l_squared, rep.l_squared))
-        computed_forms = {f.triple() for f in rep.tx_classes}
+        computed_forms = {c.tx.triple() for c in rep.classes}
         if row.want_form not in computed_forms:
             row_diffs.append(
                 GoldenDiff(row.n, row.form, "tx", row.want_form, sorted(computed_forms))
@@ -199,7 +185,7 @@ def golden_check(rows: tuple[GoldenRow, ...] = GOLDEN_ROWS) -> GoldenCheckResult
     for row in rows:
         by_n.setdefault(row.n, set()).add(row.want_form)
     for n, forms in sorted(by_n.items()):
-        computed = {f.triple() for f in reports[n].tx_classes}
+        computed = {c.tx.triple() for c in reports[n].classes}
         if computed != forms:
             diffs.append(GoldenDiff(n, (0, 0, 0), "class-set", sorted(forms), sorted(computed)))
             lines.append(f"n={n}: FAIL (class sets differ)")

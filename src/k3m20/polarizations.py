@@ -18,11 +18,12 @@ t = 4n / I, the equation is solvable exactly when t = 1, t | 2 or t | 3.
 The class layer (`class_table`, and `classify` through it) uses that
 closed form for every class at once; its reference, `div_feasible` in
 `tests/oracles.py`, decides the equation by search.  `class_statuses`
-turns one class's three checks into statuses and `model_verdict` collects
-them per degree, routing the handful of degrees settled by previously
-known models (quartic, triple-quadric, and the diag(4, 4) degree-40 case)
-and doubled polarizations L = 2M through explicit exclusion branches
-instead.
+turns one class's three checks into statuses, routing the handful of
+degrees settled by previously known models (quartic, triple-quadric, and
+the diag(4, 4) degree-40 case) and doubled polarizations L = 2M through
+explicit exclusion branches instead.  `table_statuses` applies it to every
+row of a class table, and both the report's classes (one `TxClass` per
+row, which `model_verdict` collects per degree) and `scan` read them.
 """
 
 from __future__ import annotations
@@ -61,14 +62,29 @@ class OrbitClass:
 
 
 @dataclass(frozen=True)
-class ClassFeasibility:
-    """Raw Diophantine solvability of the obstruction equations for one class."""
+class TxClass:
+    """One transcendental class of one degree: a row of the class table.
+
+    member is the smallest canonical member of the class's orbits and index
+    the sublattice index; the *_solvable flags say whether the obstruction
+    equation with target 10, 40 or 90 is solvable (see the module
+    docstring), and the three statuses are the class's class_statuses.
+    """
 
     tx: ReducedForm
     discriminant: int
+    index: int
+    member: Vec
     div1_solvable: bool
     div2_solvable: bool
     quadrics_eq_solvable: bool
+    base_point_status: str
+    hyperelliptic_status: str
+    quadrics_status: str
+
+    @property
+    def consistent(self) -> bool:
+        return FEASIBLE not in (self.base_point_status, self.hyperelliptic_status, self.quadrics_status)
 
 
 @dataclass(frozen=True)
@@ -77,10 +93,9 @@ class PolarizationReport:
     l_squared: int
     representable: bool
     orbits: tuple[OrbitClass, ...]
-    tx_classes: tuple[ReducedForm, ...]
+    classes: tuple[TxClass, ...]
     quadric_count: int
     ambient_dim: int
-    feasibility: tuple[ClassFeasibility, ...]
 
 
 def quadric_count(n):
@@ -234,8 +249,9 @@ def class_table(max_n: int) -> ClassTable:
 def _reports(lo: int, hi: int, reps: np.ndarray) -> list[PolarizationReport]:
     """The reports of degrees lo..hi from all their orbit representatives (see orbit_reps).
 
-    One ReducedForm is built per class triple and shared by every orbit and
-    degree carrying it.
+    Each report's classes are its degree's rows of the class table, one
+    TxClass each.  One ReducedForm is built per class triple and shared by
+    every orbit and degree carrying it.
     """
     ns, rows = _orbit_rows(lo, hi, reps)
     table, class_of = _classes(ns, rows)
@@ -249,9 +265,11 @@ def _reports(lo: int, hi: int, reps: np.ndarray) -> list[PolarizationReport]:
             form = forms[triple] = ReducedForm(*triple)
         tx.append(form)
     d, index = table.d.tolist(), table.index.tolist()
-    feasibility = [
-        ClassFeasibility(tx=f, discriminant=e, div1_solvable=x, div2_solvable=y, quadrics_eq_solvable=z)
-        for f, e, x, y, z in zip(tx, d, table.div1.tolist(), table.div2.tolist(), table.eq90.tolist())
+    members = zip(table.lam.tolist(), table.mu.tolist(), table.delta.tolist())
+    flags = zip(table.div1.tolist(), table.div2.tolist(), table.eq90.tolist())
+    classes = [
+        TxClass(form, e, i, member, *flag, *statuses)
+        for form, e, i, member, flag, statuses in zip(tx, d, index, members, flags, table_statuses(table))
     ]
     orbits = [
         OrbitClass(
@@ -271,10 +289,9 @@ def _reports(lo: int, hi: int, reps: np.ndarray) -> list[PolarizationReport]:
             l_squared=4 * n,
             representable=cuts[i] < cuts[i + 1],
             orbits=tuple(orbits[cuts[i] : cuts[i + 1]]),
-            tx_classes=tuple(tx[class_cuts[i] : class_cuts[i + 1]]),
+            classes=tuple(classes[class_cuts[i] : class_cuts[i + 1]]),
             quadric_count=quadric_count(n),
             ambient_dim=ambient_dim(n),
-            feasibility=tuple(feasibility[class_cuts[i] : class_cuts[i + 1]]),
         )
         for i, n in enumerate(range(lo, hi + 1))
     ]
@@ -313,28 +330,9 @@ DOUBLED = "doubled polarization"
 
 
 @dataclass(frozen=True)
-class ClassVerdict:
-    tx: ReducedForm
-    discriminant: int
-    base_point_status: str
-    hyperelliptic_status: str
-    quadrics_status: str
-    # the genus-2 pencil branch needs L^2 = 10, impossible for L^2 = 4n
-    genus2_branch_excluded: bool
-
-    @property
-    def consistent(self) -> bool:
-        return FEASIBLE not in (
-            self.base_point_status,
-            self.hyperelliptic_status,
-            self.quadrics_status,
-        )
-
-
-@dataclass(frozen=True)
 class ModelVerdict:
     n: int
-    classes: tuple[ClassVerdict, ...]
+    classes: tuple[TxClass, ...]
     consistent: bool
     label: str
 
@@ -349,6 +347,8 @@ def class_statuses(
     A class of a prior model is a known model; a class of a doubled degree
     whose orbits all have even divisibility is a doubled polarization for
     the hyperelliptic check; any other solvable equation is FEASIBLE.
+    (The genus-2 pencil branch needs L^2 = 10, impossible for L^2 = 4n, so
+    it has no status.)
     """
     prior = (n, d) in PRIOR_MODELS
     doubled = n in DOUBLED_DEGREES and not odd
@@ -357,39 +357,23 @@ def class_statuses(
     return bp, hyp, FEASIBLE if eq90 else INFEASIBLE
 
 
+def table_statuses(table: ClassTable) -> list[tuple[str, str, str]]:
+    """The class_statuses of every row of a class table."""
+    columns = (table.n, table.d, table.div1, table.div2, table.eq90, table.odd)
+    return [class_statuses(*row) for row in zip(*(col.tolist() for col in columns))]
+
+
 def model_verdict(report: PolarizationReport) -> ModelVerdict:
-    """Combine the obstruction checks into a per-class verdict.
+    """Combine the obstruction checks of a degree's classes into its verdict.
 
     A feasible obstruction would contradict the classification and is
     surfaced as a loud FEASIBLE discrepancy, never silently dropped.
     """
     if not report.representable:
         raise ValueError("no model verdict for a non-representable degree")
-    n = report.n
-    odd_classes = {o.tx for o in report.orbits if o.divisibility % 2}
-    classes: list[ClassVerdict] = []
-    for feas in report.feasibility:
-        bp, hyp, quad = class_statuses(
-            n,
-            feas.discriminant,
-            feas.div1_solvable,
-            feas.div2_solvable,
-            feas.quadrics_eq_solvable,
-            feas.tx in odd_classes,
-        )
-        classes.append(
-            ClassVerdict(
-                tx=feas.tx,
-                discriminant=feas.discriminant,
-                base_point_status=bp,
-                hyperelliptic_status=hyp,
-                quadrics_status=quad,
-                genus2_branch_excluded=4 * n != 10,
-            )
-        )
-    consistent = all(c.consistent for c in classes)
+    consistent = all(c.consistent for c in report.classes)
     label = "embedding; quadrics only" if consistent else "DISCREPANCY: obstruction feasible"
-    return ModelVerdict(n=n, classes=tuple(classes), consistent=consistent, label=label)
+    return ModelVerdict(n=report.n, classes=report.classes, consistent=consistent, label=label)
 
 
 def classify_range(max_n: int) -> list[PolarizationReport]:

@@ -30,6 +30,8 @@ search or one value at a time over python ints:
   `polarizations.class_table`), and `quadric_count_parts`, the two counts
   whose difference is `quadric_count`;
 - `parse_table_csv`: reads `table --format csv` back into integer rows.
+- `documented_corrections`: the published values that `golden.GOLDEN_ROWS`
+  overrides with an arithmetic correction.
 
 The range scan and the SL2(Z) search work in int64 numpy arrays; the group,
 the enumeration and the one-orbit references work over python ints;
@@ -48,6 +50,7 @@ import numpy as np
 
 from k3m20.binary_forms import EvenBinaryForm, ReducedForm, ReductionAnomaly
 from k3m20.cli import CSV_HEADER
+from k3m20.golden import GOLDEN_ROWS
 from k3m20.isometries import domain_point
 from k3m20.lattice import GRAM, ComplementAnomaly, Gram2, Mat3, Vec, gram_apply, inner, mat_det, norm
 from k3m20.polarizations import EnumerationAnomaly, OrbitClass, index_from
@@ -447,6 +450,24 @@ def parse_table_csv(text: str) -> list[tuple[int, ...]]:
     if header != CSV_HEADER.split(","):
         raise ValueError("bad csv header")
     return [tuple(int(x) for x in row) for row in reader if row]
+
+
+# ---------------------------------------------------------------------------
+# the published table's errata
+
+
+def documented_corrections() -> tuple[tuple[int, tuple[int, int, int], str], ...]:
+    """(n, published form, field) for every published value golden.GOLDEN_ROWS overrides."""
+    out: list[tuple[int, tuple[int, int, int], str]] = []
+    for row in GOLDEN_ROWS:
+        for field, override in (
+            ("q", row.q_expected),
+            ("form", row.form_expected),
+            ("index", row.index_expected),
+        ):
+            if override is not None:
+                out.append((row.n, row.form, field))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from k3m20.binary_forms import EvenBinaryForm
-from k3m20.golden import GOLDEN_ROWS, documented_corrections, golden_check
+from k3m20.golden import GOLDEN_ROWS, golden_check
 from k3m20.isometries import same_orbit
 from k3m20.lattice import GRAM, inner, norm
 from k3m20.polarizations import (
@@ -35,6 +35,7 @@ from oracles import (
     RHO2,
     canonical,
     div_feasible,
+    documented_corrections,
     enumerate_solutions,
     equivalent,
     from_gram,
@@ -196,7 +197,7 @@ def test_criterion_06_obstructions_all_infeasible(capsys, reports_500):
             assert FEASIBLE not in (
                 c.base_point_status, c.hyperelliptic_status, c.quadrics_status,
             )
-        for f in rep.feasibility:
+        for f in rep.classes:
             n, d = rep.n, f.discriminant
             assert div_feasible(90, n, d) is False
             if (n, d) in PRIOR_MODELS:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from k3m20 import polarizations
 from k3m20.binary_forms import ReductionAnomaly
+from k3m20.cli import main
 from k3m20.kernels import MAX_N, orbit_reps
 from k3m20.polarizations import (
     DOUBLED,
@@ -32,6 +33,7 @@ from k3m20.polarizations import (
     classify,
     index_from,
     model_verdict,
+    table_statuses,
 )
 from oracles import div_feasible
 
@@ -75,9 +77,11 @@ def test_matches_orbit_rows_and_div_feasible_up_to_3000():
 @example(10**6)
 def test_classify_feasibility_matches_div_feasible_large_n(n):
     report = classify(n)
-    assert [f.tx for f in report.feasibility] == list(report.tx_classes)
-    assert [f.tx.triple() for f in report.feasibility] == sorted({o.tx.triple() for o in report.orbits})
-    for f in report.feasibility:
+    assert [c.member for c in report.classes] == [
+        min(o.canonical for o in report.orbits if o.tx == c.tx) for c in report.classes
+    ]
+    assert [c.tx.triple() for c in report.classes] == sorted({o.tx.triple() for o in report.orbits})
+    for f in report.classes:
         assert (f.div1_solvable, f.div2_solvable, f.quadrics_eq_solvable) == _feasible(n, f.discriminant)
 
 
@@ -211,11 +215,20 @@ def test_class_statuses(n, d, div1, div2, eq90, odd, want):
     assert class_statuses(n, d, div1, div2, eq90, odd) == want
 
 
-def test_model_verdict_reads_the_class_table():
-    max_n = 120
+def test_model_verdict_reads_the_class_table(capsys):
+    max_n = 300
     table = class_table(max_n)
     columns = (table.n, table.d, table.div1, table.div2, table.eq90, table.odd)
     statuses = [class_statuses(*row) for row in zip(*(col.tolist() for col in columns))]
+    assert table_statuses(table) == statuses
+    # each report's classes are its degree's table rows, field by field
+    records = [
+        (n, *c.tx.triple(), c.discriminant, *c.member, c.index, c.div1_solvable, c.div2_solvable,
+         c.quadrics_eq_solvable, c.base_point_status, c.hyperelliptic_status, c.quadrics_status)
+        for n in range(1, max_n + 1)
+        for c in classify(n).classes
+    ]
+    assert records == [(*row[:-1], *s) for row, s in zip(_rows(table), statuses)]
     verdicts = [
         (c.base_point_status, c.hyperelliptic_status, c.quadrics_status)
         for n in range(1, max_n + 1)
@@ -224,3 +237,14 @@ def test_model_verdict_reads_the_class_table():
     ]
     assert verdicts == statuses
     assert {n for n, s in zip(table.n.tolist(), statuses) if DOUBLED in s} == DOUBLED_DEGREES
+    # and classify's csv body is that degree's rows of the table csv
+    assert main(["table", "--max-n", str(max_n), "--format", "csv"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    by_n: dict[int, list[str]] = {}
+    for line in lines:
+        by_n.setdefault(int(line.split(",")[0]), []).append(line)
+    for n in range(1, max_n + 1):
+        rc = main(["classify", "--n", str(n), "--format", "csv"])
+        assert capsys.readouterr().out.splitlines() == [header, *by_n.get(n, [])]
+        assert rc == (0 if n in by_n else 2), n
+    assert 6 not in by_n and len(by_n) < max_n

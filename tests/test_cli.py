@@ -173,6 +173,30 @@ def test_scan_json(capsys):
 
 
 # ---------------------------------------------------------------------------
+# the discrepancy path: without the prior models, their hyperelliptic
+# equations (t = 4n / I = 2 at n = 1, 2 and 10) are feasible
+
+
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_classify_reports_a_feasible_obstruction(capsys, monkeypatch, n):
+    monkeypatch.setattr(polarizations, "PRIOR_MODELS", {})
+    code, out, _ = run(capsys, "classify", "--n", str(n))
+    assert code == 1
+    assert "hyperelliptic FEASIBLE" in out
+    assert out.endswith("verdict: DISCREPANCY: obstruction feasible\n")
+
+
+def test_scan_counts_feasible_obstructions(capsys, monkeypatch):
+    monkeypatch.setattr(polarizations, "PRIOR_MODELS", {})
+    code, out, _ = run(capsys, "scan", "--max-n", "10")
+    assert code == 1
+    assert "anomalies: 3\n" in out
+    code, out, _ = run(capsys, "scan", "--max-n", "10", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["anomalies"] == 3
+
+
+# ---------------------------------------------------------------------------
 # veronese
 
 

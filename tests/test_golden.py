@@ -5,11 +5,11 @@ from k3m20.golden import (
     GOLDEN_ROWS,
     NON_REPRESENTABLE_GOLDEN,
     GoldenDiff,
-    documented_corrections,
     golden_check,
 )
 from k3m20.lattice import norm
 from k3m20.polarizations import classify
+from oracles import documented_corrections
 
 
 def test_rows_cover_expected_degrees():

@@ -155,16 +155,16 @@ def test_classify_worked_degree_12():
     assert o.divisibility == 1 and o.primitive_root == o.canonical
     assert rep.quadric_count == 10
     assert rep.ambient_dim == 7
-    assert len(rep.tx_classes) == 1
-    assert len(rep.feasibility) == 1
-    f = rep.feasibility[0]
+    assert [c.tx.triple() for c in rep.classes] == [(2, 0, 15)]
+    assert len(rep.classes) == 1
+    f = rep.classes[0]
     assert not f.div1_solvable and not f.div2_solvable and not f.quadrics_eq_solvable
 
 
 def test_classify_non_representable():
     rep = classify(6)
     assert not rep.representable
-    assert rep.orbits == () and rep.tx_classes == () and rep.feasibility == ()
+    assert rep.orbits == () and rep.classes == ()
     assert rep.quadric_count == quadric_count(6)
 
 
@@ -188,8 +188,8 @@ def test_classify_orbit_structure_is_exact():
 def test_classify_degree_180_has_five_orbits_two_classes():
     rep = classify(45)
     assert sorted(o.orbit_size for o in rep.orbits) == [8, 16, 16, 16, 16]
-    assert [f.triple() for f in rep.tx_classes] == [(5, 0, 10), (5, 0, 90)]
-    by_class = {f: [o for o in rep.orbits if o.tx == f] for f in rep.tx_classes}
+    assert [c.tx.triple() for c in rep.classes] == [(5, 0, 10), (5, 0, 90)]
+    by_class = {c.tx: [o for o in rep.orbits if o.tx == c.tx] for c in rep.classes}
     assert sorted(len(v) for v in by_class.values()) == [2, 3]
     assert {o.index for o in rep.orbits} == {2, 6}
 
@@ -197,11 +197,11 @@ def test_classify_degree_180_has_five_orbits_two_classes():
 def test_classify_degree_60_and_360():
     rep15 = classify(15)
     assert len(rep15.orbits) == 3
-    assert [f.triple() for f in rep15.tx_classes] == [(2, 0, 3), (5, 0, 30)]
+    assert [c.tx.triple() for c in rep15.classes] == [(2, 0, 3), (5, 0, 30)]
     assert {o.index for o in rep15.orbits} == {2, 10}
     rep90 = classify(90)
     assert len(rep90.orbits) == 5
-    assert len(rep90.tx_classes) == 4
+    assert len(rep90.classes) == 4
 
 
 def test_classify_degree_40_hits_diagonal_class():
@@ -249,7 +249,6 @@ def test_model_verdict_plain_degree():
     assert c.base_point_status == INFEASIBLE
     assert c.hyperelliptic_status == INFEASIBLE
     assert c.quadrics_status == INFEASIBLE
-    assert c.genus2_branch_excluded
     assert verdict.consistent
     assert verdict.label == "embedding; quadrics only"
 
@@ -265,7 +264,6 @@ def test_model_verdict_sweep_small_range():
             continue
         verdict = model_verdict(rep)
         assert verdict.consistent, f"inconsistent verdict at n={n}"
-        assert all(c.genus2_branch_excluded for c in verdict.classes)
         assert all(c.quadrics_status == INFEASIBLE for c in verdict.classes)
         for c in verdict.classes:
             if KNOWN_MODEL in (c.base_point_status, c.hyperelliptic_status):
