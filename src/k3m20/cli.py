@@ -42,14 +42,61 @@ _KEYS = CSV_HEADER.split(",")
 _CSV_ROW = ",".join(["%d"] * len(_KEYS))
 _TEXT_ROW = "\t".join(["%d"] * len(_KEYS))
 _JSON_ROW = "  {\n" + ",\n".join(f'    "{key}": %d' for key in _KEYS) + "\n  }"
+# a classify report and one of its orbits, as json.dumps(report_to_dict(report), indent=2)
+# prints them (report_to_dict, in tests/oracles.py, is their reference)
+_JSON_ORBIT = """\
+    {
+      "canonical": [
+        %d,
+        %d,
+        %d
+      ],
+      "orbit_size": %d,
+      "divisibility": %d,
+      "tx": {
+        "a": %d,
+        "b": %d,
+        "c": %d
+      },
+      "discriminant": %d,
+      "index": %d
+    }"""
+_JSON_REPORT = """\
+{
+  "n": %d,
+  "l_squared": %d,
+  "representable": %s,
+  "orbits": %s,
+  "quadric_count": %d,
+  "ambient_dim": %d,
+  "feasibility": {
+    "div1": %s,
+    "div2": %s,
+    "eq90": %s
+  }
+}"""
+# the scan summary as json.dumps(..., indent=2) prints it
+_JSON_SCAN = """\
+{
+  "max_n": %d,
+  "representable_count": %d,
+  "non_representable": %s,
+  "tx_class_count": %d,
+  "tx_classes": %s,
+  "anomalies": %d,
+  "prime_witnesses": %s
+}"""
+_JSON_TRIPLE = "    [\n      %d,\n      %d,\n      %d\n    ]"
+_JSON_WITNESS = "    [\n      %d,\n      [\n        %d,\n        %d,\n        %d\n      ]\n    ]"
 _PARALLEL_HELP = "accepted for compatibility; a range is swept once, in one process"
 # cost caps, far below the exact int64 bound kernels.MAX_N; the times in the
 # messages were measured on a 2-CPU Xeon VM
 MAX_CLASSIFY_N = 10**9
 MAX_RANGE_N = 2 * 10**4
 _TOO_COSTLY_N = (
-    "--n must be at most 10**9: classify walks about 0.45 n vector pairs"
-    " (about 21 s at n = 10**9), linear in n"
+    "--n must be at most 10**9: classify trial-divides about 0.63 sqrt(n) values"
+    " 4n - 10 z^2 by the primes up to 2 sqrt(n) (about 1 s at n = 10**9),"
+    " growing about as n / log n"
 )
 _TOO_COSTLY_MAX_N = (
     "--max-n must be at most 2*10**4: a range keeps about 0.17 N^1.5 orbits in memory"
@@ -73,30 +120,42 @@ def _banner() -> str:
 # renderers
 
 
-def report_to_dict(report: PolarizationReport) -> dict:
-    return {
-        "n": report.n,
-        "l_squared": report.l_squared,
-        "representable": report.representable,
-        "orbits": [
-            {
-                "canonical": list(o.canonical),
-                "orbit_size": o.orbit_size,
-                "divisibility": o.divisibility,
-                "tx": {"a": o.tx.a, "b": o.tx.b, "c": o.tx.c},
-                "discriminant": o.discriminant,
-                "index": o.index,
-            }
-            for o in report.orbits
-        ],
-        "quadric_count": report.quadric_count,
-        "ambient_dim": report.ambient_dim,
-        "feasibility": {
-            "div1": any(c.div1_solvable for c in report.classes),
-            "div2": any(c.div2_solvable for c in report.classes),
-            "eq90": any(c.quadrics_eq_solvable for c in report.classes),
-        },
-    }
+def _json_bool(flag: bool) -> str:
+    return "true" if flag else "false"
+
+
+def _json_array(item: str, rows: list[tuple[int, ...]]) -> str:
+    """A json array one level below the top, as json.dumps(..., indent=2)
+    prints it, with one row per element rendered by the template item.
+
+    One % fills the item template repeated, so that few objects are built:
+    a string per element fragmented the heap enough to raise a scan's peak
+    RSS by 3 MB under the benchmark's probes.
+    """
+    if not rows:
+        return "[]"
+    return ("[\n" + ",\n".join([item] * len(rows)) + "\n  ]") % tuple(v for row in rows for v in row)
+
+
+def report_json(report: PolarizationReport) -> str:
+    """The json of one classify report, without the final newline."""
+    orbits = [
+        (*o.canonical, o.orbit_size, o.divisibility, *o.tx.triple(), o.discriminant, o.index) for o in report.orbits
+    ]
+    flags = (
+        any(c.div1_solvable for c in report.classes),
+        any(c.div2_solvable for c in report.classes),
+        any(c.quadrics_eq_solvable for c in report.classes),
+    )
+    return _JSON_REPORT % (
+        report.n,
+        report.l_squared,
+        _json_bool(report.representable),
+        _json_array(_JSON_ORBIT, orbits),
+        report.quadric_count,
+        report.ambient_dim,
+        *map(_json_bool, flags),
+    )
 
 
 def _class_rows(report: PolarizationReport) -> list[tuple[int, ...]]:
@@ -150,7 +209,7 @@ def _cmd_classify(args) -> int:
     report = classify(args.n)
     verdict = model_verdict(report) if report.representable else None
     if args.format == "json":
-        print(json.dumps(report_to_dict(report), indent=2))
+        print(report_json(report))
     elif args.format == "csv":
         print(emit_table_csv(_class_rows(report)), end="")
     else:
@@ -197,17 +256,15 @@ def _cmd_scan(args) -> int:
     inconsistent = {n for n, s in zip(table.n.tolist(), table_statuses(table)) if FEASIBLE in s}
     if args.format == "json":
         print(
-            json.dumps(
-                {
-                    "max_n": args.max_n,
-                    "representable_count": args.max_n - len(non_rep),
-                    "non_representable": non_rep,
-                    "tx_class_count": len(classes),
-                    "tx_classes": [list(c) for c in classes],
-                    "anomalies": len(inconsistent),
-                    "prime_witnesses": [[p, list(v)] for p, v in witnesses],
-                },
-                indent=2,
+            _JSON_SCAN
+            % (
+                args.max_n,
+                args.max_n - len(non_rep),
+                _json_array("    %d", [(n,) for n in non_rep]),
+                len(classes),
+                _json_array(_JSON_TRIPLE, classes),
+                len(inconsistent),
+                _json_array(_JSON_WITNESS, [(p, *v) for p, v in witnesses]),
             )
         )
     else:

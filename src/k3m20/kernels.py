@@ -1,6 +1,7 @@
 """The numpy array layer: the orbit walk and the per-orbit invariants.
 
-`orbit_reps` walks one vector per isometry orbit of a band of norms;
+`orbit_reps` walks one vector per isometry orbit of a band of norms (the
+range path; one degree is enumerated by `twosquares.degree_reps`);
 `orbit_classes` turns rows of those representatives into the per-orbit
 invariants `classify` reports (canonical member, divisibility, reduced
 transcendental form, discriminant, orbit size), running every check of the

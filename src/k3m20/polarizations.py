@@ -37,6 +37,7 @@ from .binary_forms import ReducedForm, ReductionAnomaly
 from .kernels import MAX_N, EnumerationAnomaly, _first_bad, orbit_classes, orbit_reps
 from .lattice import Vec
 from .representability import is_representable
+from .twosquares import degree_reps
 
 
 class IndexAnomaly(ValueError):
@@ -303,11 +304,13 @@ def classify(n: int) -> PolarizationReport:
     Orbits are listed by lexicographically smallest member; each carries the
     reduced transcendental form of the orthogonal complement (an orbit
     invariant) and the sublattice index.  All arithmetic is exact.
+    The representatives come from degree_reps, which factors each
+    4n - 10 z^2 instead of walking the norm as the range path does.
     A non-representable degree has no orbits and is not enumerated.
     """
     if not 1 <= n <= MAX_N:
         raise ValueError(f"degree parameter n must be in 1..{MAX_N}")
-    reps = orbit_reps(n, n) if is_representable(n) else np.zeros((0, 3), dtype=np.int64)
+    reps = degree_reps(n) if is_representable(n) else np.zeros((0, 3), dtype=np.int64)
     return _reports(n, n, reps)[0]
 
 

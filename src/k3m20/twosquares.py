@@ -1,0 +1,223 @@
+"""One degree by sums of two squares: the orbit representatives of norm 4n, by factoring.
+
+`degree_reps(n)` returns the array of `kernels.orbit_reps(n, n)` without
+walking the norm: each of the about sqrt(0.4 n) values m = 4n - 10 z^2 is
+factored by trial division, and its points x^2 + y^2 = m are combined from
+its Gaussian primes.  The walk visits about 0.45 n (z, x) pairs for the same
+rows; it stays the range path and, in the tests, this path's reference.
+All arithmetic is exact: in int64 for n up to kernels.MAX_N, but for the
+primes above 2**31, which `_gaussian_primes` splits on python ints.
+"""
+
+from __future__ import annotations
+
+from math import isqrt
+
+import numpy as np
+
+from .kernels import MAX_N, EnumerationAnomaly, _first_bad, _isqrt_np
+
+# values m = 4n - 10 z^2 factored at once in degree_reps, and (m, prime) entries
+# per divisibility tile; together they bound its working memory
+_BLOCK = 2**12
+_TILE = 2**13
+
+
+def degree_reps(n: int) -> np.ndarray:
+    """orbit_reps(n, n) by sums of two squares: the same rows, found by factoring.
+
+    For each z with m = 4n - 10 z^2 > 0, the points 0 <= x <= y with
+    x^2 + y^2 = m come from m's factorization over the Gaussian integers
+    (the r2 formula, Hardy & Wright ch. XVI).  Write m = h * prod p^e_p
+    over its primes p = 1 (mod 4).  m is a sum of two squares exactly when
+    h is s^2 or 2 s^2 (every prime 3 mod 4 to an even power), and then its
+    points are, up to units and conjugation, the products
+    s (1 + i)^[h = 2 s^2] prod_p pi_p^k conj(pi_p)^(e_p - k), 0 <= k <= e_p,
+    with pi_p conj(pi_p) = p (see _gaussian_primes and _gaussian_products).
+    x = y = z (mod 2) holds by itself: m is 0 mod 4 for even z, 2 mod 4 for
+    odd z.  m = 0 gives the point x = y = 0.
+
+    m is factored by trial division by the odd primes up to sqrt(4n), in
+    blocks of `_BLOCK` values of m and tiles of `_TILE` entries; what is
+    left is a power of 2 times 1 or one prime above sqrt(4n).  Each m's
+    points must account for exactly its r2(m) = 4 prod_p (e_p + 1) ordered
+    pairs, or EnumerationAnomaly is raised.
+    """
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"need 1 <= n <= {MAX_N}")
+    top = 4 * n
+    zs = np.arange(isqrt(top // 10) + 1, dtype=np.int64)
+    ms = top - 10 * zs * zs
+    z, m = zs[ms > 0], ms[ms > 0]
+    # p divides some m only if 10 z^2 = 4n (mod p) is solvable: p | n, or 10 n is a square mod p
+    primes = _odd_primes(isqrt(top))
+    res = n % primes
+    primes = primes[(res == 0) | (_powmod(10 * res % primes, (primes - 1) // 2, primes) == 1)]
+    blocks = [_block_reps(n, z[j : j + _BLOCK], m[j : j + _BLOCK], primes) for j in range(0, len(m), _BLOCK)]
+    zero = zs[ms == 0]
+    return np.concatenate([*blocks, np.stack([0 * zero, 0 * zero, zero], axis=1)])
+
+
+def _block_reps(n: int, z: np.ndarray, m: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """degree_reps' points (x, y, z) for one block of z and m = 4n - 10 z^2 > 0."""
+    i, p, e, pe = _trial_division(m, primes)
+    # per m with a prime found (i is sorted): the product over its primes, or its split ones
+    first = np.ones(len(i), dtype=bool)
+    first[1:] = i[1:] != i[:-1]
+    starts = np.flatnonzero(first)
+    split = p % 4 == 1
+    left = m.copy()
+    left[i[starts]] //= np.multiply.reduceat(pe, starts)
+    large = left // np.gcd(left, 2**62)  # the odd part: 1 or the one prime factor above sqrt(4n)
+    big = (large % 4 == 1) & (large > 1)
+    h = m // np.where(big, large, 1)
+    h[i[starts]] //= np.multiply.reduceat(np.where(split, pe, 1), starts)
+    # m is a sum of two squares exactly when the rest h is s^2 or 2 s^2
+    s, t = _isqrt_np(h), _isqrt_np(h // 2)
+    square = s * s == h
+    keep = square | (2 * t * t == h)
+    r2 = np.where(big, 8, 4)
+    r2[i[starts]] *= np.multiply.reduceat(np.where(split, e + 1, 1), starts)
+
+    # the split primes of the kept m, which are renumbered 0..k-1, in row order
+    f_row = np.concatenate([i[split], np.flatnonzero(big)])
+    f_p = np.concatenate([p[split], large[big]])
+    f_e = np.concatenate([e[split], np.ones(int(big.sum()), dtype=np.int64)])
+    mine = keep[f_row]
+    order = np.lexsort((f_row[mine],))
+    f_row = (np.cumsum(keep) - 1)[f_row[mine][order]]
+    f_p, f_e = f_p[mine][order], f_e[mine][order]
+    m, z, r2 = m[keep], z[keep], r2[keep]
+    a, b = _gaussian_primes(f_p)
+    k = _first_bad(a * a + b * b != f_p)
+    if k is not None:
+        raise EnumerationAnomaly(n, f"({int(a[k])}, {int(b[k])}) does not split the prime {int(f_p[k])}")
+    row, re, im = _gaussian_products(np.where(square, s, t)[keep], ~square[keep], f_row, a, b, f_e)
+
+    # one point per orbit in the domain 0 <= x <= y, ordered by z, x, y
+    x, y = np.minimum(np.abs(re), np.abs(im)), np.maximum(np.abs(re), np.abs(im))
+    order = np.lexsort((y, x, row))
+    row, x, y = row[order], x[order], y[order]
+    first = np.ones(len(row), dtype=bool)
+    first[1:] = (row[1:] != row[:-1]) | (x[1:] != x[:-1]) | (y[1:] != y[:-1])
+    row, x, y = row[first], x[first], y[first]
+    # completeness: a point with 0 < x < y stands for 8 ordered pairs, one with x = 0 or x = y for
+    # 4, and the points of each m must stand for its r2(m) = 4 prod_p (e_p + 1)
+    weight = np.concatenate([[0], np.cumsum(np.where((x == 0) | (x == y), 4, 8))])
+    cuts = np.searchsorted(row, np.arange(len(m) + 1))
+    found = weight[cuts[1:]] - weight[cuts[:-1]]
+    bad = found != r2
+    bad[row[x * x + y * y != m[row]]] = True
+    k = _first_bad(bad)
+    if k is not None:
+        raise EnumerationAnomaly(
+            n, f"z = {int(z[k])}: {int(found[k])} of the r2({int(m[k])}) = {int(r2[k])} ordered pairs found"
+        )
+    return np.stack([x, y, z[row]], axis=1)
+
+
+def _trial_division(m: np.ndarray, primes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(i, p, e, p^e): every prime p of primes that divides m[i], to the power
+    e, ordered by i; the divisibility test runs in tiles of `_TILE` entries."""
+    width = max(1, _TILE // len(m))
+    hits = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
+    for p0 in range(0, len(primes), width):
+        tile = primes[p0 : p0 + width]
+        hit = np.flatnonzero(m % tile[:, None] == 0)
+        hits.append((hit % len(m), tile[hit // len(m)]))
+    i, p = (np.concatenate(h) for h in zip(*hits))
+    order = np.lexsort((i,))
+    i, p = i[order], p[order]
+    # divide p out of a copy of m while it divides
+    cof, e = m[i], np.zeros_like(p)
+    live = np.arange(len(p))
+    while live.size:
+        q = cof[live] // p[live]
+        exact = q * p[live] == cof[live]
+        live = live[exact]
+        cof[live] = q[exact]
+        e[live] += 1
+    return i, p, e, m[i] // cof
+
+
+def _odd_primes(limit: int) -> np.ndarray:
+    """The odd primes up to limit, as an int64 array (sieve of Eratosthenes)."""
+    sieve = np.zeros(limit + 1, dtype=bool)
+    sieve[3::2] = True
+    for p in range(3, isqrt(limit) + 1, 2):
+        if sieve[p]:
+            sieve[p * p :: 2 * p] = False
+    return np.flatnonzero(sieve).astype(np.int64)
+
+
+def _gaussian_primes(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b) with a^2 + b^2 = p, for an array of primes p = 1 (mod 4).
+
+    Hermite-Serret in Brillhart's form: t = c^((p - 1) / 4) is a square
+    root of -1 mod p for a quadratic non-residue c, and Euclid's algorithm
+    on p and min(t, p - t) meets b and a as its first two remainders below
+    sqrt(p).  c is the least non-residue: 2 when p = 5 (mod 8), else the
+    first odd q with p a non-square mod q, which by reciprocity ((q/p) =
+    (p/q) for p = 1 mod 4) is the least odd prime non-residue; a composite
+    q is a square mod every such p, its prime factors all being residues.
+    Products of two residues are exact in int64 below p = 2**31; above it
+    the primes run as python ints (`dtype=object`).
+    """
+    if not len(p):
+        return p, p
+    if p.max() >= 2**31:
+        p = p.astype(object)
+    c = np.where(p % 8 == 5, 2, 0)
+    q = 3
+    # a prime's least non-residue is below sqrt(p) + 1; a p that is not prime may have none,
+    # so the search stops there and c = 2 leaves such a p to fail a^2 + b^2 = p
+    while (c == 0).any() and (q - 1) ** 2 <= p.max():
+        squares = np.zeros(q, dtype=bool)
+        squares[np.arange(q) ** 2 % q] = True
+        c[(c == 0) & ~squares[(p % q).astype(np.int64)]] = q
+        q += 2
+    c[c == 0] = 2
+    t = _powmod(c.astype(p.dtype), (p - 1) // 4, p)
+    a, b = p.copy(), np.minimum(t, p - t)
+    live = np.flatnonzero(b * b > p)
+    while live.size:
+        a[live], b[live] = b[live], a[live] % b[live]
+        live = live[b[live] * b[live] > p[live]]
+    return b.astype(np.int64), (a % b).astype(np.int64)
+
+
+def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base^exp mod mod elementwise (broadcast), by squaring."""
+    result = np.ones_like(base * exp)
+    base = base % mod
+    while (exp > 0).any():
+        result = np.where(exp % 2 == 1, result * base % mod, result)
+        base, exp = base * base % mod, exp // 2
+    return result
+
+
+def _gaussian_products(base, twice, row, a, b, e):
+    """The Gaussian integers base[j] (1 + i)^twice[j] prod pi^k conj(pi)^(e - k),
+    0 <= k <= e, over the factors pi = a + b i of each row j (row, a, b, e,
+    ordered by row); returns (owner row, real part, imaginary part).
+
+    The factors are taken in rounds, the r-th factor of every row at once;
+    each round repeats every product of a row with a factor e + 1 times.
+    Every partial product divides m, so each term stays below sqrt(m).
+    """
+    owner = np.arange(len(base))
+    re, im = base.copy(), np.where(twice, base, 0)
+    rank = np.arange(len(row)) - np.searchsorted(row, row)
+    for r in range(int(rank.max()) + 1 if len(row) else 0):
+        slot = np.full(len(base), -1)
+        slot[row[rank == r]] = np.flatnonzero(rank == r)
+        f = slot[owner]
+        count = np.where(f >= 0, e[f] + 1, 1)
+        owner, re, im, f = (np.repeat(v, count) for v in (owner, re, im, f))
+        k = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+        fa, fb, fe = a[f], b[f], np.where(f >= 0, e[f], 0)
+        for step in range(int(fe.max())):
+            fb_s = np.where(step < k, fb, -fb)  # pi for the first k steps, then conj(pi)
+            on = step < fe
+            re, im = np.where(on, re * fa - im * fb_s, re), np.where(on, re * fb_s + im * fa, im)
+    return owner, re, im

@@ -29,7 +29,10 @@ search or one value at a time over python ints:
   search (checks the closed form t = 1, t | 2, t | 3 of
   `polarizations.class_table`), and `quadric_count_parts`, the two counts
   whose difference is `quadric_count`;
-- `parse_table_csv`: reads `table --format csv` back into integer rows.
+- `parse_table_csv`: reads `table --format csv` back into integer rows;
+  `report_to_dict` and `scan_to_dict` are the json payloads of `classify`
+  and `scan`, whose `json.dumps(..., indent=2)` the CLI's templates must
+  print byte for byte.
 - `documented_corrections`: the published values that `golden.GOLDEN_ROWS`
   overrides with an arithmetic correction.
 
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from functools import lru_cache
 from math import comb, gcd, isqrt
@@ -53,8 +57,16 @@ from k3m20.cli import CSV_HEADER
 from k3m20.golden import GOLDEN_ROWS
 from k3m20.isometries import domain_point
 from k3m20.lattice import GRAM, ComplementAnomaly, Gram2, Mat3, Vec, gram_apply, inner, mat_det, norm
-from k3m20.polarizations import EnumerationAnomaly, OrbitClass, index_from
-from k3m20.representability import _two_squares, is_prime
+from k3m20.polarizations import (
+    FEASIBLE,
+    EnumerationAnomaly,
+    OrbitClass,
+    PolarizationReport,
+    class_table,
+    index_from,
+    table_statuses,
+)
+from k3m20.representability import _two_squares, is_prime, prime_witnesses
 
 
 def two_square_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -450,6 +462,51 @@ def parse_table_csv(text: str) -> list[tuple[int, ...]]:
     if header != CSV_HEADER.split(","):
         raise ValueError("bad csv header")
     return [tuple(int(x) for x in row) for row in reader if row]
+
+
+def report_to_dict(report: PolarizationReport) -> dict:
+    """The json payload of `classify`."""
+    return {
+        "n": report.n,
+        "l_squared": report.l_squared,
+        "representable": report.representable,
+        "orbits": [
+            {
+                "canonical": list(o.canonical),
+                "orbit_size": o.orbit_size,
+                "divisibility": o.divisibility,
+                "tx": {"a": o.tx.a, "b": o.tx.b, "c": o.tx.c},
+                "discriminant": o.discriminant,
+                "index": o.index,
+            }
+            for o in report.orbits
+        ],
+        "quadric_count": report.quadric_count,
+        "ambient_dim": report.ambient_dim,
+        "feasibility": {
+            "div1": any(c.div1_solvable for c in report.classes),
+            "div2": any(c.div2_solvable for c in report.classes),
+            "eq90": any(c.quadrics_eq_solvable for c in report.classes),
+        },
+    }
+
+
+def scan_to_dict(max_n: int) -> dict:
+    """The json payload of `scan --max-n max_n`."""
+    table = class_table(max_n)
+    non_rep = sorted(set(range(1, max_n + 1)) - set(table.n.tolist()))
+    classes = sorted(set(zip(table.a.tolist(), table.b.tolist(), table.c.tolist())))
+    witnesses = list(itertools.takewhile(lambda w: w[0] <= max_n, prime_witnesses()))
+    inconsistent = {n for n, s in zip(table.n.tolist(), table_statuses(table)) if FEASIBLE in s}
+    return {
+        "max_n": max_n,
+        "representable_count": max_n - len(non_rep),
+        "non_representable": non_rep,
+        "tx_class_count": len(classes),
+        "tx_classes": [list(c) for c in classes],
+        "anomalies": len(inconsistent),
+        "prime_witnesses": [[p, list(v)] for p, v in witnesses],
+    }
 
 
 # ---------------------------------------------------------------------------

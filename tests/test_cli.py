@@ -232,10 +232,13 @@ def test_veronese_degree_without_quadrics_fails_cleanly(capsys):
     [["classify", "--n", "5"], ["table", "--max-n", "5"], ["scan", "--max-n", "5"], ["golden-check"]],
 )
 def test_enumeration_anomaly_exits_1(capsys, monkeypatch, argv):
-    # a representative off the fundamental domain must stop the run, not print a table
-    monkeypatch.setattr(
-        polarizations, "orbit_reps", lambda lo, hi: np.array([[3, 1, 1]], dtype=np.int64)
-    )
+    # a representative off the fundamental domain must stop the run, not print a table;
+    # classify (and golden-check through it) factors one degree, table and scan walk a range
+    bad = np.array([[3, 1, 1]], dtype=np.int64)
+    if argv[0] in ("classify", "golden-check"):
+        monkeypatch.setattr(polarizations, "degree_reps", lambda n: bad)
+    else:
+        monkeypatch.setattr(polarizations, "orbit_reps", lambda lo, hi: bad)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -92,7 +92,7 @@ def test_guards_fire_under_python_optimize():
     code = (
         "import numpy as np\n"
         "from k3m20 import polarizations as p\n"
-        "p.orbit_reps = lambda lo, hi: np.zeros((0, 3), dtype=np.int64)\n"
+        "p.degree_reps = lambda n: np.zeros((0, 3), dtype=np.int64)\n"
         "try:\n"
         "    p.classify(5)\n"
         "except p.EnumerationAnomaly as exc:\n"

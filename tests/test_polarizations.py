@@ -317,7 +317,7 @@ def test_classify_range_guards():
 )
 def test_classify_invariants_raise_enumeration_anomaly(monkeypatch, points):
     monkeypatch.setattr(
-        polarizations, "orbit_reps", lambda lo, hi: np.array(points, dtype=np.int64).reshape(-1, 3)
+        polarizations, "degree_reps", lambda n: np.array(points, dtype=np.int64).reshape(-1, 3)
     )
     with pytest.raises(EnumerationAnomaly) as exc:
         classify(5)

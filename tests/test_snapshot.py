@@ -2,8 +2,10 @@
 
 The csv table and the scan were recorded before the orbit walk replaced
 per-degree enumeration, the json and text tables before the class layer
-replaced per-report table rows, and the classify and golden-check outputs
-before the one-orbit references moved out of the package."""
+replaced per-report table rows, the classify and golden-check outputs
+before the one-orbit references moved out of the package, and the csv of
+classify --n 3999999 (the largest degree of the reference draw) before
+classify enumerated one degree by sums of two squares."""
 
 from pathlib import Path
 
@@ -25,6 +27,7 @@ CASES = [
         for fmt, ext in (("text", "txt"), ("json", "json"), ("csv", "csv"))
     ),
     (["golden-check"], "golden_check.txt", 0),
+    (["classify", "--n", "3999999", "--format", "csv"], "classify_3999999.csv", 0),
 ]
 
 
