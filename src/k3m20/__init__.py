@@ -10,22 +10,20 @@ All lattice arithmetic is exact; the orbit representatives are walked
 over a fundamental domain of the isometries, and their invariants
 computed, in numpy blocks of int64 or, where int64 could overflow, of
 python ints (see `kernels`); `class_table` groups them into the
-classification table, one row per degree and transcendental class, and a
-report's `classes` are those rows, one `TxClass` each.
+classification table, one row per degree and transcendental class.  A
+report of one degree carries its orbits as one array, a row per orbit,
+and its classes as that degree's rows of the class table.
 """
 
 __version__ = "0.1.0"
 
-from .binary_forms import EvenBinaryForm, ReducedForm
 from .isometries import same_orbit
 from .lattice import GRAM, inner, norm
 from .polarizations import (
     ClassTable,
     EnumerationAnomaly,
     IndexAnomaly,
-    OrbitClass,
     PolarizationReport,
-    TxClass,
     class_table,
     classify,
     classify_range,
@@ -38,13 +36,9 @@ from .representability import is_representable
 __all__ = [
     "ClassTable",
     "EnumerationAnomaly",
-    "EvenBinaryForm",
     "GRAM",
     "IndexAnomaly",
-    "OrbitClass",
     "PolarizationReport",
-    "ReducedForm",
-    "TxClass",
     "class_table",
     "classify",
     "classify_range",

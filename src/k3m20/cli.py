@@ -13,6 +13,7 @@ embedding, 1 anomaly or mismatch, 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -42,7 +43,7 @@ _KEYS = CSV_HEADER.split(",")
 _CSV_ROW = ",".join(["%d"] * len(_KEYS))
 _TEXT_ROW = "\t".join(["%d"] * len(_KEYS))
 _JSON_ROW = "  {\n" + ",\n".join(f'    "{key}": %d' for key in _KEYS) + "\n  }"
-# a classify report and one of its orbits, as json.dumps(report_to_dict(report), indent=2)
+# a classify report and one of its orbit rows, as json.dumps(report_to_dict(n), indent=2)
 # prints them (report_to_dict, in tests/oracles.py, is their reference)
 _JSON_ORBIT = """\
     {
@@ -100,7 +101,7 @@ _TOO_COSTLY_N = (
 )
 _TOO_COSTLY_MAX_N = (
     "--max-n must be at most 2*10**4: a range keeps about 0.17 N^1.5 orbits in memory"
-    " (about 4 s and 0.3 GB at N = 2*10**4), growing as N^1.5"
+    " (about 3 s and 0.2 to 0.3 GB at N = 2*10**4), growing as N^1.5"
 )
 
 
@@ -124,7 +125,7 @@ def _json_bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _json_array(item: str, rows: list[tuple[int, ...]]) -> str:
+def _json_array(item: str, rows: list[Sequence[int]]) -> str:
     """A json array one level below the top, as json.dumps(..., indent=2)
     prints it, with one row per element rendered by the template item.
 
@@ -139,33 +140,22 @@ def _json_array(item: str, rows: list[tuple[int, ...]]) -> str:
 
 def report_json(report: PolarizationReport) -> str:
     """The json of one classify report, without the final newline."""
-    orbits = [
-        (*o.canonical, o.orbit_size, o.divisibility, *o.tx.triple(), o.discriminant, o.index) for o in report.orbits
-    ]
-    flags = (
-        any(c.div1_solvable for c in report.classes),
-        any(c.div2_solvable for c in report.classes),
-        any(c.quadrics_eq_solvable for c in report.classes),
-    )
+    classes = report.classes
     return _JSON_REPORT % (
         report.n,
         report.l_squared,
         _json_bool(report.representable),
-        _json_array(_JSON_ORBIT, orbits),
+        _json_array(_JSON_ORBIT, report.orbits.tolist()),
         report.quadric_count,
         report.ambient_dim,
-        *map(_json_bool, flags),
+        _json_bool(classes.div1.any()),
+        _json_bool(classes.div2.any()),
+        _json_bool(classes.eq90.any()),
     )
 
 
-def _class_rows(report: PolarizationReport) -> list[tuple[int, ...]]:
-    """One table row per transcendental class: the class data plus its smallest member."""
-    head = (report.n, report.l_squared, report.quadric_count)
-    return [(*head, *c.tx.triple(), *c.member, c.index) for c in report.classes]
-
-
 def _table_rows(table: ClassTable) -> list[tuple[int, ...]]:
-    """The rows of _class_rows for every report of a range, from its class table."""
+    """One csv row per class-table row: the class data plus its smallest member."""
     n = table.n
     columns = (n, 4 * n, quadric_count(n), table.a, table.b, table.c, table.lam, table.mu, table.delta)
     return list(zip(*(col.tolist() for col in columns + (table.index,))))
@@ -182,20 +172,20 @@ def report_text(report: PolarizationReport, verdict: ModelVerdict | None) -> str
         lines.append("no embedding (n = 4^i (16j + 6) family)")
         return "\n".join(lines) + "\n"
     lines.append(f"orbits: {len(report.orbits)}")
-    for o in report.orbits:
+    for lam, mu, delta, size, r, a, b, c, d, index in report.orbits.tolist():
         lines.append(
-            f"  canonical {o.canonical}  size {o.orbit_size}  div {o.divisibility}"
-            f"  tx (a,b,c) = {o.tx.triple()}  d = {o.discriminant}  I = {o.index}"
+            f"  canonical {(lam, mu, delta)}  size {size}  div {r}"
+            f"  tx (a,b,c) = {(a, b, c)}  d = {d}  I = {index}"
         )
-    classes = ", ".join(str(c.tx.triple()) for c in report.classes)
-    lines.append(f"transcendental classes: {classes}")
+    triples = report.classes.forms()
+    lines.append(f"transcendental classes: {', '.join(map(str, triples))}")
     lines.append(f"quadrics: {report.quadric_count}" + ("  (degree-4 model: none)" if report.n == 1 else ""))
     lines.append(f"ambient: P^{report.ambient_dim}")
     if verdict is not None:
-        for c in verdict.classes:
+        for triple, (base_point, hyperelliptic, quadrics) in zip(triples, report.statuses):
             lines.append(
-                f"  class {c.tx.triple()}: base-point {c.base_point_status};"
-                f" hyperelliptic {c.hyperelliptic_status}; quadrics {c.quadrics_status}"
+                f"  class {triple}: base-point {base_point};"
+                f" hyperelliptic {hyperelliptic}; quadrics {quadrics}"
             )
         lines.append(f"verdict: {verdict.label}")
     return "\n".join(lines) + "\n"
@@ -211,7 +201,7 @@ def _cmd_classify(args) -> int:
     if args.format == "json":
         print(report_json(report))
     elif args.format == "csv":
-        print(emit_table_csv(_class_rows(report)), end="")
+        print(emit_table_csv(_table_rows(report.classes)), end="")
     else:
         print(report_text(report, verdict), end="")
     if not report.representable:
@@ -250,7 +240,7 @@ def _cmd_scan(args) -> int:
     table = class_table(args.max_n)
     # the degrees without a class, which class_table has checked are the non-representable ones
     non_rep = np.setdiff1d(np.arange(1, args.max_n + 1), table.n).tolist()
-    classes = sorted(set(zip(table.a.tolist(), table.b.tolist(), table.c.tolist())))
+    classes = sorted(set(table.forms()))
     witnesses = list(itertools.takewhile(lambda w: w[0] <= args.max_n, prime_witnesses()))
     # the degrees with a class that some obstruction check finds FEASIBLE
     inconsistent = {n for n, s in zip(table.n.tolist(), table_statuses(table)) if FEASIBLE in s}
@@ -324,7 +314,9 @@ def _cmd_veronese(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command line parser; built once per process, since it keeps no state between calls."""
     parser = _Parser(prog="k3m20", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=_banner())
     sub = parser.add_subparsers(dest="command", required=True)

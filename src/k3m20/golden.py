@@ -136,7 +136,7 @@ def golden_check(rows: tuple[GoldenRow, ...] = GOLDEN_ROWS) -> GoldenCheckResult
 
     for n in NON_REPRESENTABLE_GOLDEN:
         rep = reports[n]
-        if rep.representable or rep.orbits:
+        if rep.representable or len(rep.orbits):
             diffs.append(GoldenDiff(n, (0, 0, 0), "representable", False, True))
             lines.append(f"n={n}: FAIL (expected no embedding)")
         else:
@@ -144,6 +144,11 @@ def golden_check(rows: tuple[GoldenRow, ...] = GOLDEN_ROWS) -> GoldenCheckResult
 
     for row in rows:
         rep = reports[row.n]
+        # (canonical member, reduced form, index) of each orbit
+        orbits = [
+            ((lam, mu, delta), (a, b, c), index)
+            for lam, mu, delta, _, _, a, b, c, _, index in rep.orbits.tolist()
+        ]
         row_diffs: list[GoldenDiff] = []
         if not rep.representable:
             row_diffs.append(GoldenDiff(row.n, row.form, "representable", True, False))
@@ -151,13 +156,13 @@ def golden_check(rows: tuple[GoldenRow, ...] = GOLDEN_ROWS) -> GoldenCheckResult
             row_diffs.append(GoldenDiff(row.n, row.form, "q", row.want_q, rep.quadric_count))
         if rep.l_squared != row.l_squared:
             row_diffs.append(GoldenDiff(row.n, row.form, "l_squared", row.l_squared, rep.l_squared))
-        computed_forms = {c.tx.triple() for c in rep.classes}
+        computed_forms = set(rep.classes.forms())
         if row.want_form not in computed_forms:
             row_diffs.append(
                 GoldenDiff(row.n, row.form, "tx", row.want_form, sorted(computed_forms))
             )
         else:
-            indices = {o.index for o in rep.orbits if o.tx.triple() == row.want_form}
+            indices = {index for _, form, index in orbits if form == row.want_form}
             if indices != {row.want_index}:
                 row_diffs.append(
                     GoldenDiff(row.n, row.form, "index", row.want_index, sorted(indices))
@@ -166,13 +171,11 @@ def golden_check(rows: tuple[GoldenRow, ...] = GOLDEN_ROWS) -> GoldenCheckResult
             if norm(v) != 4 * row.n:
                 row_diffs.append(GoldenDiff(row.n, row.form, "embedding-norm", 4 * row.n, norm(v)))
                 continue
-            hits = [o for o in rep.orbits if same_orbit(o.canonical, v)]
+            hits = [form for member, form, _ in orbits if same_orbit(member, v)]
             if not hits:
                 row_diffs.append(GoldenDiff(row.n, row.form, "embedding-orbit", v, None))
-            elif hits[0].tx.triple() != row.want_form:
-                row_diffs.append(
-                    GoldenDiff(row.n, row.form, "embedding-class", row.want_form, hits[0].tx.triple())
-                )
+            elif hits[0] != row.want_form:
+                row_diffs.append(GoldenDiff(row.n, row.form, "embedding-class", row.want_form, hits[0]))
         status = "ok" if not row_diffs else "FAIL"
         note = f"  [{row.note}]" if row.note else ""
         lines.append(
@@ -185,7 +188,7 @@ def golden_check(rows: tuple[GoldenRow, ...] = GOLDEN_ROWS) -> GoldenCheckResult
     for row in rows:
         by_n.setdefault(row.n, set()).add(row.want_form)
     for n, forms in sorted(by_n.items()):
-        computed = {c.tx.triple() for c in reports[n].classes}
+        computed = set(reports[n].classes.forms())
         if computed != forms:
             diffs.append(GoldenDiff(n, (0, 0, 0), "class-set", sorted(forms), sorted(computed)))
             lines.append(f"n={n}: FAIL (class sets differ)")

@@ -22,20 +22,19 @@ turns one class's three checks into statuses, routing the handful of
 degrees settled by previously known models (quartic, triple-quadric, and
 the diag(4, 4) degree-40 case) and doubled polarizations L = 2M through
 explicit exclusion branches instead.  `table_statuses` applies it to every
-row of a class table, and both the report's classes (one `TxClass` per
-row, which `model_verdict` collects per degree) and `scan` read them.
+row of a class table; a report carries the statuses of its degree's rows,
+which `model_verdict` combines, and `scan` reads them for the whole table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import isqrt
 
 import numpy as np
 
-from .binary_forms import ReducedForm, ReductionAnomaly
+from .binary_forms import ReductionAnomaly
 from .kernels import MAX_N, EnumerationAnomaly, _first_bad, orbit_classes, orbit_reps
-from .lattice import Vec
 from .representability import is_representable
 from .twosquares import degree_reps
 
@@ -47,56 +46,6 @@ class IndexAnomaly(ValueError):
         self.n = n
         self.d = d
         super().__init__(message or f"index anomaly: 160*{n}/{d} is not a perfect square")
-
-
-@dataclass(frozen=True)
-class OrbitClass:
-    """One isometry orbit of solution vectors and its derived invariants."""
-
-    canonical: Vec
-    orbit_size: int
-    divisibility: int
-    primitive_root: Vec
-    tx: ReducedForm
-    discriminant: int
-    index: int
-
-
-@dataclass(frozen=True)
-class TxClass:
-    """One transcendental class of one degree: a row of the class table.
-
-    member is the smallest canonical member of the class's orbits and index
-    the sublattice index; the *_solvable flags say whether the obstruction
-    equation with target 10, 40 or 90 is solvable (see the module
-    docstring), and the three statuses are the class's class_statuses.
-    """
-
-    tx: ReducedForm
-    discriminant: int
-    index: int
-    member: Vec
-    div1_solvable: bool
-    div2_solvable: bool
-    quadrics_eq_solvable: bool
-    base_point_status: str
-    hyperelliptic_status: str
-    quadrics_status: str
-
-    @property
-    def consistent(self) -> bool:
-        return FEASIBLE not in (self.base_point_status, self.hyperelliptic_status, self.quadrics_status)
-
-
-@dataclass(frozen=True)
-class PolarizationReport:
-    n: int
-    l_squared: int
-    representable: bool
-    orbits: tuple[OrbitClass, ...]
-    classes: tuple[TxClass, ...]
-    quadric_count: int
-    ambient_dim: int
 
 
 def quadric_count(n):
@@ -161,6 +110,39 @@ class ClassTable:
     div2: np.ndarray
     eq90: np.ndarray
     odd: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __getitem__(self, rows: slice) -> ClassTable:
+        """The table of the given rows; a slice gives views of the columns."""
+        return ClassTable(*(getattr(self, field.name)[rows] for field in fields(self)))
+
+    def forms(self) -> list[tuple[int, int, int]]:
+        """The reduced form (a, b, c) of every row."""
+        return list(zip(self.a.tolist(), self.b.tolist(), self.c.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
+class PolarizationReport:
+    """The classification of one degree 4n, as rows of arrays.
+
+    orbits has one row per isometry orbit, ordered by canonical member, with
+    the columns (lam, mu, delta, size, r, a, b, c, d, index): the canonical
+    member, the orbit size, the member's divisibility, the reduced form of
+    the orthogonal complement, its discriminant and the sublattice index.
+    It is int64, or python-int above kernels.BATCH_MAX_N.  classes is the
+    degree's rows of the class table and statuses their class_statuses.
+    """
+
+    n: int
+    l_squared: int
+    representable: bool
+    orbits: np.ndarray
+    classes: ClassTable
+    statuses: list[tuple[str, str, str]]
+    quadric_count: int
+    ambient_dim: int
 
 
 def _orbit_rows(lo: int, hi: int, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,47 +232,25 @@ def class_table(max_n: int) -> ClassTable:
 def _reports(lo: int, hi: int, reps: np.ndarray) -> list[PolarizationReport]:
     """The reports of degrees lo..hi from all their orbit representatives (see orbit_reps).
 
-    Each report's classes are its degree's rows of the class table, one
-    TxClass each.  One ReducedForm is built per class triple and shared by
-    every orbit and degree carrying it.
+    Each report holds its degree's slices of one orbit array and of the
+    class table; no per-orbit or per-class object is built.
     """
     ns, rows = _orbit_rows(lo, hi, reps)
     table, class_of = _classes(ns, rows)
-    cuts = np.searchsorted(ns, np.arange(lo, hi + 2)).tolist()
-    class_cuts = np.searchsorted(table.n, np.arange(lo, hi + 2)).tolist()
-    forms: dict[tuple[int, int, int], ReducedForm] = {}
-    tx = []
-    for triple in zip(table.a.tolist(), table.b.tolist(), table.c.tolist()):
-        form = forms.get(triple)
-        if form is None:
-            form = forms[triple] = ReducedForm(*triple)
-        tx.append(form)
-    d, index = table.d.tolist(), table.index.tolist()
-    members = zip(table.lam.tolist(), table.mu.tolist(), table.delta.tolist())
-    flags = zip(table.div1.tolist(), table.div2.tolist(), table.eq90.tolist())
-    classes = [
-        TxClass(form, e, i, member, *flag, *statuses)
-        for form, e, i, member, flag, statuses in zip(tx, d, index, members, flags, table_statuses(table))
-    ]
-    orbits = [
-        OrbitClass(
-            canonical=(lam, mu, delta),
-            orbit_size=size,
-            divisibility=r,
-            primitive_root=(lam // r, mu // r, delta // r),
-            tx=tx[k],
-            discriminant=d[k],
-            index=index[k],
-        )
-        for (lam, mu, delta, r, _, _, _, _, size), k in zip(rows.tolist(), class_of.tolist())
-    ]
+    # orbit_classes' columns (lam, mu, delta, r, a, b, c, d, size) in the report's order, then the index
+    orbits = np.column_stack((rows[:, [0, 1, 2, 8, 3, 4, 5, 6, 7]], table.index[class_of]))
+    statuses = table_statuses(table)
+    degrees = np.arange(lo, hi + 2)
+    cuts = np.searchsorted(ns, degrees).tolist()
+    class_cuts = np.searchsorted(table.n, degrees).tolist()
     return [
         PolarizationReport(
             n=n,
             l_squared=4 * n,
             representable=cuts[i] < cuts[i + 1],
-            orbits=tuple(orbits[cuts[i] : cuts[i + 1]]),
-            classes=tuple(classes[class_cuts[i] : class_cuts[i + 1]]),
+            orbits=orbits[cuts[i] : cuts[i + 1]],
+            classes=table[class_cuts[i] : class_cuts[i + 1]],
+            statuses=statuses[class_cuts[i] : class_cuts[i + 1]],
             quadric_count=quadric_count(n),
             ambient_dim=ambient_dim(n),
         )
@@ -301,8 +261,8 @@ def _reports(lo: int, hi: int, reps: np.ndarray) -> list[PolarizationReport]:
 def classify(n: int) -> PolarizationReport:
     """Full classification of degree-4n polarization vectors.
 
-    Orbits are listed by lexicographically smallest member; each carries the
-    reduced transcendental form of the orthogonal complement (an orbit
+    Orbits are listed by lexicographically smallest member; each row carries
+    the reduced transcendental form of the orthogonal complement (an orbit
     invariant) and the sublattice index.  All arithmetic is exact.
     The representatives come from degree_reps, which factors each
     4n - 10 z^2 instead of walking the norm as the range path does.
@@ -335,7 +295,6 @@ DOUBLED = "doubled polarization"
 @dataclass(frozen=True)
 class ModelVerdict:
     n: int
-    classes: tuple[TxClass, ...]
     consistent: bool
     label: str
 
@@ -374,9 +333,9 @@ def model_verdict(report: PolarizationReport) -> ModelVerdict:
     """
     if not report.representable:
         raise ValueError("no model verdict for a non-representable degree")
-    consistent = all(c.consistent for c in report.classes)
+    consistent = not any(FEASIBLE in statuses for statuses in report.statuses)
     label = "embedding; quadrics only" if consistent else "DISCREPANCY: obstruction feasible"
-    return ModelVerdict(n=report.n, classes=report.classes, consistent=consistent, label=label)
+    return ModelVerdict(n=report.n, consistent=consistent, label=label)
 
 
 def classify_range(max_n: int) -> list[PolarizationReport]:

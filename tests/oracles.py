@@ -21,10 +21,11 @@ search or one value at a time over python ints:
 - the one-vector lattice algebra `is_primitive`, `divisibility`, `_xgcd`,
   `check_gram2` and `orthogonal_complement`, and the one-form Gauss
   reduction `from_gram`, `transform`, `reduce`, `canonical` and
-  `equivalent` with its SL2(Z) witness;
+  `equivalent` with its SL2(Z) witness, on the form records
+  `EvenBinaryForm` and `ReducedForm`;
 - `orbit_class`: one orbit's invariants over python ints, one orbit at a
-  time, through `orthogonal_complement` and `canonical` (checks the
-  batched `kernels.orbit_classes`);
+  time, through `orthogonal_complement` and `canonical`, as an
+  `OrbitClass` record (checks the batched `kernels.orbit_classes`);
 - `div_feasible`: the obstruction equation target = n alpha^2 d m by
   search (checks the closed form t = 1, t | 2, t | 3 of
   `polarizations.class_table`), and `quadric_count_parts`, the two counts
@@ -32,7 +33,8 @@ search or one value at a time over python ints:
 - `parse_table_csv`: reads `table --format csv` back into integer rows;
   `report_to_dict` and `scan_to_dict` are the json payloads of `classify`
   and `scan`, whose `json.dumps(..., indent=2)` the CLI's templates must
-  print byte for byte.
+  print byte for byte; `report_to_dict` is built from `orbit_class` and
+  `div_feasible`, sharing no code with the package's reports.
 - `documented_corrections`: the published values that `golden.GOLDEN_ROWS`
   overrides with an arithmetic correction.
 
@@ -47,21 +49,21 @@ import csv
 import io
 import itertools
 import math
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd, isqrt
 
 import numpy as np
 
-from k3m20.binary_forms import EvenBinaryForm, ReducedForm, ReductionAnomaly
+from k3m20.binary_forms import ReductionAnomaly
 from k3m20.cli import CSV_HEADER
 from k3m20.golden import GOLDEN_ROWS
 from k3m20.isometries import domain_point
+from k3m20.kernels import orbit_reps
 from k3m20.lattice import GRAM, ComplementAnomaly, Gram2, Mat3, Vec, gram_apply, inner, mat_det, norm
 from k3m20.polarizations import (
     FEASIBLE,
     EnumerationAnomaly,
-    OrbitClass,
-    PolarizationReport,
     class_table,
     index_from,
     table_statuses,
@@ -308,6 +310,46 @@ def orthogonal_complement(v: Vec) -> tuple[tuple[Vec, Vec], Gram2]:
 # binary forms: Gauss reduction of one form with its SL2(Z) witness (checks kernels._reduce)
 
 
+@dataclass(frozen=True)
+class EvenBinaryForm:
+    """Triple (a, b, c) for the even Gram matrix [[4a, 2b], [2b, 4c]]."""
+
+    a: int
+    b: int
+    c: int
+
+    def __post_init__(self) -> None:
+        if self.a <= 0 or self.c <= 0 or self.discriminant <= 0:
+            raise ValueError("form must be positive definite")
+
+    @property
+    def discriminant(self) -> int:
+        return 4 * self.a * self.c - self.b * self.b
+
+    @property
+    def gram(self) -> Gram2:
+        return ((4 * self.a, 2 * self.b), (2 * self.b, 4 * self.c))
+
+    def triple(self) -> tuple[int, int, int]:
+        return (self.a, self.b, self.c)
+
+    def is_reduced(self) -> bool:
+        return -self.a < self.b <= self.a <= self.c
+
+
+@dataclass(frozen=True)
+class ReducedForm(EvenBinaryForm):
+    """An EvenBinaryForm satisfying -a < b <= a <= c."""
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.is_reduced():
+            raise ValueError("form is not reduced")
+        # b^2 <= ac, that is 3ac <= d, for any reduced positive form
+        if self.b * self.b > self.a * self.c:
+            raise ReductionAnomaly(f"reduction anomaly: reduced form {self.triple()} breaks b^2 <= ac")
+
+
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
 IDENTITY2: Mat2 = ((1, 0), (0, 1))
@@ -464,12 +506,17 @@ def parse_table_csv(text: str) -> list[tuple[int, ...]]:
     return [tuple(int(x) for x in row) for row in reader if row]
 
 
-def report_to_dict(report: PolarizationReport) -> dict:
-    """The json payload of `classify`."""
+def report_to_dict(n: int) -> dict:
+    """The json payload of `classify --n n`: orbit_class on every point the
+    walk orbit_reps(n, n) finds, ordered by canonical member, and the
+    obstruction flags by div_feasible's search over the degree's classes."""
+    orbits = sorted((orbit_class(n, *point) for point in orbit_reps(n, n).tolist()), key=lambda o: o.canonical)
+    discriminants = {o.discriminant for o in orbits}
+    total, removed = quadric_count_parts(n)
     return {
-        "n": report.n,
-        "l_squared": report.l_squared,
-        "representable": report.representable,
+        "n": n,
+        "l_squared": 4 * n,
+        "representable": bool(orbits),
         "orbits": [
             {
                 "canonical": list(o.canonical),
@@ -479,14 +526,13 @@ def report_to_dict(report: PolarizationReport) -> dict:
                 "discriminant": o.discriminant,
                 "index": o.index,
             }
-            for o in report.orbits
+            for o in orbits
         ],
-        "quadric_count": report.quadric_count,
-        "ambient_dim": report.ambient_dim,
+        "quadric_count": total - removed,
+        "ambient_dim": 2 * n + 1,
         "feasibility": {
-            "div1": any(c.div1_solvable for c in report.classes),
-            "div2": any(c.div2_solvable for c in report.classes),
-            "eq90": any(c.quadrics_eq_solvable for c in report.classes),
+            key: any(div_feasible(target, n, d) for d in discriminants)
+            for key, target in (("div1", 10), ("div2", 40), ("eq90", 90))
         },
     }
 
@@ -529,6 +575,19 @@ def documented_corrections() -> tuple[tuple[int, tuple[int, int, int], str], ...
 
 # ---------------------------------------------------------------------------
 # one orbit's invariants
+
+
+@dataclass(frozen=True)
+class OrbitClass:
+    """One isometry orbit of solution vectors and its derived invariants."""
+
+    canonical: Vec
+    orbit_size: int
+    divisibility: int
+    primitive_root: Vec
+    tx: ReducedForm
+    discriminant: int
+    index: int
 
 
 def orbit_class(n: int, x: int, y: int, z: int) -> OrbitClass:

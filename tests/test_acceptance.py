@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from k3m20.binary_forms import EvenBinaryForm
 from k3m20.golden import GOLDEN_ROWS, golden_check
 from k3m20.isometries import same_orbit
 from k3m20.lattice import GRAM, inner, norm
@@ -33,6 +32,7 @@ from oracles import (
     NEG_IDENTITY,
     RHO1,
     RHO2,
+    EvenBinaryForm,
     canonical,
     div_feasible,
     documented_corrections,
@@ -89,7 +89,8 @@ def test_criterion_02_worked_degree_12(capsys):
     sols = enumerate_solutions(3)
     assert len(sols) == 8
     report = classify(3)
-    assert len(report.orbits) == 1 and report.orbits[0].orbit_size == 8
+    (row,) = report.orbits.tolist()
+    assert row[3] == 8
 
     # the complement of h = (0, 0, 1) in the basis (f - e, h + 6e)
     u1, u2 = (-1, 1, 0), (6, 0, 1)
@@ -103,9 +104,9 @@ def test_criterion_02_worked_degree_12(capsys):
     assert reduced.triple() == (2, 0, 15)
     assert transform(raw, witness).triple() == (2, 0, 15)
     # the pipeline's own complement lands in the same class
-    assert equivalent(raw, report.orbits[0].tx)
+    assert equivalent(raw, EvenBinaryForm(*row[5:8]))
 
-    assert report.orbits[0].index == 2
+    assert row[9] == 2
     assert report.ambient_dim == 7
     assert report.quadric_count == 10
     elapsed = time.perf_counter() - t0
@@ -161,16 +162,16 @@ def test_criterion_05_index_invariants_are_perfect_squares(capsys, reports_500):
     anomalies = 0
     orbits_seen = 0
     for rep in reports:
-        for o in rep.orbits:
+        for *_, d, index in rep.orbits.tolist():
             orbits_seen += 1
             num = 160 * rep.n
-            if num % o.discriminant:
+            if num % d:
                 anomalies += 1
                 continue
-            q = num // o.discriminant
-            if math.isqrt(q) ** 2 != q or o.index != math.isqrt(q):
+            q = num // d
+            if math.isqrt(q) ** 2 != q or index != math.isqrt(q):
                 anomalies += 1
-            nd = rep.n * o.discriminant
+            nd = rep.n * d
             if nd % 10 or math.isqrt(nd // 10) ** 2 * 10 != nd:
                 anomalies += 1
     assert anomalies == 0
@@ -193,20 +194,18 @@ def test_criterion_06_obstructions_all_infeasible(capsys, reports_500):
             continue
         verdict = model_verdict(rep)
         assert verdict.consistent, f"n={rep.n}"
-        for c in verdict.classes:
-            assert FEASIBLE not in (
-                c.base_point_status, c.hyperelliptic_status, c.quadrics_status,
-            )
-        for f in rep.classes:
-            n, d = rep.n, f.discriminant
+        for statuses in rep.statuses:
+            assert FEASIBLE not in statuses
+        n = rep.n
+        for triple, d in zip(rep.classes.forms(), rep.classes.d.tolist()):
             assert div_feasible(90, n, d) is False
             if (n, d) in PRIOR_MODELS:
                 prior_hits.add((n, d))
             else:
                 assert div_feasible(10, n, d) is False
                 if n in DOUBLED_DEGREES:
-                    class_orbits = [o for o in rep.orbits if o.tx == f.tx]
-                    assert all(o.divisibility % 2 == 0 for o in class_orbits)
+                    class_orbits = [o for o in rep.orbits.tolist() if tuple(o[5:8]) == triple]
+                    assert all(o[4] % 2 == 0 for o in class_orbits)
                     doubled_hits.add(n)
                 else:
                     assert div_feasible(40, n, d) is False

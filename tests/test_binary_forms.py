@@ -2,8 +2,8 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from k3m20.binary_forms import EvenBinaryForm, ReducedForm, ReductionAnomaly
-from oracles import canonical, equivalent, from_gram, reduce, transform
+from k3m20.binary_forms import ReductionAnomaly
+from oracles import EvenBinaryForm, ReducedForm, canonical, equivalent, from_gram, reduce, transform
 
 entries = st.integers(min_value=-60, max_value=60)
 

@@ -77,12 +77,14 @@ def test_matches_orbit_rows_and_div_feasible_up_to_3000():
 @example(10**6)
 def test_classify_feasibility_matches_div_feasible_large_n(n):
     report = classify(n)
-    assert [c.member for c in report.classes] == [
-        min(o.canonical for o in report.orbits if o.tx == c.tx) for c in report.classes
-    ]
-    assert [c.tx.triple() for c in report.classes] == sorted({o.tx.triple() for o in report.orbits})
-    for f in report.classes:
-        assert (f.div1_solvable, f.div2_solvable, f.quadrics_eq_solvable) == _feasible(n, f.discriminant)
+    orbits = report.orbits.tolist()
+    triples = report.classes.forms()
+    members = zip(report.classes.lam.tolist(), report.classes.mu.tolist(), report.classes.delta.tolist())
+    assert list(members) == [min(tuple(o[:3]) for o in orbits if tuple(o[5:8]) == t) for t in triples]
+    assert triples == sorted({tuple(o[5:8]) for o in orbits})
+    flags = zip(report.classes.div1.tolist(), report.classes.div2.tolist(), report.classes.eq90.tolist())
+    for flag, d in zip(flags, report.classes.d.tolist()):
+        assert flag == _feasible(n, d)
 
 
 def _fake_rows(pairs):
@@ -221,21 +223,12 @@ def test_model_verdict_reads_the_class_table(capsys):
     columns = (table.n, table.d, table.div1, table.div2, table.eq90, table.odd)
     statuses = [class_statuses(*row) for row in zip(*(col.tolist() for col in columns))]
     assert table_statuses(table) == statuses
-    # each report's classes are its degree's table rows, field by field
-    records = [
-        (n, *c.tx.triple(), c.discriminant, *c.member, c.index, c.div1_solvable, c.div2_solvable,
-         c.quadrics_eq_solvable, c.base_point_status, c.hyperelliptic_status, c.quadrics_status)
-        for n in range(1, max_n + 1)
-        for c in classify(n).classes
-    ]
-    assert records == [(*row[:-1], *s) for row, s in zip(_rows(table), statuses)]
-    verdicts = [
-        (c.base_point_status, c.hyperelliptic_status, c.quadrics_status)
-        for n in range(1, max_n + 1)
-        if (report := classify(n)).representable
-        for c in model_verdict(report).classes
-    ]
-    assert verdicts == statuses
+    # each report's classes are its degree's table rows, field by field, with their statuses
+    reports = [classify(n) for n in range(1, max_n + 1)]
+    assert [row for r in reports for row in _rows(r.classes)] == _rows(table)
+    assert [s for r in reports for s in r.statuses] == statuses
+    assert all(model_verdict(r).consistent for r in reports if r.representable)
+    assert not any(FEASIBLE in s for s in statuses)
     assert {n for n, s in zip(table.n.tolist(), statuses) if DOUBLED in s} == DOUBLED_DEGREES
     # and classify's csv body is that degree's rows of the table csv
     assert main(["table", "--max-n", str(max_n), "--format", "csv"]) == 0

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from k3m20 import __version__, polarizations
+from k3m20 import __version__, cli, polarizations
 from k3m20.cli import emit_table_csv, main
 from oracles import parse_table_csv
 
@@ -251,8 +251,8 @@ _IDENTITY_WITNESS = (
     "kernels._reduce = lambda a, b, c: (reduce(a, b, c)[0], (a * 0 + 1, a * 0, a * 0, a * 0 + 1))\n"
 )
 _WRONG_COFACTORS = "kernels._xgcd = lambda a, b: (a * 0 + 1, a * 0, a * 0)\n"
-# b^2 > ac in every form orbit_classes returns; classify's ReducedForm would
-# catch it too, so is_reduced lets it through there
+# b^2 > ac in every form orbit_classes returns; the class layer's form check
+# (polarizations._classes) raises it for classify, table and scan alike
 _UNREDUCED_FORM = (
     "classes = polarizations.orbit_classes\n"
     "def corrupt(ns, reps):\n"
@@ -261,7 +261,6 @@ _UNREDUCED_FORM = (
     "    return rows\n"
     "polarizations.orbit_classes = corrupt\n"
 )
-_LET_THROUGH = "binary_forms.EvenBinaryForm.is_reduced = lambda self: True\n"
 # index_from returns twice the index
 _WRONG_INDEX = (
     "index_from = polarizations.index_from\n"
@@ -277,7 +276,7 @@ _TABLE = ("polarizations.class_table(5)", ["table", "--max-n", "5"])
         # the one-orbit references oracles.reduce and oracles.orthogonal_complement
         (
             "oracles._mat2_mul = lambda m, t: m\n",  # the witness stays the identity
-            ("oracles.reduce(binary_forms.EvenBinaryForm(2, -8, 23))", None),
+            ("oracles.reduce(oracles.EvenBinaryForm(2, -8, 23))", None),
             "ReductionAnomaly",
             "does not carry",
         ),
@@ -289,8 +288,7 @@ _TABLE = ("polarizations.class_table(5)", ["table", "--max-n", "5"])
         ),
         (_IDENTITY_WITNESS, _CLASSIFY, "ReductionAnomaly", "not the canonical reduced form"),
         (_WRONG_COFACTORS, _CLASSIFY, "ComplementAnomaly", "not both orthogonal"),
-        (_UNREDUCED_FORM + _LET_THROUGH, _CLASSIFY, "ReductionAnomaly", "b^2 <= ac"),
-        # the class layer of table and scan, which builds no ReducedForm
+        (_UNREDUCED_FORM, _CLASSIFY, "ReductionAnomaly", "b^2 <= ac"),
         (_UNREDUCED_FORM, _TABLE, "ReductionAnomaly", "b^2 <= ac"),
         (_WRONG_INDEX, _TABLE, "IndexAnomaly", "breaks d I^2 = 160 n"),
         # the split form of the norm, against a Gram matrix with the wrong last entry
@@ -342,7 +340,7 @@ def test_result_guards_fire_under_python_optimize(fault, call, error, message):
         "import sys\n"
         f"sys.path.insert(0, {str(TESTS)!r})\n"  # for the oracles
         "import oracles\n"
-        "from k3m20 import binary_forms, cli, classify, kernels, lattice, polarizations\n"
+        "from k3m20 import cli, classify, kernels, lattice, polarizations\n"
         "from k3m20 import representability, veronese\n"
         + fault
         + "try:\n"
@@ -390,6 +388,31 @@ def test_usage_errors_exit_64(capsys, argv):
         main(argv)
     assert exc.value.code == 64
     assert capsys.readouterr().err != ""
+
+
+def test_calls_in_one_process_match_fresh_processes(capsys):
+    # the parser is built once per process, so no call may leave state behind for the next
+    assert cli.build_parser() is cli.build_parser()
+    calls = [
+        (["classify", "--n", "0"], None),
+        (["classify", "--n", "8"], "classify_8.txt"),
+        (["table", "--max-n", "5", "--format", "json"], None),
+        (["scan", "--max-n", "30"], None),
+        (["classify", "--n", "6"], "classify_6.txt"),
+    ]
+    codes = []
+    for argv, snapshot in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run([sys.executable, "-m", "k3m20.cli", *argv], capture_output=True, text=True)
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        if snapshot is not None:
+            assert captured.out == (TESTS / "data" / snapshot).read_text()
+        codes.append(code)
+    assert codes == [64, 0, 0, 0, 2]
 
 
 def test_version_banner(capsys):

@@ -1,7 +1,6 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from k3m20.binary_forms import EvenBinaryForm
 from k3m20.isometries import domain_point, same_orbit
 from k3m20.lattice import norm
 from oracles import (
@@ -10,6 +9,7 @@ from oracles import (
     NEG_IDENTITY,
     RHO1,
     RHO2,
+    EvenBinaryForm,
     canonical_member,
     canonical_rep,
     enumerate_solutions,

@@ -2,7 +2,8 @@
 
 `cli` prints both from `%` templates; `json.dumps(..., indent=2)` of the
 payloads in `tests/oracles.py` (`report_to_dict`, `scan_to_dict`) is the
-reference, byte for byte.
+reference, byte for byte.  `report_to_dict` is built from the one-orbit
+oracle over the walk's points, not from the package's report.
 """
 
 import json
@@ -26,15 +27,17 @@ def _stdout(capsys, *argv):
 
 def test_classify_json_matches_json_dumps(capsys):
     for n in range(1, 401):
-        want = json.dumps(report_to_dict(classify(n)), indent=2) + "\n"
+        want = json.dumps(report_to_dict(n), indent=2) + "\n"
         assert _stdout(capsys, "classify", "--n", str(n), "--format", "json") == want, n
 
 
 def test_classify_json_matches_json_dumps_deep_degrees():
     assert len(DEEP) == 128
-    for n in DEEP:
-        report = classify(n)
-        assert report_json(report) == json.dumps(report_to_dict(report), indent=2), n
+    # the oracle computes one orbit at a time; the degrees below 10^6 keep this test to seconds
+    small = [n for n in DEEP if n < 10**6]
+    assert len(small) == 80
+    for n in small:
+        assert report_json(classify(n)) == json.dumps(report_to_dict(n), indent=2), n
 
 
 @pytest.mark.parametrize("max_n", [*range(1, 61), 2000])

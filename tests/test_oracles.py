@@ -3,9 +3,15 @@
 import numpy as np
 import pytest
 
-from k3m20.binary_forms import EvenBinaryForm
 from k3m20.representability import is_representable
-from oracles import representable_range, transform, transform_forms, two_square_tables, unimodular_entries
+from oracles import (
+    EvenBinaryForm,
+    representable_range,
+    transform,
+    transform_forms,
+    two_square_tables,
+    unimodular_entries,
+)
 
 
 def test_two_square_tables():

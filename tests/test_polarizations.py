@@ -145,26 +145,20 @@ def test_div_feasible_matches_brute_force(target, n, d):
 def test_classify_worked_degree_12():
     rep = classify(3)
     assert rep.n == 3 and rep.l_squared == 12 and rep.representable
-    assert len(rep.orbits) == 1
-    o = rep.orbits[0]
-    assert o.orbit_size == 8
-    assert o.canonical == (-1, -1, -1)
-    assert o.tx.triple() == (2, 0, 15)
-    assert o.discriminant == 120
-    assert o.index == 2
-    assert o.divisibility == 1 and o.primitive_root == o.canonical
+    # (lam, mu, delta, size, r, a, b, c, d, index)
+    assert rep.orbits.tolist() == [[-1, -1, -1, 8, 1, 2, 0, 15, 120, 2]]
     assert rep.quadric_count == 10
     assert rep.ambient_dim == 7
-    assert [c.tx.triple() for c in rep.classes] == [(2, 0, 15)]
+    assert rep.classes.forms() == [(2, 0, 15)]
     assert len(rep.classes) == 1
-    f = rep.classes[0]
-    assert not f.div1_solvable and not f.div2_solvable and not f.quadrics_eq_solvable
+    f = rep.classes
+    assert not f.div1[0] and not f.div2[0] and not f.eq90[0]
 
 
 def test_classify_non_representable():
     rep = classify(6)
     assert not rep.representable
-    assert rep.orbits == () and rep.classes == ()
+    assert rep.orbits.shape == (0, 10) and len(rep.classes) == 0 and rep.statuses == []
     assert rep.quadric_count == quadric_count(6)
 
 
@@ -172,33 +166,34 @@ def test_classify_orbit_structure_is_exact():
     for n in (1, 2, 5, 9, 10, 45):
         rep = classify(n)
         seen = set()
-        for o in rep.orbits:
-            orb = orbit(o.canonical)
-            assert len(orb) == o.orbit_size
-            assert min(orb) == o.canonical
+        for lam, mu, delta, size, r, a, b, c, d, index in rep.orbits.tolist():
+            canonical = (lam, mu, delta)
+            orb = orbit(canonical)
+            assert len(orb) == size
+            assert min(orb) == canonical
             assert not (orb & seen)
             seen |= orb
             assert all(norm(v) == 4 * n for v in orb)
-            r, root = divisibility(o.canonical)
-            assert (r, root) == (o.divisibility, o.primitive_root)
-            assert o.discriminant == o.tx.discriminant
-            assert o.discriminant * o.index**2 == 160 * n
+            assert divisibility(canonical)[0] == r
+            assert d == 4 * a * c - b * b
+            assert d * index**2 == 160 * n
 
 
 def test_classify_degree_180_has_five_orbits_two_classes():
     rep = classify(45)
-    assert sorted(o.orbit_size for o in rep.orbits) == [8, 16, 16, 16, 16]
-    assert [c.tx.triple() for c in rep.classes] == [(5, 0, 10), (5, 0, 90)]
-    by_class = {c.tx: [o for o in rep.orbits if o.tx == c.tx] for c in rep.classes}
+    orbits = rep.orbits.tolist()
+    assert sorted(o[3] for o in orbits) == [8, 16, 16, 16, 16]
+    assert rep.classes.forms() == [(5, 0, 10), (5, 0, 90)]
+    by_class = {t: [o for o in orbits if tuple(o[5:8]) == t] for t in rep.classes.forms()}
     assert sorted(len(v) for v in by_class.values()) == [2, 3]
-    assert {o.index for o in rep.orbits} == {2, 6}
+    assert {o[9] for o in orbits} == {2, 6}
 
 
 def test_classify_degree_60_and_360():
     rep15 = classify(15)
     assert len(rep15.orbits) == 3
-    assert [c.tx.triple() for c in rep15.classes] == [(2, 0, 3), (5, 0, 30)]
-    assert {o.index for o in rep15.orbits} == {2, 10}
+    assert rep15.classes.forms() == [(2, 0, 3), (5, 0, 30)]
+    assert set(rep15.orbits[:, 9].tolist()) == {2, 10}
     rep90 = classify(90)
     assert len(rep90.orbits) == 5
     assert len(rep90.classes) == 4
@@ -206,12 +201,9 @@ def test_classify_degree_60_and_360():
 
 def test_classify_degree_40_hits_diagonal_class():
     rep = classify(10)
-    assert sorted(o.orbit_size for o in rep.orbits) == [2, 8]
-    small = min(rep.orbits, key=lambda o: o.orbit_size)
-    assert small.canonical == (-1, -1, -2)
-    assert small.tx.triple() == (1, 0, 1)
-    assert small.index == 20
-    assert small.divisibility == 1
+    assert sorted(rep.orbits[:, 3].tolist()) == [2, 8]
+    small = min(rep.orbits.tolist(), key=lambda o: o[3])
+    assert small == [-1, -1, -2, 2, 1, 1, 0, 1, 4, 20]
 
 
 def test_classify_guards():
@@ -225,30 +217,28 @@ def test_classify_guards():
 
 def test_model_verdict_known_models():
     for (n, d), _label in PRIOR_MODELS.items():
-        verdict = model_verdict(classify(n))
-        hits = [c for c in verdict.classes if c.discriminant == d]
+        rep = classify(n)
+        verdict = model_verdict(rep)
+        hits = [s for e, s in zip(rep.classes.d.tolist(), rep.statuses) if e == d]
         assert len(hits) == 1
-        c = hits[0]
-        assert c.base_point_status == KNOWN_MODEL
-        assert c.hyperelliptic_status == KNOWN_MODEL
+        base_point, hyperelliptic, _ = hits[0]
+        assert base_point == KNOWN_MODEL
+        assert hyperelliptic == KNOWN_MODEL
         assert verdict.consistent
 
 
 def test_model_verdict_doubled_degrees():
     for n in sorted(DOUBLED_DEGREES):
-        verdict = model_verdict(classify(n))
-        doubled_classes = [c for c in verdict.classes if c.hyperelliptic_status == DOUBLED]
+        rep = classify(n)
+        doubled_classes = [s for s in rep.statuses if s[1] == DOUBLED]
         assert doubled_classes, f"no doubled class at n={n}"
-        assert verdict.consistent
+        assert model_verdict(rep).consistent
 
 
 def test_model_verdict_plain_degree():
-    verdict = model_verdict(classify(3))
-    assert len(verdict.classes) == 1
-    c = verdict.classes[0]
-    assert c.base_point_status == INFEASIBLE
-    assert c.hyperelliptic_status == INFEASIBLE
-    assert c.quadrics_status == INFEASIBLE
+    rep = classify(3)
+    verdict = model_verdict(rep)
+    assert rep.statuses == [(INFEASIBLE, INFEASIBLE, INFEASIBLE)]
     assert verdict.consistent
     assert verdict.label == "embedding; quadrics only"
 
@@ -264,11 +254,11 @@ def test_model_verdict_sweep_small_range():
             continue
         verdict = model_verdict(rep)
         assert verdict.consistent, f"inconsistent verdict at n={n}"
-        assert all(c.quadrics_status == INFEASIBLE for c in verdict.classes)
-        for c in verdict.classes:
-            if KNOWN_MODEL in (c.base_point_status, c.hyperelliptic_status):
-                prior_hits.add((n, c.discriminant))
-            if c.hyperelliptic_status == DOUBLED:
+        assert all(quadrics == INFEASIBLE for _, _, quadrics in rep.statuses)
+        for d, (base_point, hyperelliptic, _) in zip(rep.classes.d.tolist(), rep.statuses):
+            if KNOWN_MODEL in (base_point, hyperelliptic):
+                prior_hits.add((n, d))
+            if hyperelliptic == DOUBLED:
                 doubled_ns.add(n)
     assert prior_hits == set(PRIOR_MODELS)
     assert doubled_ns == set(DOUBLED_DEGREES)
@@ -279,12 +269,9 @@ def test_model_verdict_statuses_are_never_silently_feasible():
         rep = classify(n)
         if not rep.representable:
             continue
-        for c in model_verdict(rep).classes:
-            assert FEASIBLE not in (
-                c.base_point_status,
-                c.hyperelliptic_status,
-                c.quadrics_status,
-            )
+        assert model_verdict(rep).consistent
+        for statuses in rep.statuses:
+            assert FEASIBLE not in statuses
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,12 @@ per-degree enumeration, the json and text tables before the class layer
 replaced per-report table rows, the classify and golden-check outputs
 before the one-orbit references moved out of the package, and the csv of
 classify --n 3999999 (the largest degree of the reference draw) before
-classify enumerated one degree by sums of two squares."""
+classify enumerated one degree by sums of two squares, and its json and
+text before the reports became array rows.  Degree 2^24 + 1, the first
+whose invariants are computed on python-int arrays, is pinned by the
+sha256 of its output, recorded at the same time."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -28,6 +32,8 @@ CASES = [
     ),
     (["golden-check"], "golden_check.txt", 0),
     (["classify", "--n", "3999999", "--format", "csv"], "classify_3999999.csv", 0),
+    (["classify", "--n", "3999999", "--format", "json"], "classify_3999999.json", 0),
+    (["classify", "--n", "3999999", "--format", "text"], "classify_3999999.txt", 0),
 ]
 
 
@@ -39,3 +45,16 @@ CASES = [
 def test_output_matches_snapshot(capsys, argv, snapshot, code):
     assert main(argv) == code
     assert capsys.readouterr().out == (DATA / snapshot).read_text()
+
+
+# classify --n 2^24 + 1: 398 KB of json and 245 KB of text
+BIG_N_SHA256 = {
+    "json": "8fae48fe67a1daf95667f413571f78cc09816f02cc66481517239b430515b7e8",
+    "text": "ceb129f96a057443da326a3b229bec67c91c306773554aff686260387d5db40d",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(BIG_N_SHA256))
+def test_python_int_degree_matches_digest(capsys, fmt):
+    assert main(["classify", "--n", str(2**24 + 1), "--format", fmt]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == BIG_N_SHA256[fmt]
