@@ -27,7 +27,6 @@ from .polarizations import (
     class_table,
     classify,
     classify_range,
-    index_from,
     model_verdict,
     quadric_count,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "class_table",
     "classify",
     "classify_range",
-    "index_from",
     "inner",
     "is_representable",
     "model_verdict",

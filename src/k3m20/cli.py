@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 from collections.abc import Sequence
@@ -241,7 +240,7 @@ def _cmd_scan(args) -> int:
     # the degrees without a class, which class_table has checked are the non-representable ones
     non_rep = np.setdiff1d(np.arange(1, args.max_n + 1), table.n).tolist()
     classes = sorted(set(table.forms()))
-    witnesses = list(itertools.takewhile(lambda w: w[0] <= args.max_n, prime_witnesses()))
+    witnesses = prime_witnesses(args.max_n)
     # the degrees with a class that some obstruction check finds FEASIBLE
     inconsistent = {n for n, s in zip(table.n.tolist(), table_statuses(table)) if FEASIBLE in s}
     if args.format == "json":

@@ -18,7 +18,6 @@ from math import isqrt
 
 import numpy as np
 
-from .binary_forms import ReductionAnomaly
 from .lattice import GRAM, ComplementAnomaly
 
 # largest n accepted by orbit_reps: 4n <= 2**62, so every square, sum and
@@ -57,8 +56,16 @@ class EnumerationAnomaly(ValueError):
         super().__init__(f"enumeration anomaly at n = {n}: {message}")
 
 
+class ReductionAnomaly(ValueError):
+    """Gauss reduction's witness does not carry the form to its reduced form,
+    or a reduced form breaks an inequality every reduced form satisfies."""
+
+
 def _isqrt_np(m: np.ndarray) -> np.ndarray:
-    """floor(sqrt(m)) for int64 0 <= m <= 2**62 (the float estimate is off by at most 1)."""
+    """floor(sqrt(m)) for int64 0 <= m <= 2**62 (the float estimate is off by at most 1),
+    and by math.isqrt per element for python ints (`dtype=object`) of any size."""
+    if m.dtype == object:
+        return np.array([isqrt(v) for v in m.tolist()], dtype=object)
     s = np.sqrt(m.astype(np.float64)).astype(np.int64)
     s -= (s * s > m).astype(np.int64)
     s += ((s + 1) * (s + 1) <= m).astype(np.int64)
@@ -116,8 +123,8 @@ def orbit_classes(ns: np.ndarray, reps: np.ndarray) -> np.ndarray:
     [lam, mu, delta, r, a, b, c, d, size] for orbit i: its canonical
     member (lam, mu, delta), the member's divisibility r, the canonical
     reduced transcendental form (a, b, c), its discriminant d and the orbit
-    size.  The index depends on (n, d) alone; `polarizations.class_table`
-    computes it once per distinct pair.
+    size.  The index depends on (n, d) alone; `polarizations._classes`
+    computes it for the whole class table at once.
 
     Rows are processed in blocks of `_ROWS`, so no intermediate grows with
     k.  The result is int64 when every degree is at most BATCH_MAX_N; else
@@ -220,6 +227,15 @@ def _xgcd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def _reduce(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Gauss reduction of the forms (a, b, c) with a > 0 to their canonical reduced forms.
+
+    A transcendental lattice is an even positive definite rank-2 lattice;
+    its Gram matrix [[4a, 2b], [2b, 4c]] is encoded as the integer triple
+    (a, b, c) with discriminant d = 4ac - b^2 > 0.  The triple transforms
+    under SL2(Z) exactly like the classical form a x^2 + b x y + c y^2, so
+    classes are found by Gauss reduction.  A reduced form satisfies
+    -a < b <= a <= c, and is unique up to the two exceptional families
+    (a, b, a) ~ (a, -b, a) and (a, a, c) ~ (a, -a, c); the canonical
+    reduced form collapses those by normalising b >= 0.
 
     Returns ((a, b, c), (p, q, r, s)) with t = [[p, q], [r, s]] in SL2(Z)
     carrying each form to its reduced one, as oracles.reduce does row

@@ -4,8 +4,10 @@ For a representable degree L^2 = 4n the solution vectors fall into orbits
 under the 16 isometries; each orbit determines (up to equivalence) the
 transcendental lattice, an even positive definite binary form (a, b, c) of
 discriminant d = 4 a c - b^2 with 160 n = d * I^2 for an integer sublattice
-index I.  A non-square 160 n / d can only come from a computation bug, so it
-is raised loudly rather than reported.
+index I, computed for every class at once as isqrt(160 n / d) (its scalar
+reference is `index_from` in `tests/oracles.py`).  A non-square 160 n / d
+can only come from a computation bug, so it is raised loudly rather than
+reported.
 
 Obstruction bookkeeping: a divisor class D with D^2 = 2k and D primitive in
 the polarized sublattice forces an index equation
@@ -29,23 +31,30 @@ which `model_verdict` combines, and `scan` reads them for the whole table.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from math import isqrt
 
 import numpy as np
 
-from .binary_forms import ReductionAnomaly
-from .kernels import MAX_N, EnumerationAnomaly, _first_bad, orbit_classes, orbit_reps
+from .kernels import (
+    MAX_N,
+    EnumerationAnomaly,
+    ReductionAnomaly,
+    _first_bad,
+    _isqrt_np,
+    orbit_classes,
+    orbit_reps,
+)
 from .representability import is_representable
 from .twosquares import degree_reps
 
 
 class IndexAnomaly(ValueError):
-    """160 n / d failed to be a perfect square; carries (n, d)."""
+    """A class of degree 4n and discriminant d breaks n d = 10 t^2 or
+    d I^2 = 160 n; carries (n, d)."""
 
-    def __init__(self, n: int, d: int, message: str | None = None):
+    def __init__(self, n: int, d: int, message: str):
         self.n = n
         self.d = d
-        super().__init__(message or f"index anomaly: 160*{n}/{d} is not a perfect square")
+        super().__init__(message)
 
 
 def quadric_count(n):
@@ -60,28 +69,6 @@ def ambient_dim(n: int) -> int:
     if n < 1:
         raise ValueError("degree parameter n must be positive")
     return 2 * n + 1
-
-
-def index_from(n: int, d: int) -> int:
-    """Sublattice index I with d * I^2 = 160 n; anomaly unless square.
-
-    The complement of a degree-4n vector has index I in the full orthogonal
-    sublattice of the vector, and n d = 10 t^2 for the same reason; both
-    must be exact squares, or IndexAnomaly is raised.  (A square 160 n / d
-    implies a square n d / 10, not conversely, so the second is checked
-    first: then each check can fire alone.)
-    """
-    if n < 1 or d < 1:
-        raise ValueError("need positive n and d")
-    if (n * d) % 10 or isqrt(n * d // 10) ** 2 * 10 != n * d:
-        raise IndexAnomaly(n, d, f"n*d = {n * d} is not 10 times a square")
-    num = 160 * n
-    if num % d:
-        raise IndexAnomaly(n, d)
-    i = isqrt(num // d)
-    if i * i * d != num:
-        raise IndexAnomaly(n, d)
-    return i
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,10 +160,10 @@ def _classes(ns: np.ndarray, rows: np.ndarray) -> tuple[ClassTable, np.ndarray]:
 
     Returns the ClassTable and, for each orbit row, the table row of its
     class.  The sort is stable, so the first orbit of a class is its
-    smallest canonical member.  The index comes from index_from once per
-    distinct (n, d); every class is checked for a, c, d > 0 and b^2 <= ac
-    (ReductionAnomaly) and for d I^2 = 160 n (IndexAnomaly), which the
-    closed-form obstruction checks rest on.
+    smallest canonical member.  The index I = isqrt(160 n / d) is computed
+    on the whole column; every class is checked for a, c, d > 0 and
+    b^2 <= ac (ReductionAnomaly), then for n d = 10 t^2 and d I^2 = 160 n
+    (IndexAnomaly), which the closed-form obstruction checks rest on.
     """
     a, b, c = rows[:, 4], rows[:, 5], rows[:, 6]
     order = np.lexsort((c, b, a, ns))
@@ -197,10 +184,17 @@ def _classes(ns: np.ndarray, rows: np.ndarray) -> tuple[ClassTable, np.ndarray]:
             f"reduction anomaly: reduced form {form} of discriminant {int(d[i])} at n = {int(n[i])}"
             " breaks a, c, d > 0 and b^2 <= ac"
         )
-    pairs = list(zip(n.tolist(), d.tolist()))
-    indices = {pair: index_from(*pair) for pair in dict.fromkeys(pairs)}
-    index = np.array([indices[pair] for pair in pairs], dtype=rows.dtype)
-    # d I^2 = 160 n makes t = 4n / I an integer (I^2 | 160 n forces I | 4n) with n d = 10 t^2
+    # the complement of a degree-4n vector has index I in the orthogonal sublattice of the
+    # vector: d I^2 = 160 n, and so n d = 10 t^2 with t = 4n / I (I^2 | 160 n forces I | 4n);
+    # a square 160 n / d implies a square n d / 10, not conversely, so checking n d first
+    # lets each check fire alone
+    nd = n * d
+    i = _first_bad((nd % 10 != 0) | (_isqrt_np(nd // 10) ** 2 * 10 != nd))
+    if i is not None:
+        bad_n, bad_d = int(n[i]), int(d[i])
+        message = f"index anomaly: n*d = {bad_n * bad_d} is not 10 times a square at n = {bad_n}, d = {bad_d}"
+        raise IndexAnomaly(bad_n, bad_d, message)
+    index = _isqrt_np(160 * n // d)
     i = _first_bad(d * index * index != 160 * n)
     if i is not None:
         bad_n, bad_d = int(n[i]), int(d[i])

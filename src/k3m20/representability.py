@@ -13,11 +13,11 @@ n is not of the form 4^i (16 j + 6).
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
-from math import isqrt
+import numpy as np
 
-from .lattice import NormAnomaly, Vec, norm
+from .kernels import _first_bad
+from .lattice import NormAnomaly, Vec
+from .twosquares import _gaussian_primes, _odd_primes
 
 
 def is_representable(n: int) -> bool:
@@ -30,43 +30,21 @@ def is_representable(n: int) -> bool:
     return m % 16 != 6
 
 
-def is_prime(n: int) -> bool:
-    """Trial division; inputs here are small."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+def prime_witnesses(max_n: int) -> list[tuple[int, Vec]]:
+    """The primes 5 <= p <= max_n with p = 1 (mod 4), each with the vector (lam, mu, 0) of norm 4p.
 
-
-def _two_squares(p: int) -> tuple[int, int]:
-    """The essentially unique (lam, mu) with lam^2 + mu^2 = p, lam <= mu,
-    for a p already known to be a prime congruent to 1 mod 4; found by brute force."""
-    lam = 1
-    while 2 * lam * lam <= p:
-        rem = p - lam * lam
-        mu = isqrt(rem)
-        if mu * mu == rem:
-            return lam, mu
-        lam += 1
-    raise AssertionError("two-square decomposition must exist")  # pragma: no cover
-
-
-def prime_witnesses() -> Iterator[tuple[int, Vec]]:
-    """The primes p = 1 (mod 4) from 5 up, each with the vector (lam, mu, 0) of norm 4p.
-
-    Each witness is primitive (gcd(lam, mu) = 1 since lam^2 + mu^2 is prime),
+    The primes come from a sieve and are split as p = lam^2 + mu^2,
+    lam <= mu, by Hermite-Serret (see twosquares._gaussian_primes).  Each
+    witness is primitive (gcd(lam, mu) = 1 since lam^2 + mu^2 is prime),
     certifying infinitely many distinct representable degrees.
     """
-    for p in itertools.count(5, 4):
-        if is_prime(p):
-            lam, mu = _two_squares(p)
-            v: Vec = (lam, mu, 0)
-            if norm(v) != 4 * p:
-                raise NormAnomaly(f"norm anomaly: the witness {v} of p = {p} does not have norm {4 * p}")
-            yield p, v
+    primes = _odd_primes(max_n)
+    p = primes[primes % 4 == 1]
+    a, b = _gaussian_primes(p)
+    lam, mu = np.minimum(a, b), np.maximum(a, b)
+    # the norm of (lam, mu, 0) is 4 (lam^2 + mu^2) by the split form
+    i = _first_bad(lam * lam + mu * mu != p)
+    if i is not None:
+        v = (int(lam[i]), int(mu[i]), 0)
+        raise NormAnomaly(f"norm anomaly: the witness {v} of p = {int(p[i])} does not have norm {4 * int(p[i])}")
+    return [(p, (lam, mu, 0)) for p, lam, mu in zip(p.tolist(), lam.tolist(), mu.tolist())]

@@ -1,17 +1,16 @@
-"""Loader for the quadric equations of the degree-12 model in P^7.
+"""Parser for the quadric equations of the degree-12 model in P^7.
 
-The bundled data file lists ten quadratic polynomials in x1..x8 whose
-coefficients live in Z[a] (a a primitive 20th root of unity), one term per
-line, records separated by `---` lines.  The loader checks well-formedness
-only: term grammar, balanced coefficient polynomials, variables restricted
-to x1..x8 and a, every monomial of degree exactly 2.
+The data file `data/quadrics_p7.txt` lists ten quadratic polynomials in
+x1..x8 whose coefficients live in Z[a] (a a primitive 20th root of unity),
+one term per line, records separated by `---` lines.  The parser checks
+well-formedness only: term grammar, balanced coefficient polynomials,
+variables restricted to x1..x8 and a, every monomial of degree exactly 2.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from importlib import resources
 
 _MONO_RE = re.compile(r"^(x[1-8])\*(x[1-8])$|^(x[1-8])\^2$")
 _INT_COEFF_RE = re.compile(r"^-?\d+$")
@@ -111,8 +110,3 @@ def parse_quadrics(text: str) -> tuple[QuadricPolynomial, ...]:
         raise ValueError("no quadric records found")
     return tuple(records)
 
-
-def load_quadrics() -> tuple[QuadricPolynomial, ...]:
-    """Parse the bundled data file."""
-    text = resources.files("k3m20").joinpath("data/quadrics_p7.txt").read_text("utf-8")
-    return parse_quadrics(text)

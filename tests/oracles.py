@@ -6,8 +6,11 @@ search or one value at a time over python ints:
 
 - `two_square_tables` / `representable_range`: which n have a vector of
   norm 4n, by a table scan of 4n - 10 delta^2 = x^2 + y^2 (checks the
-  closed form `is_representable`); `two_squares` is the checked entry
-  to the decomposition behind `prime_witnesses`;
+  closed form `is_representable`); `is_prime` (trial division) and
+  `_two_squares` (brute force), with `two_squares` their checked entry,
+  find the primes p = 1 (mod 4) and their splits p = lam^2 + mu^2 (check
+  `representability.prime_witnesses`, which sieves and splits them by
+  Hermite-Serret);
 - `unimodular_entries` / `transform_forms`: the forms a bounded SL2(Z)
   search reaches from (a, b, c) (checks Gauss reduction);
 - `generate_group` / `orbit`: the 16 isometries as the closure of three
@@ -28,13 +31,16 @@ search or one value at a time over python ints:
   `OrbitClass` record (checks the batched `kernels.orbit_classes`);
 - `div_feasible`: the obstruction equation target = n alpha^2 d m by
   search (checks the closed form t = 1, t | 2, t | 3 of
-  `polarizations.class_table`), and `quadric_count_parts`, the two counts
+  `polarizations.class_table`), `index_from`, the sublattice index of
+  one (n, d) from d I^2 = 160 n (checks the index column `_classes`
+  computes on whole arrays), and `quadric_count_parts`, the two counts
   whose difference is `quadric_count`;
 - `parse_table_csv`: reads `table --format csv` back into integer rows;
   `report_to_dict` and `scan_to_dict` are the json payloads of `classify`
   and `scan`, whose `json.dumps(..., indent=2)` the CLI's templates must
   print byte for byte; `report_to_dict` is built from `orbit_class` and
-  `div_feasible`, sharing no code with the package's reports.
+  `div_feasible`, and `scan_to_dict`'s witnesses from `two_squares`,
+  sharing no code with the package's reports.
 - `documented_corrections`: the published values that `golden.GOLDEN_ROWS`
   overrides with an arithmetic correction.
 
@@ -47,7 +53,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -55,20 +60,18 @@ from math import comb, gcd, isqrt
 
 import numpy as np
 
-from k3m20.binary_forms import ReductionAnomaly
 from k3m20.cli import CSV_HEADER
 from k3m20.golden import GOLDEN_ROWS
 from k3m20.isometries import domain_point
-from k3m20.kernels import orbit_reps
+from k3m20.kernels import ReductionAnomaly, orbit_reps
 from k3m20.lattice import GRAM, ComplementAnomaly, Gram2, Mat3, Vec, gram_apply, inner, mat_det, norm
 from k3m20.polarizations import (
     FEASIBLE,
     EnumerationAnomaly,
+    IndexAnomaly,
     class_table,
-    index_from,
     table_statuses,
 )
-from k3m20.representability import _two_squares, is_prime, prime_witnesses
 
 
 def two_square_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -461,6 +464,33 @@ def canonical_rep(v: Vec) -> Vec:
 # representability, obstruction search and quadric counts
 
 
+def is_prime(n: int) -> bool:
+    """Trial division; inputs here are small."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def _two_squares(p: int) -> tuple[int, int]:
+    """The essentially unique (lam, mu) with lam^2 + mu^2 = p, lam <= mu,
+    for a p already known to be a prime congruent to 1 mod 4; found by brute force."""
+    lam = 1
+    while 2 * lam * lam <= p:
+        rem = p - lam * lam
+        mu = isqrt(rem)
+        if mu * mu == rem:
+            return lam, mu
+        lam += 1
+    raise AssertionError("two-square decomposition must exist")  # pragma: no cover
+
+
 def two_squares(p: int) -> tuple[int, int]:
     """The essentially unique (lam, mu) with lam^2 + mu^2 = p, lam <= mu.
 
@@ -469,6 +499,26 @@ def two_squares(p: int) -> tuple[int, int]:
     if not is_prime(p) or p % 4 != 1:
         raise ValueError("need a prime congruent to 1 mod 4")
     return _two_squares(p)
+
+
+def index_from(n: int, d: int) -> int:
+    """Sublattice index I with d * I^2 = 160 n; anomaly unless square.
+
+    The complement of a degree-4n vector has index I in the full orthogonal
+    sublattice of the vector, and n d = 10 t^2 for the same reason; both
+    must be exact squares, or IndexAnomaly is raised.  (A square 160 n / d
+    implies a square n d / 10, not conversely, so the second is checked
+    first: then each check can fire alone.)
+    """
+    if n < 1 or d < 1:
+        raise ValueError("need positive n and d")
+    if (n * d) % 10 or isqrt(n * d // 10) ** 2 * 10 != n * d:
+        raise IndexAnomaly(n, d, f"n*d = {n * d} is not 10 times a square")
+    num = 160 * n
+    i = isqrt(num // d)
+    if num % d or i * i * d != num:
+        raise IndexAnomaly(n, d, f"index anomaly: 160*{n}/{d} is not a perfect square")
+    return i
 
 
 def quadric_count_parts(n: int) -> tuple[int, int]:
@@ -542,7 +592,7 @@ def scan_to_dict(max_n: int) -> dict:
     table = class_table(max_n)
     non_rep = sorted(set(range(1, max_n + 1)) - set(table.n.tolist()))
     classes = sorted(set(zip(table.a.tolist(), table.b.tolist(), table.c.tolist())))
-    witnesses = list(itertools.takewhile(lambda w: w[0] <= max_n, prime_witnesses()))
+    witnesses = [(p, (*two_squares(p), 0)) for p in range(5, max_n + 1, 4) if is_prime(p)]
     inconsistent = {n for n, s in zip(table.n.tolist(), table_statuses(table)) if FEASIBLE in s}
     return {
         "max_n": max_n,

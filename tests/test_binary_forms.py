@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from k3m20.binary_forms import ReductionAnomaly
+from k3m20.kernels import ReductionAnomaly
 from oracles import EvenBinaryForm, ReducedForm, canonical, equivalent, from_gram, reduce, transform
 
 entries = st.integers(min_value=-60, max_value=60)

@@ -16,9 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3m20 import polarizations
-from k3m20.binary_forms import ReductionAnomaly
 from k3m20.cli import main
-from k3m20.kernels import MAX_N, orbit_reps
+from k3m20.kernels import MAX_N, ReductionAnomaly, orbit_reps
 from k3m20.polarizations import (
     DOUBLED,
     DOUBLED_DEGREES,
@@ -31,11 +30,10 @@ from k3m20.polarizations import (
     class_statuses,
     class_table,
     classify,
-    index_from,
     model_verdict,
     table_statuses,
 )
-from oracles import div_feasible
+from oracles import div_feasible, index_from
 
 RANGE_N = 3000
 _COLUMNS = ("n", "a", "b", "c", "d", "lam", "mu", "delta", "index", "div1", "div2", "eq90", "odd")
@@ -164,18 +162,30 @@ def test_form_guard(column, value):
         polarizations._classes(ns, rows)
 
 
-def test_index_guard(monkeypatch):
-    monkeypatch.setattr(polarizations, "index_from", lambda n, d: 2 * index_from(n, d))
-    with pytest.raises(IndexAnomaly, match=r"I = 4 breaks d I\^2 = 160 n at n = 1, d = 40") as exc:
-        class_table(5)
-    assert (exc.value.n, exc.value.d) == (1, 40)
+def test_index_guard():
+    # d = 9 * 40 at n = 1 keeps n d = 10 t^2 (t = 6) but 160 n / d is no square
+    ns, rows = polarizations._orbit_rows(1, 5, orbit_reps(1, 5))
+    rows[:, 7] *= 9
+    with pytest.raises(IndexAnomaly, match=r"I = 0 breaks d I\^2 = 160 n at n = 1, d = 360") as exc:
+        polarizations._classes(ns, rows)
+    assert (exc.value.n, exc.value.d) == (1, 360)
 
 
 def test_index_from_guards_reach_the_table():
     ns, rows = polarizations._orbit_rows(1, 5, orbit_reps(1, 5))
     rows[:, 7] += 4  # d = 44 at n = 1: n d is not 10 times a square
-    with pytest.raises(IndexAnomaly, match="not 10 times a square"):
+    with pytest.raises(IndexAnomaly, match=r"n\*d = 44 is not 10 times a square at n = 1, d = 44") as exc:
         polarizations._classes(ns, rows)
+    assert (exc.value.n, exc.value.d) == (1, 44)
+
+
+def test_index_column_matches_index_from():
+    # on int64 rows, and on the python-int rows of a degree above BATCH_MAX_N
+    small, big = class_table(2000), classify(2**24 + 1).classes
+    assert small.index.dtype == np.int64 and big.index.dtype == object and len(big)
+    for table in (small, big):
+        pairs = zip(table.n.tolist(), table.d.tolist(), table.index.tolist())
+        assert all(index == index_from(n, d) for n, d, index in pairs)
 
 
 def test_orbits_of_a_degree_the_closed_form_rejects(monkeypatch):

@@ -251,21 +251,27 @@ _IDENTITY_WITNESS = (
     "kernels._reduce = lambda a, b, c: (reduce(a, b, c)[0], (a * 0 + 1, a * 0, a * 0, a * 0 + 1))\n"
 )
 _WRONG_COFACTORS = "kernels._xgcd = lambda a, b: (a * 0 + 1, a * 0, a * 0)\n"
+
+
+def _corrupt_rows(edit):
+    """A fault that applies edit to the rows orbit_classes returns."""
+    return (
+        "classes = polarizations.orbit_classes\n"
+        "def corrupt(ns, reps):\n"
+        "    rows = classes(ns, reps)\n"
+        f"    {edit}\n"
+        "    return rows\n"
+        "polarizations.orbit_classes = corrupt\n"
+    )
+
+
 # b^2 > ac in every form orbit_classes returns; the class layer's form check
 # (polarizations._classes) raises it for classify, table and scan alike
-_UNREDUCED_FORM = (
-    "classes = polarizations.orbit_classes\n"
-    "def corrupt(ns, reps):\n"
-    "    rows = classes(ns, reps)\n"
-    "    rows[:, 5] = 3 * rows[:, 4]\n"
-    "    return rows\n"
-    "polarizations.orbit_classes = corrupt\n"
-)
-# index_from returns twice the index
-_WRONG_INDEX = (
-    "index_from = polarizations.index_from\n"
-    "polarizations.index_from = lambda n, d: 2 * index_from(n, d)\n"
-)
+_UNREDUCED_FORM = _corrupt_rows("rows[:, 5] = 3 * rows[:, 4]")
+# the class layer's two index checks, each alone: d = 9 * 40 at n = 1 keeps
+# n d = 10 t^2 but breaks d I^2 = 160 n; d = 44 breaks n d = 10 t^2
+_WRONG_INDEX = _corrupt_rows("rows[:, 7] *= 9")
+_NOT_TEN_SQUARES = _corrupt_rows("rows[:, 7] += 4")
 _CLASSIFY = ("classify(3)", ["classify", "--n", "3"])
 _TABLE = ("polarizations.class_table(5)", ["table", "--max-n", "5"])
 
@@ -291,6 +297,7 @@ _TABLE = ("polarizations.class_table(5)", ["table", "--max-n", "5"])
         (_UNREDUCED_FORM, _CLASSIFY, "ReductionAnomaly", "b^2 <= ac"),
         (_UNREDUCED_FORM, _TABLE, "ReductionAnomaly", "b^2 <= ac"),
         (_WRONG_INDEX, _TABLE, "IndexAnomaly", "breaks d I^2 = 160 n"),
+        (_NOT_TEN_SQUARES, _TABLE, "IndexAnomaly", "not 10 times a square"),
         # the split form of the norm, against a Gram matrix with the wrong last entry
         (
             "lattice.GRAM = ((4, 0, -2), (0, 4, -2), (-2, -2, 10))\n",
@@ -299,8 +306,9 @@ _TABLE = ("polarizations.class_table(5)", ["table", "--max-n", "5"])
             "by the split form",
         ),
         (
-            "representability._two_squares = lambda p: (1, 1)\n",  # a witness of norm 8
-            ("next(representability.prime_witnesses())", ["scan", "--max-n", "5"]),
+            # the split of 5 becomes (1, 1), a witness of norm 8
+            "representability._gaussian_primes = lambda p: (p // p, p // p)\n",
+            ("representability.prime_witnesses(5)", ["scan", "--max-n", "5"]),
             "NormAnomaly",
             "does not have norm 20",
         ),
@@ -326,6 +334,7 @@ _TABLE = ("polarizations.class_table(5)", ["table", "--max-n", "5"])
         "reduced-form",
         "table-reduced-form",
         "table-index",
+        "table-index-ten-squares",
         "norm",
         "witness-norm",
         "doubled-dims",

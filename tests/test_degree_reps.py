@@ -18,8 +18,7 @@ from hypothesis import strategies as st
 from k3m20 import twosquares
 from k3m20.kernels import MAX_N, orbit_reps
 from k3m20.twosquares import _gaussian_primes, degree_reps
-from k3m20.representability import is_prime
-from oracles import two_squares
+from oracles import is_prime, two_squares
 
 
 def _same(n):

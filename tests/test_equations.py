@@ -1,11 +1,15 @@
+from pathlib import Path
+
 import pytest
 
-from k3m20.equations import QuadricTerm, load_quadrics, parse_quadrics
+from equations import QuadricTerm, parse_quadrics
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture(scope="module")
 def quadrics():
-    return load_quadrics()
+    return parse_quadrics((DATA / "quadrics_p7.txt").read_text("utf-8"))
 
 
 def test_record_and_term_counts(quadrics):

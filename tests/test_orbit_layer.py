@@ -17,10 +17,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from k3m20 import kernels
-from k3m20.binary_forms import ReductionAnomaly
 from k3m20.kernels import (
     BATCH_MAX_N,
     EnumerationAnomaly,
+    ReductionAnomaly,
     orbit_classes,
     orbit_reps,
 )

@@ -17,12 +17,11 @@ from k3m20.polarizations import (
     ambient_dim,
     classify,
     classify_range,
-    index_from,
     model_verdict,
     quadric_count,
 )
 from k3m20.kernels import MAX_N
-from oracles import div_feasible, divisibility, orbit, quadric_count_parts
+from oracles import div_feasible, divisibility, index_from, orbit, quadric_count_parts
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,19 @@
-import itertools
-from pathlib import Path
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from k3m20 import representability
-from k3m20.cli import main
 from k3m20.lattice import norm
-from k3m20.representability import is_prime, is_representable, prime_witnesses
+from k3m20.representability import is_representable, prime_witnesses
 from oracles import (
     enumerate_solutions,
     generate_group,
+    is_prime,
     is_primitive,
     mat_vec,
     parity_lift,
     representable_range,
     two_squares,
 )
-
-DATA = Path(__file__).parent / "data"
 
 
 def test_closed_form_examples():
@@ -118,8 +112,8 @@ def test_two_squares():
 
 
 def test_infinitude_scan():
-    assert list(itertools.islice(prime_witnesses(), 1)) == [(5, (1, 2, 0))]
-    ws = list(itertools.islice(prime_witnesses(), 8))
+    assert prime_witnesses(5) == [(5, (1, 2, 0))]
+    ws = prime_witnesses(61)
     assert [p for p, _ in ws] == [5, 13, 17, 29, 37, 41, 53, 61]
     for p, v in ws:
         assert is_prime(p) and p % 4 == 1
@@ -129,20 +123,16 @@ def test_infinitude_scan():
 
 
 def test_infinitude_witnesses_give_distinct_norms():
-    ws = list(itertools.islice(prime_witnesses(), 30))
+    ws = prime_witnesses(313)  # the 30th prime p = 1 (mod 4)
+    assert len(ws) == 30
     ps = [p for p, _ in ws]
     assert ps == sorted(set(ps))
     for p, _ in ws:
         assert is_representable(p)
 
 
-
-def test_prime_witnesses_test_each_candidate_once(monkeypatch, capsys):
-    # scan stops at the first witness beyond --max-n, so it tests every
-    # p = 1 (mod 4) from 5 up to that witness, each exactly once
-    calls = []
-    monkeypatch.setattr(representability, "is_prime", lambda p: calls.append(p) or is_prime(p))
-    assert main(["scan", "--max-n", "1000", "--format", "json"]) == 0
-    assert capsys.readouterr().out == (DATA / "scan_1000.json").read_text()
-    last = next(p for p in itertools.count(1001) if p % 4 == 1 and is_prime(p))
-    assert calls == list(range(5, last + 1, 4))
+@pytest.mark.parametrize("max_n", [1, 4, 5, 13, 14, 1000, 20000])
+def test_prime_witnesses_match_trial_division(max_n):
+    # the sieve and the Hermite-Serret split against trial division and brute force
+    want = [(p, (*two_squares(p), 0)) for p in range(max_n + 1) if is_prime(p) and p % 4 == 1]
+    assert prime_witnesses(max_n) == want
