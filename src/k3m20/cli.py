@@ -16,14 +16,13 @@ import argparse
 import functools
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
 from . import __version__
 from .golden import golden_check
 from .polarizations import (
-    FEASIBLE,
     ClassTable,
     ModelVerdict,
     PolarizationReport,
@@ -31,17 +30,27 @@ from .polarizations import (
     classify,
     model_verdict,
     quadric_count,
-    table_statuses,
+    status_columns,
 )
 from .representability import prime_witnesses
 from .veronese import doubled_model_dims, quadrics_on_veronese2, scaled_quartic_dims
 
+_BANNER = f"k3m20 {__version__}"
 CSV_HEADER = "n,l2,q,a,b,c,lambda,mu,delta,index"
 _KEYS = CSV_HEADER.split(",")
-# one table row in each format; the json one is a row object as json.dumps(rows, indent=2) prints it
-_CSV_ROW = ",".join(["%d"] * len(_KEYS))
-_TEXT_ROW = "\t".join(["%d"] * len(_KEYS))
+# one table row as csv, with its newline, and as a row object as json.dumps(rows, indent=2) prints it
+_CSV_ROW = ",".join(["%d"] * len(_KEYS)) + "\n"
 _JSON_ROW = "  {\n" + ",\n".join(f'    "{key}": %d' for key in _KEYS) + "\n  }"
+# the head, row template, row separator and tail of the table in each format
+_TABLE_FORMATS = {
+    "csv": (CSV_HEADER + "\n", _CSV_ROW, "", ""),
+    "json": ("[\n", _JSON_ROW, ",\n", "\n]\n"),
+    "text": (f"{_BANNER}\n{CSV_HEADER}\n".replace(",", "\t"), _CSV_ROW.replace(",", "\t"), "", ""),
+}
+# rows per % in _render_rows (2**12 raised the benchmark's peak RSS 0.4 MB by heap layout)
+_CHUNK = 2**14
+# one orbit row of classify's text report
+_TEXT_ORBIT = "  canonical (%d, %d, %d)  size %d  div %d  tx (a,b,c) = (%d, %d, %d)  d = %d  I = %d"
 # a classify report and one of its orbit rows, as json.dumps(report_to_dict(n), indent=2)
 # prints them (report_to_dict, in tests/oracles.py, is their reference)
 _JSON_ORBIT = """\
@@ -100,7 +109,7 @@ _TOO_COSTLY_N = (
 )
 _TOO_COSTLY_MAX_N = (
     "--max-n must be at most 2*10**4: a range keeps about 0.17 N^1.5 orbits in memory"
-    " (about 3 s and 0.2 to 0.3 GB at N = 2*10**4), growing as N^1.5"
+    " (about 1.5 s and 0.15 GB at N = 2*10**4), growing as N^1.5"
 )
 
 
@@ -112,10 +121,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _banner() -> str:
-    return f"k3m20 {__version__}"
-
-
 # ---------------------------------------------------------------------------
 # renderers
 
@@ -124,58 +129,59 @@ def _json_bool(flag: bool) -> str:
     return "true" if flag else "false"
 
 
-def _json_array(item: str, rows: list[Sequence[int]]) -> str:
-    """A json array one level below the top, as json.dumps(..., indent=2)
-    prints it, with one row per element rendered by the template item.
-
-    One % fills the item template repeated, so that few objects are built:
-    a string per element fragmented the heap enough to raise a scan's peak
-    RSS by 3 MB under the benchmark's probes.
+def _render_rows(row: str, sep: str, values: np.ndarray) -> Iterator[str]:
+    """The rows of a 2-d integer array, each through the template row and
+    joined by sep, as text chunks of _CHUNK rows: one % fills a chunk's
+    repeated template from its values as one flat list, so that no string or
+    tuple is built per row and no template or text of the whole array exists.
     """
-    if not rows:
+    for start in range(0, len(values), _CHUNK):
+        chunk = values[start : start + _CHUNK]
+        if start and sep:
+            yield sep
+        yield sep.join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
+def _json_array(item: str, values: np.ndarray) -> str:
+    """A json array one level below the top, as json.dumps(..., indent=2)
+    prints it, with one row of values per element rendered by the template item."""
+    if not len(values):
         return "[]"
-    return ("[\n" + ",\n".join([item] * len(rows)) + "\n  ]") % tuple(v for row in rows for v in row)
+    return "[\n" + "".join(_render_rows(item, ",\n", values)) + "\n  ]"
 
 
 def report_json(report: PolarizationReport) -> str:
     """The json of one classify report, without the final newline."""
-    classes = report.classes
+    flags = (report.classes.div1.any(), report.classes.div2.any(), report.classes.eq90.any())
     return _JSON_REPORT % (
         report.n,
         report.l_squared,
         _json_bool(report.representable),
-        _json_array(_JSON_ORBIT, report.orbits.tolist()),
+        _json_array(_JSON_ORBIT, report.orbits),
         report.quadric_count,
         report.ambient_dim,
-        _json_bool(classes.div1.any()),
-        _json_bool(classes.div2.any()),
-        _json_bool(classes.eq90.any()),
+        *map(_json_bool, flags),
     )
 
 
-def _table_rows(table: ClassTable) -> list[tuple[int, ...]]:
-    """One csv row per class-table row: the class data plus its smallest member."""
+def _table_values(table: ClassTable) -> np.ndarray:
+    """The csv columns of a class table, one row per class: its data plus its smallest member."""
     n = table.n
     columns = (n, 4 * n, quadric_count(n), table.a, table.b, table.c, table.lam, table.mu, table.delta)
-    return list(zip(*(col.tolist() for col in columns + (table.index,))))
+    return np.column_stack(columns + (table.index,))
 
 
-def emit_table_csv(rows: list[tuple[int, ...]]) -> str:
-    return "\n".join([CSV_HEADER, *(_CSV_ROW % row for row in rows)]) + "\n"
+def emit_table_csv(values: np.ndarray) -> str:
+    """The csv of table rows, each row the ten integers of CSV_HEADER."""
+    return CSV_HEADER + "\n" + "".join(_render_rows(_CSV_ROW, "", values))
 
 
 def report_text(report: PolarizationReport, verdict: ModelVerdict | None) -> str:
-    lines = [_banner()]
-    lines.append(f"n = {report.n}  (L^2 = {report.l_squared})")
+    lines = [_BANNER, f"n = {report.n}  (L^2 = {report.l_squared})"]
     if not report.representable:
         lines.append("no embedding (n = 4^i (16j + 6) family)")
         return "\n".join(lines) + "\n"
-    lines.append(f"orbits: {len(report.orbits)}")
-    for lam, mu, delta, size, r, a, b, c, d, index in report.orbits.tolist():
-        lines.append(
-            f"  canonical {(lam, mu, delta)}  size {size}  div {r}"
-            f"  tx (a,b,c) = {(a, b, c)}  d = {d}  I = {index}"
-        )
+    lines += [f"orbits: {len(report.orbits)}", "".join(_render_rows(_TEXT_ORBIT, "\n", report.orbits))]
     triples = report.classes.forms()
     lines.append(f"transcendental classes: {', '.join(map(str, triples))}")
     lines.append(f"quadrics: {report.quadric_count}" + ("  (degree-4 model: none)" if report.n == 1 else ""))
@@ -200,7 +206,7 @@ def _cmd_classify(args) -> int:
     if args.format == "json":
         print(report_json(report))
     elif args.format == "csv":
-        print(emit_table_csv(_table_rows(report.classes)), end="")
+        print(emit_table_csv(_table_values(report.classes)), end="")
     else:
         print(report_text(report, verdict), end="")
     if not report.representable:
@@ -211,14 +217,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    rows = _table_rows(class_table(args.max_n))
-    if args.format == "json":
-        print("[\n" + ",\n".join(_JSON_ROW % row for row in rows) + "\n]")
-    elif args.format == "csv":
-        print(emit_table_csv(rows), end="")
-    else:
-        print(_banner())
-        print("\n".join([CSV_HEADER.replace(",", "\t"), *(_TEXT_ROW % row for row in rows)]))
+    head, row, sep, tail = _TABLE_FORMATS[args.format]
+    values = _table_values(class_table(args.max_n))
+    out = sys.stdout
+    out.write(head)
+    out.writelines(_render_rows(row, sep, values))
+    out.write(tail)
     return 0
 
 
@@ -238,34 +242,38 @@ def _cmd_golden_check(args) -> int:
 def _cmd_scan(args) -> int:
     table = class_table(args.max_n)
     # the degrees without a class, which class_table has checked are the non-representable ones
-    non_rep = np.setdiff1d(np.arange(1, args.max_n + 1), table.n).tolist()
-    classes = sorted(set(table.forms()))
+    non_rep = np.setdiff1d(np.arange(1, args.max_n + 1), table.n)
+    # the distinct forms (a, b, c), sorted, as the first row of each run of equal ones
+    forms = np.column_stack((table.a, table.b, table.c))[np.lexsort((table.c, table.b, table.a))]
+    first = np.ones(len(forms), dtype=bool)
+    first[1:] = (forms[1:] != forms[:-1]).any(axis=1)
+    classes = forms[first]
     witnesses = prime_witnesses(args.max_n)
     # the degrees with a class that some obstruction check finds FEASIBLE
-    inconsistent = {n for n, s in zip(table.n.tolist(), table_statuses(table)) if FEASIBLE in s}
+    anomalies = len(np.unique(table.n[status_columns(table)[2]]))
     if args.format == "json":
         print(
             _JSON_SCAN
             % (
                 args.max_n,
                 args.max_n - len(non_rep),
-                _json_array("    %d", [(n,) for n in non_rep]),
+                _json_array("    %d", non_rep[:, None]),
                 len(classes),
                 _json_array(_JSON_TRIPLE, classes),
-                len(inconsistent),
-                _json_array(_JSON_WITNESS, [(p, *v) for p, v in witnesses]),
+                anomalies,
+                _json_array(_JSON_WITNESS, np.array([(p, *v) for p, v in witnesses]).reshape(-1, 4)),
             )
         )
     else:
-        print(_banner())
+        print(_BANNER)
         print(f"scan 1..{args.max_n}")
         print(f"representable: {args.max_n - len(non_rep)}/{args.max_n}")
-        print(f"no embedding: {', '.join(str(n) for n in non_rep) or '-'}")
+        print(f"no embedding: {', '.join(map(str, non_rep.tolist())) or '-'}")
         print(f"distinct transcendental classes: {len(classes)}")
-        print(f"anomalies: {len(inconsistent)}")
+        print(f"anomalies: {anomalies}")
         first = f" (first: {witnesses[0][0]} -> {witnesses[0][1]})" if witnesses else ""
         print(f"prime witnesses (p = 1 mod 4): {len(witnesses)}{first}")
-    return 1 if inconsistent else 0
+    return 1 if anomalies else 0
 
 
 def _cmd_veronese(args) -> int:
@@ -274,39 +282,20 @@ def _cmd_veronese(args) -> int:
         return 64
     if args.n is not None:
         before, target, cut, after = doubled_model_dims(args.n)
+        on_veronese = quadrics_on_veronese2(before)
         payload = {
-            "n": args.n,
-            "ambient_dim": before,
-            "veronese_dim": target,
-            "quadrics_cut": cut,
-            "doubled_ambient_dim": after,
-            "quadrics_on_veronese2": quadrics_on_veronese2(before),
+            "n": args.n, "ambient_dim": before, "veronese_dim": target, "quadrics_cut": cut,
+            "doubled_ambient_dim": after, "quadrics_on_veronese2": on_veronese,
         }
-        if args.format == "json":
-            print(json.dumps(payload, indent=2))
-        else:
-            print(_banner())
-            print(
-                f"P^{before} -(v2)-> P^{target}, cut {cut} quadrics"
-                f" -> doubled model in P^{after}"
-            )
-            print(f"quadrics through v2(P^{before}): {payload['quadrics_on_veronese2']}")
+        lines = [
+            f"P^{before} -(v2)-> P^{target}, cut {cut} quadrics -> doubled model in P^{after}",
+            f"quadrics through v2(P^{before}): {on_veronese}",
+        ]
     else:
         target, cut, after = scaled_quartic_dims(args.r)
-        payload = {
-            "r": args.r,
-            "veronese_dim": target,
-            "quartics_cut": cut,
-            "scaled_ambient_dim": after,
-        }
-        if args.format == "json":
-            print(json.dumps(payload, indent=2))
-        else:
-            print(_banner())
-            print(
-                f"P^3 -(v{args.r})-> P^{target}, cut {cut} quartics"
-                f" -> scaled model in P^{after}"
-            )
+        payload = {"r": args.r, "veronese_dim": target, "quartics_cut": cut, "scaled_ambient_dim": after}
+        lines = [f"P^3 -(v{args.r})-> P^{target}, cut {cut} quartics -> scaled model in P^{after}"]
+    print(json.dumps(payload, indent=2) if args.format == "json" else "\n".join([_BANNER, *lines]))
     return 0
 
 
@@ -317,7 +306,7 @@ def _cmd_veronese(args) -> int:
 def build_parser() -> _Parser:
     """The command line parser; built once per process, since it keeps no state between calls."""
     parser = _Parser(prog="k3m20", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=_banner())
+    parser.add_argument("--version", action="version", version=_BANNER)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_classify = sub.add_parser("classify", help="classify one degree L^2 = 4n")

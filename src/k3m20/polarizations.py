@@ -19,13 +19,13 @@ quadric-generation obstructions respectively.  Since n d = 10 t^2 with
 t = 4n / I, the equation is solvable exactly when t = 1, t | 2 or t | 3.
 The class layer (`class_table`, and `classify` through it) uses that
 closed form for every class at once; its reference, `div_feasible` in
-`tests/oracles.py`, decides the equation by search.  `class_statuses`
-turns one class's three checks into statuses, routing the handful of
+`tests/oracles.py`, decides the equation by search.  `status_columns`
+combines the three checks of every class at once, routing the handful of
 degrees settled by previously known models (quartic, triple-quadric, and
 the diag(4, 4) degree-40 case) and doubled polarizations L = 2M through
-explicit exclusion branches instead.  `table_statuses` applies it to every
-row of a class table; a report carries the statuses of its degree's rows,
-which `model_verdict` combines, and `scan` reads them for the whole table.
+explicit exclusion branches; `scan` reads its `feasible` column, and a
+report its rows' statuses as strings (reference: `class_statuses` and
+`table_statuses` in `tests/oracles.py`), which `model_verdict` combines.
 """
 
 from __future__ import annotations
@@ -52,8 +52,7 @@ class IndexAnomaly(ValueError):
     d I^2 = 160 n; carries (n, d)."""
 
     def __init__(self, n: int, d: int, message: str):
-        self.n = n
-        self.d = d
+        self.n, self.d = n, d
         super().__init__(message)
 
 
@@ -119,7 +118,8 @@ class PolarizationReport:
     member, the orbit size, the member's divisibility, the reduced form of
     the orthogonal complement, its discriminant and the sublattice index.
     It is int64, or python-int above kernels.BATCH_MAX_N.  classes is the
-    degree's rows of the class table and statuses their class_statuses.
+    degree's rows of the class table and statuses their (base-point,
+    hyperelliptic, quadrics) statuses (see status_columns).
     """
 
     n: int
@@ -162,8 +162,9 @@ def _classes(ns: np.ndarray, rows: np.ndarray) -> tuple[ClassTable, np.ndarray]:
     class.  The sort is stable, so the first orbit of a class is its
     smallest canonical member.  The index I = isqrt(160 n / d) is computed
     on the whole column; every class is checked for a, c, d > 0 and
-    b^2 <= ac (ReductionAnomaly), then for n d = 10 t^2 and d I^2 = 160 n
-    (IndexAnomaly), which the closed-form obstruction checks rest on.
+    b^2 <= ac, then for d = 4ac - b^2 (ReductionAnomaly), then for
+    n d = 10 t^2 and d I^2 = 160 n (IndexAnomaly), which the closed-form
+    obstruction checks rest on.
     """
     a, b, c = rows[:, 4], rows[:, 5], rows[:, 6]
     order = np.lexsort((c, b, a, ns))
@@ -179,10 +180,15 @@ def _classes(ns: np.ndarray, rows: np.ndarray) -> tuple[ClassTable, np.ndarray]:
 
     i = _first_bad((a <= 0) | (c <= 0) | (d <= 0) | (b * b > a * c))
     if i is not None:
-        form = (int(a[i]), int(b[i]), int(c[i]))
         raise ReductionAnomaly(
-            f"reduction anomaly: reduced form {form} of discriminant {int(d[i])} at n = {int(n[i])}"
-            " breaks a, c, d > 0 and b^2 <= ac"
+            f"reduction anomaly: reduced form {(int(a[i]), int(b[i]), int(c[i]))} of discriminant"
+            f" {int(d[i])} at n = {int(n[i])} breaks a, c, d > 0 and b^2 <= ac"
+        )
+    i = _first_bad(d != 4 * a * c - b * b)
+    if i is not None:
+        raise ReductionAnomaly(
+            f"reduction anomaly: discriminant {int(d[i])} at n = {int(n[i])} breaks d = 4ac - b^2"
+            f" for the reduced form {(int(a[i]), int(b[i]), int(c[i]))}"
         )
     # the complement of a degree-4n vector has index I in the orthogonal sublattice of the
     # vector: d I^2 = 160 n, and so n d = 10 t^2 with t = 4n / I (I^2 | 160 n forces I | 4n);
@@ -233,7 +239,7 @@ def _reports(lo: int, hi: int, reps: np.ndarray) -> list[PolarizationReport]:
     table, class_of = _classes(ns, rows)
     # orbit_classes' columns (lam, mu, delta, r, a, b, c, d, size) in the report's order, then the index
     orbits = np.column_stack((rows[:, [0, 1, 2, 8, 3, 4, 5, 6, 7]], table.index[class_of]))
-    statuses = table_statuses(table)
+    statuses = _statuses(table)
     degrees = np.arange(lo, hi + 2)
     cuts = np.searchsorted(ns, degrees).tolist()
     class_cuts = np.searchsorted(table.n, degrees).tolist()
@@ -293,30 +299,33 @@ class ModelVerdict:
     label: str
 
 
-def class_statuses(
-    n: int, d: int, div1: bool, div2: bool, eq90: bool, odd: bool
-) -> tuple[str, str, str]:
-    """The (base-point, hyperelliptic, quadrics) statuses of one transcendental
-    class of degree 4n and discriminant d, from its obstruction feasibility
-    (see ClassTable) and whether some orbit of it has odd divisibility.
+def status_columns(table: ClassTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(prior, doubled, feasible): bool columns over the rows of a class table.
 
-    A class of a prior model is a known model; a class of a doubled degree
-    whose orbits all have even divisibility is a doubled polarization for
-    the hyperelliptic check; any other solvable equation is FEASIBLE.
-    (The genus-2 pencil branch needs L^2 = 10, impossible for L^2 = 4n, so
-    it has no status.)
+    prior marks a class of a prior model, doubled a class of a doubled degree
+    whose orbits all have even divisibility; a class is feasible when its
+    quadric equation is solvable or, outside the prior models, its base-point
+    one or, outside the doubled classes too, its hyperelliptic one.  (The
+    genus-2 pencil branch needs L^2 = 10, impossible for L^2 = 4n.)
     """
-    prior = (n, d) in PRIOR_MODELS
-    doubled = n in DOUBLED_DEGREES and not odd
-    bp = KNOWN_MODEL if prior else FEASIBLE if div1 else INFEASIBLE
-    hyp = KNOWN_MODEL if prior else DOUBLED if doubled else FEASIBLE if div2 else INFEASIBLE
-    return bp, hyp, FEASIBLE if eq90 else INFEASIBLE
+    prior, doubled = np.zeros((2, len(table)), dtype=bool)
+    for n, d in PRIOR_MODELS:
+        prior |= (table.n == n) & (table.d == d)
+    # == per degree, not np.isin, whose first call alone raised the benchmark's peak RSS by 0.4 MB
+    for n in DOUBLED_DEGREES:
+        doubled |= table.n == n
+    doubled &= ~table.odd
+    feasible = table.eq90 | ~prior & (table.div1 | ~doubled & table.div2)
+    return prior, doubled, feasible
 
 
-def table_statuses(table: ClassTable) -> list[tuple[str, str, str]]:
-    """The class_statuses of every row of a class table."""
-    columns = (table.n, table.d, table.div1, table.div2, table.eq90, table.odd)
-    return [class_statuses(*row) for row in zip(*(col.tolist() for col in columns))]
+def _statuses(table: ClassTable) -> list[tuple[str, str, str]]:
+    """The (base-point, hyperelliptic, quadrics) statuses of every row of a class table."""
+    prior, doubled, _ = status_columns(table)
+    base_point = np.select([prior, table.div1], [KNOWN_MODEL, FEASIBLE], INFEASIBLE)
+    hyperelliptic = np.select([prior, doubled, table.div2], [KNOWN_MODEL, DOUBLED, FEASIBLE], INFEASIBLE)
+    quadrics = np.where(table.eq90, FEASIBLE, INFEASIBLE)
+    return list(zip(base_point.tolist(), hyperelliptic.tolist(), quadrics.tolist()))
 
 
 def model_verdict(report: PolarizationReport) -> ModelVerdict:

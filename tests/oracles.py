@@ -35,7 +35,12 @@ search or one value at a time over python ints:
   one (n, d) from d I^2 = 160 n (checks the index column `_classes`
   computes on whole arrays), and `quadric_count_parts`, the two counts
   whose difference is `quadric_count`;
-- `parse_table_csv`: reads `table --format csv` back into integer rows;
+- `class_statuses`: one class's (base-point, hyperelliptic, quadrics)
+  statuses by branches, and `table_statuses` every row's, one row at a
+  time (check `polarizations.status_columns` and the reports' statuses);
+- `table_output`: the stdout of `table` rendered one row at a time (checks
+  the CLI's chunked one-`%` rendering); `parse_table_csv` reads
+  `table --format csv` back into integer rows;
   `report_to_dict` and `scan_to_dict` are the json payloads of `classify`
   and `scan`, whose `json.dumps(..., indent=2)` the CLI's templates must
   print byte for byte; `report_to_dict` is built from `orbit_class` and
@@ -53,6 +58,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -60,17 +66,21 @@ from math import comb, gcd, isqrt
 
 import numpy as np
 
+from k3m20 import __version__, polarizations
 from k3m20.cli import CSV_HEADER
 from k3m20.golden import GOLDEN_ROWS
 from k3m20.isometries import domain_point
 from k3m20.kernels import ReductionAnomaly, orbit_reps
 from k3m20.lattice import GRAM, ComplementAnomaly, Gram2, Mat3, Vec, gram_apply, inner, mat_det, norm
 from k3m20.polarizations import (
+    DOUBLED,
     FEASIBLE,
+    INFEASIBLE,
+    KNOWN_MODEL,
+    ClassTable,
     EnumerationAnomaly,
     IndexAnomaly,
     class_table,
-    table_statuses,
 )
 
 
@@ -544,8 +554,52 @@ def div_feasible(target: int, n: int, d: int) -> bool:
     return False
 
 
+def class_statuses(
+    n: int, d: int, div1: bool, div2: bool, eq90: bool, odd: bool
+) -> tuple[str, str, str]:
+    """The (base-point, hyperelliptic, quadrics) statuses of one transcendental
+    class of degree 4n and discriminant d, from its obstruction feasibility
+    (see ClassTable) and whether some orbit of it has odd divisibility.
+
+    A class of a prior model is a known model; a class of a doubled degree
+    whose orbits all have even divisibility is a doubled polarization for
+    the hyperelliptic check; any other solvable equation is FEASIBLE.
+    The prior models are read from the module at each call, so that a test
+    may replace them.
+    """
+    prior = (n, d) in polarizations.PRIOR_MODELS
+    doubled = n in polarizations.DOUBLED_DEGREES and not odd
+    bp = KNOWN_MODEL if prior else FEASIBLE if div1 else INFEASIBLE
+    hyp = KNOWN_MODEL if prior else DOUBLED if doubled else FEASIBLE if div2 else INFEASIBLE
+    return bp, hyp, FEASIBLE if eq90 else INFEASIBLE
+
+
+def table_statuses(table: ClassTable) -> list[tuple[str, str, str]]:
+    """The class_statuses of every row of a class table, one row at a time."""
+    columns = (table.n, table.d, table.div1, table.div2, table.eq90, table.odd)
+    return [class_statuses(*row) for row in zip(*(col.tolist() for col in columns))]
+
+
 # ---------------------------------------------------------------------------
-# the csv table read back
+# the table's output, and the csv table read back
+
+
+def table_output(max_n: int, fmt: str) -> str:
+    """The stdout of `table --max-n max_n --format fmt`, rendered one row at a
+    time: a tuple per class row, then a string per row (json by json.dumps)."""
+    table = class_table(max_n)
+    n = table.n.tolist()
+    q = [total - removed for total, removed in map(quadric_count_parts, n)]
+    columns = (table.a, table.b, table.c, table.lam, table.mu, table.delta, table.index)
+    rows = list(zip(n, [4 * k for k in n], q, *(col.tolist() for col in columns)))
+    keys = CSV_HEADER.split(",")
+    if fmt == "json":
+        return json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
+    sep = "," if fmt == "csv" else "\t"
+    lines = [sep.join(keys), *(sep.join(map(str, row)) for row in rows)]
+    if fmt == "text":
+        lines.insert(0, f"k3m20 {__version__}")
+    return "\n".join(lines) + "\n"
 
 
 def parse_table_csv(text: str) -> list[tuple[int, ...]]:

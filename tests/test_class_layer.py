@@ -4,8 +4,9 @@
 per degree and transcendental class, with the smallest canonical member,
 the index, the closed-form obstruction checks and whether some orbit has odd
 divisibility.  Here each column is recomputed from the orbit rows in plain
-python, the obstruction checks by `div_feasible`'s search, and each guard
-of the layer must raise its named error.
+python, the obstruction checks by `div_feasible`'s search, the status
+columns and the reports' statuses by `class_statuses` one row at a time, and
+each guard of the layer must raise its named error.
 """
 
 from math import isqrt
@@ -25,15 +26,15 @@ from k3m20.polarizations import (
     INFEASIBLE,
     KNOWN_MODEL,
     PRIOR_MODELS,
+    ClassTable,
     EnumerationAnomaly,
     IndexAnomaly,
-    class_statuses,
     class_table,
     classify,
     model_verdict,
-    table_statuses,
+    status_columns,
 )
-from oracles import div_feasible, index_from
+from oracles import class_statuses, div_feasible, index_from, table_statuses
 
 RANGE_N = 3000
 _COLUMNS = ("n", "a", "b", "c", "d", "lam", "mu", "delta", "index", "div1", "div2", "eq90", "odd")
@@ -86,16 +87,17 @@ def test_classify_feasibility_matches_div_feasible_large_n(n):
 
 
 def _fake_rows(pairs):
-    """One orbit row per (n, d), each with its own form (d, 0, d), which the
-    layer's guards accept."""
+    """One orbit row per (n, d), each with the form (1, 0, d / 4) or
+    (1, 1, (d + 1) / 4) of discriminant d, which the layer's guards accept."""
     ns = np.array([n for n, _ in pairs], dtype=np.int64)
-    rows = np.array([[-1, 0, 0, 1, d, 0, d, d, 1] for _, d in pairs], dtype=np.int64)
+    rows = np.array([[-1, 0, 0, 1, 1, d % 2, (d + 1) // 4, d, 1] for _, d in pairs], dtype=np.int64)
     return ns, rows
 
 
 def test_closed_form_on_every_index_pair():
-    # every (n, d) index_from accepts, including n d = 10 and 90, which no
-    # transcendental form reaches (its discriminant is 0 or 3 mod 4)
+    # every (n, d) index_from accepts with d = 4ac - b^2 for some form, so
+    # d = 0 or 3 mod 4; this leaves out t = 1 (n d = 10 has no such d), which
+    # no class reaches, but not t = 3 (n = 30, d = 3)
     pairs = []
     for n in range(1, 400):
         for i in range(isqrt(160 * n), 0, -1):
@@ -106,12 +108,13 @@ def test_closed_form_on_every_index_pair():
                 except IndexAnomaly:
                     continue
                 pairs.append((n, d))
-    assert {(1, 10), (9, 10)} <= set(pairs)  # t = 1 and t = 3
-    pairs.sort()
+    assert {(1, 10), (9, 10), (30, 3)} <= set(pairs)  # t = 1 twice, then t = 3
+    pairs = sorted((n, d) for n, d in pairs if d % 4 in (0, 3))
     table, _ = polarizations._classes(*_fake_rows(pairs))
-    got = list(zip(*(col.tolist() for col in (table.n, table.d, table.div1, table.div2, table.eq90))))
-    assert got == [(n, d, *_feasible(n, d)) for n, d in pairs]
-    assert table.div1.any() and (table.div2 & ~table.div1).any() and (table.eq90 & ~table.div1).any()
+    got = zip(*(col.tolist() for col in (table.n, table.d, table.div1, table.div2, table.eq90)))
+    # the table orders a degree's rows by form, not by d
+    assert sorted(got) == [(n, d, *_feasible(n, d)) for n, d in pairs]
+    assert not table.div1.any() and table.div2.any() and table.eq90.any()
 
 
 def test_python_int_rows_give_the_same_table():
@@ -126,7 +129,7 @@ def test_python_int_rows_give_the_same_table():
 def test_python_int_rows_past_int64():
     # 160 n overflows int64 at n = 2**59; d = 80 and I = 2**30 satisfy d I^2 = 160 n
     ns = np.array([2**59], dtype=np.int64)
-    rows = np.array([[-1, 0, 0, 1, 80, 0, 80, 80, 1]], dtype=object)
+    rows = np.array([[-1, 0, 0, 1, 1, 0, 20, 80, 1]], dtype=object)
     table, _ = polarizations._classes(ns, rows)
     assert table.index.tolist() == [2**30] and table.n.tolist() == [2**59]
     assert not (table.div1[0] or table.div2[0] or table.eq90[0])
@@ -162,10 +165,19 @@ def test_form_guard(column, value):
         polarizations._classes(ns, rows)
 
 
-def test_index_guard():
-    # d = 9 * 40 at n = 1 keeps n d = 10 t^2 (t = 6) but 160 n / d is no square
+def test_discriminant_guard():
+    # d = 9 * 40 at n = 1 without its form (1, 0, 10): the class's d no longer is 4ac - b^2
     ns, rows = polarizations._orbit_rows(1, 5, orbit_reps(1, 5))
     rows[:, 7] *= 9
+    with pytest.raises(ReductionAnomaly, match=r"discriminant 360 at n = 1 breaks d = 4ac - b\^2"):
+        polarizations._classes(ns, rows)
+
+
+def test_index_guard():
+    # d = 9 * 40 at n = 1, with the form scaled by 3 to (3, 0, 30), keeps
+    # d = 4ac - b^2 and n d = 10 t^2 (t = 6) but 160 n / d is no square
+    ns, rows = polarizations._orbit_rows(1, 5, orbit_reps(1, 5))
+    rows[:, 4:8] *= (3, 3, 3, 9)
     with pytest.raises(IndexAnomaly, match=r"I = 0 breaks d I\^2 = 160 n at n = 1, d = 360") as exc:
         polarizations._classes(ns, rows)
     assert (exc.value.n, exc.value.d) == (1, 360)
@@ -173,7 +185,9 @@ def test_index_guard():
 
 def test_index_from_guards_reach_the_table():
     ns, rows = polarizations._orbit_rows(1, 5, orbit_reps(1, 5))
-    rows[:, 7] += 4  # d = 44 at n = 1: n d is not 10 times a square
+    # c one larger keeps d = 4ac - b^2 with d = 44 at n = 1: n d is not 10 times a square
+    rows[:, 6] += 1
+    rows[:, 7] += 4 * rows[:, 4]
     with pytest.raises(IndexAnomaly, match=r"n\*d = 44 is not 10 times a square at n = 1, d = 44") as exc:
         polarizations._classes(ns, rows)
     assert (exc.value.n, exc.value.d) == (1, 44)
@@ -225,14 +239,18 @@ def test_no_orbits_for_a_representable_degree(monkeypatch):
 )
 def test_class_statuses(n, d, div1, div2, eq90, odd, want):
     assert class_statuses(n, d, div1, div2, eq90, odd) == want
+    # the status columns of a one-row table, and the statuses a report would carry
+    ints = [np.array([v], dtype=np.int64) for v in (n, 0, 0, 0, d, 0, 0, 0, 1)]
+    table = ClassTable(*ints, *(np.array([v]) for v in (div1, div2, eq90, odd)))
+    prior, doubled, feasible = status_columns(table)
+    assert (prior[0], doubled[0], feasible[0]) == (KNOWN_MODEL in want, DOUBLED in want, FEASIBLE in want)
+    assert polarizations._statuses(table) == [want]
 
 
 def test_model_verdict_reads_the_class_table(capsys):
     max_n = 300
     table = class_table(max_n)
-    columns = (table.n, table.d, table.div1, table.div2, table.eq90, table.odd)
-    statuses = [class_statuses(*row) for row in zip(*(col.tolist() for col in columns))]
-    assert table_statuses(table) == statuses
+    statuses = table_statuses(table)
     # each report's classes are its degree's table rows, field by field, with their statuses
     reports = [classify(n) for n in range(1, max_n + 1)]
     assert [row for r in reports for row in _rows(r.classes)] == _rows(table)
@@ -251,3 +269,27 @@ def test_model_verdict_reads_the_class_table(capsys):
         assert capsys.readouterr().out.splitlines() == [header, *by_n.get(n, [])]
         assert rc == (0 if n in by_n else 2), n
     assert 6 not in by_n and len(by_n) < max_n
+
+
+def _check_statuses(table, statuses):
+    want = table_statuses(table)
+    assert statuses == want
+    prior, doubled, feasible = status_columns(table)
+    assert prior.tolist() == [s[0] == KNOWN_MODEL for s in want]
+    assert doubled.tolist() == [s[1] == DOUBLED for s in want]
+    assert feasible.tolist() == [FEASIBLE in s for s in want]
+
+
+@pytest.mark.parametrize("prior_models", [PRIOR_MODELS, {}], ids=["prior", "no-prior"])
+def test_status_columns_match_table_statuses(monkeypatch, prior_models):
+    # without the prior models their hyperelliptic equations are FEASIBLE,
+    # so the feasible column is not all False
+    monkeypatch.setattr(polarizations, "PRIOR_MODELS", prior_models)
+    table = class_table(2000)
+    _check_statuses(table, polarizations._statuses(table))
+    # python-int columns, the prior-model degrees and the doubled degrees, through classify
+    big = classify(2**24 + 1)
+    assert big.classes.n.dtype == object and len(big.classes)
+    for report in [big, *map(classify, (1, 2, 10, 4, 8, 20, 40))]:
+        _check_statuses(report.classes, report.statuses)
+    assert status_columns(table)[2].any() == (not prior_models)

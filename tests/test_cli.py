@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from k3m20 import __version__, cli, polarizations
 from k3m20.cli import emit_table_csv, main
-from oracles import parse_table_csv
+from oracles import parse_table_csv, scan_to_dict, table_output
 
 TESTS = Path(__file__).parent
 
@@ -96,11 +97,22 @@ def test_table_csv_roundtrip(capsys):
     assert out.endswith("\n") and not out.endswith("\n\n")
     rows = parse_table_csv(out)
     assert all(isinstance(x, int) for row in rows for x in row)
-    assert emit_table_csv(rows) == out
+    assert emit_table_csv(np.array(rows)) == out
     # one row per transcendental class; n = 6 is absent
     assert {row[0] for row in rows} == {1, 2, 3, 4, 5, 7, 8, 9, 10}
     n9 = [row for row in rows if row[0] == 9]
     assert len(n9) == 2
+
+
+@pytest.mark.parametrize("chunk", [cli._CHUNK, 1000], ids=["chunk", "chunk-1000"])
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+@pytest.mark.parametrize("max_n", [1, 2, 13, 2000])
+def test_table_matches_row_by_row_render(capsys, monkeypatch, max_n, fmt, chunk):
+    # with chunks of 1000 rows, the 10 693 rows of 2000 cross ten chunk boundaries
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    code, out, _ = run(capsys, "table", "--max-n", str(max_n), "--format", fmt)
+    assert code == 0
+    assert out == table_output(max_n, fmt)
 
 
 def test_table_text_format(capsys):
@@ -170,6 +182,30 @@ def test_scan_json(capsys):
     assert payload["anomalies"] == 0
     assert payload["prime_witnesses"][0] == [5, [1, 2, 0]]
     assert payload["tx_class_count"] == len(payload["tx_classes"])
+
+
+@pytest.mark.parametrize("prior_models", [polarizations.PRIOR_MODELS, {}], ids=["prior", "no-prior"])
+def test_scan_forms_and_anomalies_match_scan_to_dict(capsys, monkeypatch, prior_models):
+    monkeypatch.setattr(polarizations, "PRIOR_MODELS", prior_models)
+    want = scan_to_dict(2000)
+    assert want["anomalies"] == (0 if prior_models else 3)
+    code, out, _ = run(capsys, "scan", "--max-n", "2000", "--format", "json")
+    got = json.loads(out)
+    assert (got["tx_classes"], got["anomalies"]) == (want["tx_classes"], want["anomalies"])
+    assert code == (1 if want["anomalies"] else 0)
+    code, out, _ = run(capsys, "scan", "--max-n", "2000")
+    assert f"distinct transcendental classes: {want['tx_class_count']}\n" in out
+    assert f"anomalies: {want['anomalies']}\n" in out
+
+
+def test_scan_counts_degrees_not_classes(capsys, monkeypatch):
+    # every class of 1..10 made feasible: 11 classes over 9 degrees (two each at n = 9 and 10)
+    table = polarizations.class_table(10)
+    assert len(table) == 11
+    monkeypatch.setattr(cli, "class_table", lambda max_n: replace(table, eq90=np.ones(11, dtype=bool)))
+    code, out, _ = run(capsys, "scan", "--max-n", "10")
+    assert code == 1
+    assert "anomalies: 9\n" in out
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +304,13 @@ def _corrupt_rows(edit):
 # b^2 > ac in every form orbit_classes returns; the class layer's form check
 # (polarizations._classes) raises it for classify, table and scan alike
 _UNREDUCED_FORM = _corrupt_rows("rows[:, 5] = 3 * rows[:, 4]")
-# the class layer's two index checks, each alone: d = 9 * 40 at n = 1 keeps
-# n d = 10 t^2 but breaks d I^2 = 160 n; d = 44 breaks n d = 10 t^2
-_WRONG_INDEX = _corrupt_rows("rows[:, 7] *= 9")
-_NOT_TEN_SQUARES = _corrupt_rows("rows[:, 7] += 4")
+# the class layer's discriminant check: d = 9 * 40 at n = 1 without its form (1, 0, 10)
+_WRONG_DISCRIMINANT = _corrupt_rows("rows[:, 7] *= 9")
+# its two index checks, each alone, with forms that keep d = 4ac - b^2: d = 9 * 40
+# at n = 1, form (3, 0, 30), keeps n d = 10 t^2 but breaks d I^2 = 160 n; d = 44,
+# form (1, 0, 11), breaks n d = 10 t^2
+_WRONG_INDEX = _corrupt_rows("rows[:, 4:8] *= (3, 3, 3, 9)")
+_NOT_TEN_SQUARES = _corrupt_rows("rows[:, 6] += 1; rows[:, 7] += 4 * rows[:, 4]")
 _CLASSIFY = ("classify(3)", ["classify", "--n", "3"])
 _TABLE = ("polarizations.class_table(5)", ["table", "--max-n", "5"])
 
@@ -296,6 +335,7 @@ _TABLE = ("polarizations.class_table(5)", ["table", "--max-n", "5"])
         (_WRONG_COFACTORS, _CLASSIFY, "ComplementAnomaly", "not both orthogonal"),
         (_UNREDUCED_FORM, _CLASSIFY, "ReductionAnomaly", "b^2 <= ac"),
         (_UNREDUCED_FORM, _TABLE, "ReductionAnomaly", "b^2 <= ac"),
+        (_WRONG_DISCRIMINANT, _TABLE, "ReductionAnomaly", "breaks d = 4ac - b^2"),
         (_WRONG_INDEX, _TABLE, "IndexAnomaly", "breaks d I^2 = 160 n"),
         (_NOT_TEN_SQUARES, _TABLE, "IndexAnomaly", "not 10 times a square"),
         # the split form of the norm, against a Gram matrix with the wrong last entry
@@ -333,6 +373,7 @@ _TABLE = ("polarizations.class_table(5)", ["table", "--max-n", "5"])
         "batched-complement",
         "reduced-form",
         "table-reduced-form",
+        "table-discriminant",
         "table-index",
         "table-index-ten-squares",
         "norm",

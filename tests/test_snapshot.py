@@ -6,7 +6,8 @@ replaced per-report table rows, the classify and golden-check outputs
 before the one-orbit references moved out of the package, and the csv of
 classify --n 3999999 (the largest degree of the reference draw) before
 classify enumerated one degree by sums of two squares, and its json and
-text before the reports became array rows.  Degree 2^24 + 1, the first
+text before the reports became array rows; the text scan before its
+anomaly count came from the status columns.  Degree 2^24 + 1, the first
 whose invariants are computed on python-int arrays, is pinned by the
 sha256 of its output, recorded at the same time."""
 
@@ -34,6 +35,7 @@ CASES = [
     (["classify", "--n", "3999999", "--format", "csv"], "classify_3999999.csv", 0),
     (["classify", "--n", "3999999", "--format", "json"], "classify_3999999.json", 0),
     (["classify", "--n", "3999999", "--format", "text"], "classify_3999999.txt", 0),
+    (["scan", "--max-n", "1000", "--format", "text"], "scan_1000.txt", 0),
 ]
 
 
