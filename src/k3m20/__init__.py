@@ -17,8 +17,7 @@ and its classes as that degree's rows of the class table.
 
 __version__ = "0.1.0"
 
-from .isometries import same_orbit
-from .lattice import GRAM, inner, norm
+from .lattice import GRAM, inner, norm, same_orbit
 from .polarizations import (
     ClassTable,
     EnumerationAnomaly,

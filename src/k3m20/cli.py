@@ -7,7 +7,9 @@ version banner), json, csv.  Identical invocations print byte-identical
 output; nothing here is randomized or timestamped.
 
 Exit codes: 0 success (classify: representable), 2 classify found no
-embedding, 1 anomaly or mismatch, 64 usage error.
+embedding, 1 anomaly or mismatch, 64 usage error.  Run from a console
+(`entry`, `python -m k3m20.cli`), a command whose stdout is closed early,
+as by `| head`, ends by SIGPIPE without a traceback, as other POSIX tools do.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import signal
 import sys
 from collections.abc import Iterator, Sequence
 
@@ -38,9 +41,20 @@ from .veronese import doubled_model_dims, quadrics_on_veronese2, scaled_quartic_
 _BANNER = f"k3m20 {__version__}"
 CSV_HEADER = "n,l2,q,a,b,c,lambda,mu,delta,index"
 _KEYS = CSV_HEADER.split(",")
-# one table row as csv, with its newline, and as a row object as json.dumps(rows, indent=2) prints it
+
+
+def _json_template(shape: object, depth: int) -> str:
+    """The % template of a json value as json.dumps(..., indent=2) prints it
+    depth levels down: shape is the value with "%d"/"%s" at its leaves,
+    which the template keeps unquoted."""
+    text = json.dumps(shape, indent=2).replace('"%d"', "%d").replace('"%s"', "%s")
+    pad = "  " * depth
+    return pad + text.replace("\n", "\n" + pad)
+
+
+# one table row as csv, with its newline, and as a row object of the json array
 _CSV_ROW = ",".join(["%d"] * len(_KEYS)) + "\n"
-_JSON_ROW = "  {\n" + ",\n".join(f'    "{key}": %d' for key in _KEYS) + "\n  }"
+_JSON_ROW = _json_template(dict.fromkeys(_KEYS, "%d"), 1)
 # the head, row template, row separator and tail of the table in each format
 _TABLE_FORMATS = {
     "csv": (CSV_HEADER + "\n", _CSV_ROW, "", ""),
@@ -51,52 +65,23 @@ _TABLE_FORMATS = {
 _CHUNK = 2**14
 # one orbit row of classify's text report
 _TEXT_ORBIT = "  canonical (%d, %d, %d)  size %d  div %d  tx (a,b,c) = (%d, %d, %d)  d = %d  I = %d"
-# a classify report and one of its orbit rows, as json.dumps(report_to_dict(n), indent=2)
-# prints them (report_to_dict, in tests/oracles.py, is their reference)
-_JSON_ORBIT = """\
-    {
-      "canonical": [
-        %d,
-        %d,
-        %d
-      ],
-      "orbit_size": %d,
-      "divisibility": %d,
-      "tx": {
-        "a": %d,
-        "b": %d,
-        "c": %d
-      },
-      "discriminant": %d,
-      "index": %d
-    }"""
-_JSON_REPORT = """\
-{
-  "n": %d,
-  "l_squared": %d,
-  "representable": %s,
-  "orbits": %s,
-  "quadric_count": %d,
-  "ambient_dim": %d,
-  "feasibility": {
-    "div1": %s,
-    "div2": %s,
-    "eq90": %s
-  }
-}"""
-# the scan summary as json.dumps(..., indent=2) prints it
-_JSON_SCAN = """\
-{
-  "max_n": %d,
-  "representable_count": %d,
-  "non_representable": %s,
-  "tx_class_count": %d,
-  "tx_classes": %s,
-  "anomalies": %d,
-  "prime_witnesses": %s
-}"""
-_JSON_TRIPLE = "    [\n      %d,\n      %d,\n      %d\n    ]"
-_JSON_WITNESS = "    [\n      %d,\n      [\n        %d,\n        %d,\n        %d\n      ]\n    ]"
+# a classify report and one of its orbit rows (report_to_dict, in tests/oracles.py,
+# is their reference), the scan summary (scan_to_dict) and its array elements
+_JSON_ORBIT = _json_template({
+    "canonical": ["%d"] * 3, "orbit_size": "%d", "divisibility": "%d",
+    "tx": dict.fromkeys("abc", "%d"), "discriminant": "%d", "index": "%d",
+}, 2)
+_JSON_REPORT = _json_template({
+    "n": "%d", "l_squared": "%d", "representable": "%s", "orbits": "%s", "quadric_count": "%d",
+    "ambient_dim": "%d", "feasibility": dict.fromkeys(("div1", "div2", "eq90"), "%s"),
+}, 0)
+_JSON_SCAN = _json_template({
+    "max_n": "%d", "representable_count": "%d", "non_representable": "%s", "tx_class_count": "%d",
+    "tx_classes": "%s", "anomalies": "%d", "prime_witnesses": "%s",
+}, 0)
+_JSON_INT = _json_template("%d", 2)
+_JSON_TRIPLE = _json_template(["%d"] * 3, 2)
+_JSON_WITNESS = _json_template(["%d", ["%d"] * 3], 2)
 _PARALLEL_HELP = "accepted for compatibility; a range is swept once, in one process"
 # cost caps, far below the exact int64 bound kernels.MAX_N; the times in the
 # messages were measured on a 2-CPU Xeon VM
@@ -164,16 +149,17 @@ def report_json(report: PolarizationReport) -> str:
     )
 
 
-def _table_values(table: ClassTable) -> np.ndarray:
-    """The csv columns of a class table, one row per class: its data plus its smallest member."""
+def _write_table(fmt: str, table: ClassTable) -> None:
+    """A class table in the format fmt, one row per class (its data plus its
+    smallest member, the columns of CSV_HEADER), written chunk by chunk."""
+    head, row, sep, tail = _TABLE_FORMATS[fmt]
     n = table.n
     columns = (n, 4 * n, quadric_count(n), table.a, table.b, table.c, table.lam, table.mu, table.delta)
-    return np.column_stack(columns + (table.index,))
-
-
-def emit_table_csv(values: np.ndarray) -> str:
-    """The csv of table rows, each row the ten integers of CSV_HEADER."""
-    return CSV_HEADER + "\n" + "".join(_render_rows(_CSV_ROW, "", values))
+    values = np.column_stack(columns + (table.index,))
+    out = sys.stdout
+    out.write(head)
+    out.writelines(_render_rows(row, sep, values))
+    out.write(tail)
 
 
 def report_text(report: PolarizationReport, verdict: ModelVerdict | None) -> str:
@@ -206,7 +192,7 @@ def _cmd_classify(args) -> int:
     if args.format == "json":
         print(report_json(report))
     elif args.format == "csv":
-        print(emit_table_csv(_table_values(report.classes)), end="")
+        _write_table("csv", report.classes)
     else:
         print(report_text(report, verdict), end="")
     if not report.representable:
@@ -217,12 +203,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    head, row, sep, tail = _TABLE_FORMATS[args.format]
-    values = _table_values(class_table(args.max_n))
-    out = sys.stdout
-    out.write(head)
-    out.writelines(_render_rows(row, sep, values))
-    out.write(tail)
+    _write_table(args.format, class_table(args.max_n))
     return 0
 
 
@@ -257,7 +238,7 @@ def _cmd_scan(args) -> int:
             % (
                 args.max_n,
                 args.max_n - len(non_rep),
-                _json_array("    %d", non_rep[:, None]),
+                _json_array(_JSON_INT, non_rep[:, None]),
                 len(classes),
                 _json_array(_JSON_TRIPLE, classes),
                 anomalies,
@@ -366,8 +347,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:  # console script
+    # main() is also called in-process, so only here may a closed pipe end the process
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

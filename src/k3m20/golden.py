@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .isometries import same_orbit
-from .lattice import Vec, norm
+from .lattice import Vec, norm, same_orbit
 from .polarizations import classify
 
 

@@ -15,7 +15,8 @@ search or one value at a time over python ints:
   search reaches from (a, b, c) (checks Gauss reduction);
 - `generate_group` / `orbit`: the 16 isometries as the closure of three
   3x3 matrices, and an orbit as the set of its images (checks
-  `isometries.domain_point` and the split-coordinate closed forms);
+  `lattice.domain_point` and the split-coordinate closed forms);
+  `mat_det` and `GRAM_DET` pin the Gram matrix's determinant;
   `parity_lift`, `canonical_member`, `orbit_size` and `canonical_rep` are
   those closed forms one orbit at a time (`kernels.orbit_classes` evaluates
   them on whole arrays);
@@ -69,9 +70,8 @@ import numpy as np
 from k3m20 import __version__, polarizations
 from k3m20.cli import CSV_HEADER
 from k3m20.golden import GOLDEN_ROWS
-from k3m20.isometries import domain_point
 from k3m20.kernels import ReductionAnomaly, orbit_reps
-from k3m20.lattice import GRAM, ComplementAnomaly, Gram2, Mat3, Vec, gram_apply, inner, mat_det, norm
+from k3m20.lattice import GRAM, ComplementAnomaly, Vec, domain_point, inner, norm
 from k3m20.polarizations import (
     DOUBLED,
     FEASIBLE,
@@ -140,6 +140,11 @@ def transform_forms(a: int, b: int, c: int, ts: np.ndarray) -> np.ndarray:
 # acting on column vectors.  It closes to 16 elements, is isomorphic to
 # D4 x {+-1}, and every element carries delta to +-delta.
 
+Mat3 = tuple[Vec, Vec, Vec]
+Gram2 = tuple[tuple[int, int], tuple[int, int]]
+
+GRAM_DET = 160
+
 IDENTITY: Mat3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 NEG_IDENTITY: Mat3 = ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
 RHO1: Mat3 = ((0, 1, 0), (1, 0, 0), (0, 0, 1))
@@ -155,6 +160,14 @@ def mat_mul(m: Mat3, n: Mat3) -> Mat3:
         tuple(sum(m[i][k] * n[k][j] for k in range(3)) for j in range(3))
         for i in range(3)
     )  # type: ignore[return-value]
+
+
+def mat_det(m: Mat3) -> int:
+    return (
+        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
+    )
 
 
 def mat_vec(m: Mat3, v: Vec) -> Vec:
@@ -296,7 +309,7 @@ def orthogonal_complement(v: Vec) -> tuple[tuple[Vec, Vec], Gram2]:
     """
     if v == (0, 0, 0):
         raise ValueError("zero vector has no orthogonal complement of rank 2")
-    w = gram_apply(v)
+    w = mat_vec(GRAM, v)
     g = gcd(gcd(w[0], w[1]), w[2])
     p = (w[0] // g, w[1] // g, w[2] // g)
     a, b, c = p
@@ -698,7 +711,7 @@ def orbit_class(n: int, x: int, y: int, z: int) -> OrbitClass:
     """The orbit of the split-coordinate point (x, y, z) and its invariants.
 
     (x, y, z) must be the orbit's domain point, 0 <= x <= y, z >= 0 (see
-    `isometries`).
+    `lattice`).
     """
     if not (0 <= x <= y and z >= 0 and (x - z) % 2 == (y - z) % 2 == 0):
         raise EnumerationAnomaly(n, f"({x}, {y}, {z}) is outside the fundamental domain")

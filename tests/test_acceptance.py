@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from k3m20.golden import GOLDEN_ROWS, golden_check
-from k3m20.isometries import same_orbit
-from k3m20.lattice import GRAM, inner, norm
+from k3m20.lattice import GRAM, inner, norm, same_orbit
 from k3m20.polarizations import (
     DOUBLED_DEGREES,
     FEASIBLE,

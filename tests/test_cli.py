@@ -1,4 +1,5 @@
 import json
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from k3m20 import __version__, cli, polarizations
-from k3m20.cli import emit_table_csv, main
+from k3m20.cli import CSV_HEADER, main
 from oracles import parse_table_csv, scan_to_dict, table_output
 
 TESTS = Path(__file__).parent
@@ -97,7 +98,7 @@ def test_table_csv_roundtrip(capsys):
     assert out.endswith("\n") and not out.endswith("\n\n")
     rows = parse_table_csv(out)
     assert all(isinstance(x, int) for row in rows for x in row)
-    assert emit_table_csv(np.array(rows)) == out
+    assert CSV_HEADER + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows) == out
     # one row per transcendental class; n = 6 is absent
     assert {row[0] for row in rows} == {1, 2, 3, 4, 5, 7, 8, 9, 10}
     n9 = [row for row in rows if row[0] == 9]
@@ -113,6 +114,25 @@ def test_table_matches_row_by_row_render(capsys, monkeypatch, max_n, fmt, chunk)
     code, out, _ = run(capsys, "table", "--max-n", str(max_n), "--format", fmt)
     assert code == 0
     assert out == table_output(max_n, fmt)
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+@pytest.mark.parametrize(
+    "launcher",
+    [["-m", "k3m20.cli"], ["-c", "from k3m20.cli import entry; entry()"]],
+    ids=["module", "entry"],
+)
+def test_table_into_closed_pipe_ends_without_traceback(launcher):
+    # the text of table 2000 is about 300 kB, far more than a pipe buffers,
+    # so the writer is still writing when the reader closes its end
+    argv = [sys.executable, *launcher, "table", "--max-n", "2000"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == f"k3m20 {__version__}\n".encode()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait()
+    assert err == ""
+    assert code == -signal.SIGPIPE
 
 
 def test_table_text_format(capsys):

@@ -1,8 +1,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from k3m20.isometries import domain_point, same_orbit
-from k3m20.lattice import norm
+from k3m20.lattice import domain_point, norm, same_orbit
 from oracles import (
     GENERATORS,
     IDENTITY,

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from k3m20.lattice import GRAM, GRAM_DET, gram_apply, inner, norm
-from oracles import check_gram2, divisibility, is_primitive, orthogonal_complement
+from k3m20.lattice import GRAM, inner, norm
+from oracles import GRAM_DET, check_gram2, divisibility, is_primitive, mat_det, mat_vec, orthogonal_complement
 
 coords = st.integers(min_value=-10**6, max_value=10**6)
 big_coords = st.integers(min_value=-(10**50), max_value=10**50)
@@ -38,9 +38,13 @@ def solve_in_span(basis, target):
 
 
 def test_gram_constants():
+    # symmetric, even, positive definite (leading minors 4, 16, 160), det 160
     assert GRAM == ((4, 0, -2), (0, 4, -2), (-2, -2, 12))
-    assert GRAM_DET == 160
     assert all(GRAM[i][j] == GRAM[j][i] for i in range(3) for j in range(3))
+    assert all(GRAM[i][i] % 2 == 0 for i in range(3))
+    minors = (GRAM[0][0], GRAM[0][0] * GRAM[1][1] - GRAM[0][1] ** 2, mat_det(GRAM))
+    assert minors == (4, 16, GRAM_DET)
+    assert GRAM_DET == 160
 
 
 def test_inner_examples():
@@ -50,7 +54,7 @@ def test_inner_examples():
     assert inner(e, f) == 0
     assert inner(e, h) == inner(f, h) == -2
     assert inner((-1, 1, 0), (6, 0, 1)) == -24
-    assert gram_apply(h) == (-2, -2, 12)
+    assert mat_vec(GRAM, h) == (-2, -2, 12)
 
 
 @given(big_vectors)
