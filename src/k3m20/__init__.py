@@ -8,8 +8,8 @@ isometries, computes the resulting transcendental lattices as reduced
 binary quadratic forms and checks the projective-model obstructions.
 All lattice arithmetic is exact; the orbit representatives are walked
 over a fundamental domain of the isometries, and their invariants
-computed, in numpy blocks of int64 or, where int64 could overflow, of
-python ints (see `kernels`); `class_table` groups them into the
+computed, in numpy blocks of int64, exact for every degree the library
+accepts (see `kernels.MAX_N`); `class_table` groups them into the
 classification table, one row per degree and transcendental class.  A
 report of one degree carries its orbits as one array, a row per orbit,
 and its classes as that degree's rows of the class table.

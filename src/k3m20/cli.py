@@ -83,7 +83,7 @@ _JSON_INT = _json_template("%d", 2)
 _JSON_TRIPLE = _json_template(["%d"] * 3, 2)
 _JSON_WITNESS = _json_template(["%d", ["%d"] * 3], 2)
 _PARALLEL_HELP = "accepted for compatibility; a range is swept once, in one process"
-# cost caps, far below the exact int64 bound kernels.MAX_N; the times in the
+# cost caps, below the library bound kernels.MAX_N = 2*10**9; the times in the
 # messages were measured on a 2-CPU Xeon VM
 MAX_CLASSIFY_N = 10**9
 MAX_RANGE_N = 2 * 10**4

@@ -6,10 +6,9 @@ range path; one degree is enumerated by `twosquares.degree_reps`);
 invariants `classify` reports (canonical member, divisibility, reduced
 transcendental form, discriminant, orbit size), running every check of the
 one-orbit reference on whole arrays and raising its named error, so that
-the checks survive `python -O`.  Both are exact: the walk in int64 for norms up
-to 4 * MAX_N = 2**62, the invariants in int64 up to BATCH_MAX_N and on
-python-int (`dtype=object`) arrays above it.  The exact pure-python
-references they are tested against are in `tests/oracles.py`.
+the checks survive `python -O`.  Both are exact in int64 for every degree
+parameter up to MAX_N (the bound is derived next to it).  The exact
+pure-python references they are tested against are in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -20,30 +19,31 @@ import numpy as np
 
 from .lattice import GRAM, ComplementAnomaly
 
-# largest n accepted by orbit_reps: 4n <= 2**62, so every square, sum and
-# difference formed while walking norms up to 4n is exact in int64
-MAX_N = 2**60
+# The largest degree parameter n the library accepts.  Every value formed for
+# n <= MAX_N is exact in int64, below 2**63 (about 9.2e18):
+# - orbit_reps and degree_reps stay exact for 4n <= 2**62.
+# - orbit_classes: with m = 4n = x^2 + y^2 + 10 z^2, the functional
+#   G v = (-2y, -2x, x + y - 10z) has entries at most 2 sqrt(m), 2 sqrt(m)
+#   and sqrt(12 m) (Cauchy-Schwarz), and so has its primitive part p; the
+#   extended-gcd cofactors s, t are at most max(|p1|, |p2|) <= 2 sqrt(m).
+#   So the complement basis u1 = (-p2, p1, 0) / g, u2 = (p3 s, p3 t, -g) has
+#   entries at most 2 sqrt(m) and 4 sqrt(3) m, G u1 at most 8 sqrt(m), G u2
+#   at most 64 sqrt(3) m, and g11 = u1^T G u1 <= 16 m.  The terms of
+#   g12 = u1^T G u2 add up to at most 64 sqrt(3) m^1.5 + 8 sqrt(2) m, so
+#   g11 - 2 g12, the numerator of the size reduction's quotient k and the
+#   largest value formed, stays below 2000 n^1.5: 1.8e17 at n = MAX_N.
+# - Size reduction leaves 2 |g12| <= g11, and the Gram determinant is
+#   4d <= 640 n (d I^2 = 160 n), so g22 <= 640 n / g11 + g11 / 4 <= 176 n:
+#   every Gram entry, k u1 = u2' - u2 and the orthogonality check's terms
+#   are O(n).  Gauss reduction never grows a form past its diagonal
+#   entries, at most 44 n, and its witness entries stay below
+#   2 * 44 n / sqrt(3) (Cramer's rule); the final witness's are at most
+#   sqrt(59 n), the reduced form's values being at most d / 3, so the
+#   witness check's products are O(n) too.
+# - quadric_count's 2 n^2 on an int64 column needs n < 2**31.
+MAX_N = 2 * 10**9
 # (z, x) pairs per numpy block in orbit_reps; bounds its working memory
 _CHUNK = 2**13
-
-# Largest n whose invariants orbit_classes computes in int64.  With
-# m = 4n = x^2 + y^2 + 10 z^2, the functional G v = (-2y, -2x, x + y - 10z)
-# has entries at most 2 sqrt(m), 2 sqrt(m) and sqrt(12 m) (Cauchy-Schwarz),
-# and so has its primitive part (a, b, c); the extended-gcd cofactors s, t
-# are at most max(|a|, |b|) <= 2 sqrt(m).  So the complement basis
-# u1 = (-b, a, 0) / g, u2 = (c s, c t, -g) has entries at most 2 sqrt(m)
-# and 4 sqrt(3) m, and the largest intermediate is the Gram entry
-# u2^T G u2: its terms add up in absolute value to at most
-# 384 m^2 + 64 sqrt(3) m^1.5 + 48 m = 6144 n^2 + 887 n^1.5 + 192 n.
-# Everything after it is smaller: Gauss reduction never grows the form
-# past its first shifted diagonal entry (at most the Gram entry above),
-# every witness entry is at most 2 C / sqrt(d) <= 2 C / sqrt(3) by Cramer's
-# rule, with C that entry, and the witness check evaluates the reduced form
-# at the columns of the inverse witness, where each term is at most 4/3 of
-# the value.  The orthogonality check u G rep has terms at most 16 |u| |rep|
-# with |rep| <= sqrt(m), far below the Gram bound.  At n = 2**24 the bound
-# is below 2**61, a factor 4 under the int64 limit 2**63.
-BATCH_MAX_N = 2**24
 # rows per block in orbit_classes; bounds its working memory
 _ROWS = 2**11
 
@@ -62,10 +62,7 @@ class ReductionAnomaly(ValueError):
 
 
 def _isqrt_np(m: np.ndarray) -> np.ndarray:
-    """floor(sqrt(m)) for int64 0 <= m <= 2**62 (the float estimate is off by at most 1),
-    and by math.isqrt per element for python ints (`dtype=object`) of any size."""
-    if m.dtype == object:
-        return np.array([isqrt(v) for v in m.tolist()], dtype=object)
+    """floor(sqrt(m)) for int64 0 <= m <= 2**62 (the float estimate is off by at most 1)."""
     s = np.sqrt(m.astype(np.float64)).astype(np.int64)
     s -= (s * s > m).astype(np.int64)
     s += ((s + 1) * (s + 1) <= m).astype(np.int64)
@@ -127,17 +124,13 @@ def orbit_classes(ns: np.ndarray, reps: np.ndarray) -> np.ndarray:
     computes it for the whole class table at once.
 
     Rows are processed in blocks of `_ROWS`, so no intermediate grows with
-    k.  The result is int64 when every degree is at most BATCH_MAX_N; else
-    it is a python-int (`dtype=object`) array, and each block holding a
-    degree above BATCH_MAX_N runs on python ints, which are exact at any size.
+    k.  Every degree must be in 1..MAX_N, where int64 is exact.
     """
-    big = len(ns) > 0 and ns.max() > BATCH_MAX_N
-    rows = np.empty((len(ns), 9), dtype=object if big else np.int64)
+    if len(ns) and not 1 <= ns.min() <= ns.max() <= MAX_N:
+        raise ValueError(f"need 1 <= n <= {MAX_N}")
+    rows = np.empty((len(ns), 9), dtype=np.int64)
     for i in range(0, len(ns), _ROWS):
-        n, pts = ns[i : i + _ROWS], reps[i : i + _ROWS]
-        if n.max() > BATCH_MAX_N:
-            n, pts = n.astype(object), pts.astype(object)
-        rows[i : i + _ROWS] = _classes_block(n, pts)
+        rows[i : i + _ROWS] = _classes_block(ns[i : i + _ROWS], reps[i : i + _ROWS])
     return rows
 
 
@@ -146,7 +139,7 @@ def _first_bad(bad: np.ndarray) -> int | None:
 
 
 def _classes_block(n: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """orbit_classes for one block, on int64 or python-int arrays alike."""
+    """orbit_classes for one block."""
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     i = _first_bad((x < 0) | (x > y) | (z < 0) | ((x - z) % 2 != 0) | ((y - z) % 2 != 0))
     if i is not None:
@@ -171,15 +164,21 @@ def _classes_block(n: np.ndarray, pts: np.ndarray) -> np.ndarray:
         ],
         axis=1,
     )
-    # u G rep by products and sums, which (unlike einsum before numpy 1.25) take object arrays
-    ug = u @ np.array(GRAM, dtype=pts.dtype)
-    i = _first_bad(((ug * rep[:, None, :]).sum(axis=2) != 0).any(axis=1))
+    ug = u @ np.array(GRAM)
+    # size-reduce u2 against u1, the shift _reduce starts with, so that no entry
+    # of the Gram matrix grows past O(n) (see MAX_N); a g11 <= 0 fails _check_gram,
+    # and the maximum only keeps k defined there
+    g11, g12 = (ug[:, :1] @ u.swapaxes(1, 2))[:, 0].T
+    k = (g11 - 2 * g12) // (2 * np.maximum(g11, 1))
+    u[:, 1] += k[:, None] * u[:, 0]
+    ug[:, 1] += k[:, None] * ug[:, 0]
+    i = _first_bad((ug @ rep[:, :, None] != 0).any(axis=(1, 2)))
     if i is not None:
         u1, u2 = (tuple(b) for b in u[i].tolist())
         raise ComplementAnomaly(
             f"complement anomaly: {u1}, {u2} are not both orthogonal to {tuple(rep[i].tolist())}"
         )
-    gram = (ug[:, :, None, :] * u[:, None, :, :]).sum(axis=3)
+    gram = ug @ u.swapaxes(1, 2)
     _check_gram(gram)
     form = (gram[:, 0, 0] // 4, gram[:, 0, 1] // 2, gram[:, 1, 1] // 4)
     (a, b, c), witness = _reduce(*form)
@@ -273,7 +272,7 @@ def _check_witness(form, reduced, witness) -> None:
 
     t carries form to reduced exactly when its inverse [[s, -q], [-r, p]]
     carries reduced back to form, and that direction keeps every term
-    below the form's own entries (see BATCH_MAX_N).
+    within a few times the form's own entries (see MAX_N).
     """
     a, b, c = reduced
     p, q, r, s = witness

@@ -48,8 +48,7 @@ from .twosquares import degree_reps
 
 
 class IndexAnomaly(ValueError):
-    """A class of degree 4n and discriminant d breaks n d = 10 t^2 or
-    d I^2 = 160 n; carries (n, d)."""
+    """A class of degree 4n and discriminant d breaks d I^2 = 160 n; carries (n, d)."""
 
     def __init__(self, n: int, d: int, message: str):
         self.n, self.d = n, d
@@ -74,13 +73,12 @@ def ambient_dim(n: int) -> int:
 class ClassTable:
     """The classification table: one row per degree 4n and transcendental class.
 
-    Each field is a column, an int64 array (python-int above
-    kernels.BATCH_MAX_N) or a bool array.  Rows are ordered by n, then by the
-    class's reduced form (a, b, c); (lam, mu, delta) is the smallest
-    canonical member of the class's orbits and index the sublattice index.
-    div1, div2 and eq90 say whether the obstruction equation with target
-    10, 40 or 90 is solvable (see the module docstring), odd whether some orbit of
-    the class has odd divisibility.
+    Each field is a column, an int64 or a bool array.  Rows are ordered by
+    n, then by the class's reduced form (a, b, c); (lam, mu, delta) is the
+    smallest canonical member of the class's orbits and index the sublattice
+    index.  div1, div2 and eq90 say whether the obstruction equation with
+    target 10, 40 or 90 is solvable (see the module docstring), odd whether
+    some orbit of the class has odd divisibility.
     """
 
     n: np.ndarray
@@ -116,10 +114,10 @@ class PolarizationReport:
     orbits has one row per isometry orbit, ordered by canonical member, with
     the columns (lam, mu, delta, size, r, a, b, c, d, index): the canonical
     member, the orbit size, the member's divisibility, the reduced form of
-    the orthogonal complement, its discriminant and the sublattice index.
-    It is int64, or python-int above kernels.BATCH_MAX_N.  classes is the
-    degree's rows of the class table and statuses their (base-point,
-    hyperelliptic, quadrics) statuses (see status_columns).
+    the orthogonal complement, its discriminant and the sublattice index,
+    all int64.  classes is the degree's rows of the class table and statuses
+    their (base-point, hyperelliptic, quadrics) statuses (see
+    status_columns).
     """
 
     n: int
@@ -163,13 +161,12 @@ def _classes(ns: np.ndarray, rows: np.ndarray) -> tuple[ClassTable, np.ndarray]:
     smallest canonical member.  The index I = isqrt(160 n / d) is computed
     on the whole column; every class is checked for a, c, d > 0 and
     b^2 <= ac, then for d = 4ac - b^2 (ReductionAnomaly), then for
-    n d = 10 t^2 and d I^2 = 160 n (IndexAnomaly), which the closed-form
-    obstruction checks rest on.
+    d I^2 = 160 n (IndexAnomaly), which the closed-form obstruction checks
+    rest on.
     """
     a, b, c = rows[:, 4], rows[:, 5], rows[:, 6]
     order = np.lexsort((c, b, a, ns))
-    # python ints along with the rows, so that 160 n stays exact
-    n, cls = ns[order].astype(rows.dtype, copy=False), rows[order]
+    n, cls = ns[order], rows[order]
     first = np.ones(len(n), dtype=bool)
     first[1:] = (n[1:] != n[:-1]) | (cls[1:, 4:7] != cls[:-1, 4:7]).any(axis=1)
     starts = np.flatnonzero(first)
@@ -191,15 +188,7 @@ def _classes(ns: np.ndarray, rows: np.ndarray) -> tuple[ClassTable, np.ndarray]:
             f" for the reduced form {(int(a[i]), int(b[i]), int(c[i]))}"
         )
     # the complement of a degree-4n vector has index I in the orthogonal sublattice of the
-    # vector: d I^2 = 160 n, and so n d = 10 t^2 with t = 4n / I (I^2 | 160 n forces I | 4n);
-    # a square 160 n / d implies a square n d / 10, not conversely, so checking n d first
-    # lets each check fire alone
-    nd = n * d
-    i = _first_bad((nd % 10 != 0) | (_isqrt_np(nd // 10) ** 2 * 10 != nd))
-    if i is not None:
-        bad_n, bad_d = int(n[i]), int(d[i])
-        message = f"index anomaly: n*d = {bad_n * bad_d} is not 10 times a square at n = {bad_n}, d = {bad_d}"
-        raise IndexAnomaly(bad_n, bad_d, message)
+    # vector: d I^2 = 160 n, and so n d = 10 t^2 with t = 4n / I (I^2 | 160 n forces I | 4n)
     index = _isqrt_np(160 * n // d)
     i = _first_bad(d * index * index != 160 * n)
     if i is not None:
@@ -345,8 +334,8 @@ def classify_range(max_n: int) -> list[PolarizationReport]:
     """Reports for n = 1..max_n, ascending, equal to [classify(n) for n in 1..max_n].
 
     One sweep of orbit_reps(1, max_n) finds the representatives of every
-    degree at once; orbit_classes computes their invariants in one batch,
-    and they are bucketed by n = norm / 4.
+    degree at once; orbit_classes computes their invariants in blocks of
+    kernels._ROWS rows, and they are bucketed by n = norm / 4.
     """
     if not 1 <= max_n <= MAX_N:
         raise ValueError(f"scan limit must be in 1..{MAX_N}")

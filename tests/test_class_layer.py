@@ -32,6 +32,7 @@ from k3m20.polarizations import (
     class_table,
     classify,
     model_verdict,
+    quadric_count,
     status_columns,
 )
 from oracles import class_statuses, div_feasible, index_from, table_statuses
@@ -117,22 +118,15 @@ def test_closed_form_on_every_index_pair():
     assert not table.div1.any() and table.div2.any() and table.eq90.any()
 
 
-def test_python_int_rows_give_the_same_table():
-    ns, rows = polarizations._orbit_rows(1, 300, orbit_reps(1, 300))
-    table, class_of = polarizations._classes(ns, rows)
-    big, big_class_of = polarizations._classes(ns, rows.astype(object))
-    assert big.n.dtype == object and big.index.dtype == object
-    assert _rows(big) == _rows(table)
-    assert big_class_of.tolist() == class_of.tolist()
-
-
-def test_python_int_rows_past_int64():
-    # 160 n overflows int64 at n = 2**59; d = 80 and I = 2**30 satisfy d I^2 = 160 n
-    ns = np.array([2**59], dtype=np.int64)
-    rows = np.array([[-1, 0, 0, 1, 1, 0, 20, 80, 1]], dtype=object)
+def test_class_rows_at_the_bound():
+    # at n = MAX_N, d = 8 (the form (1, 0, 2)) and I = 200000 satisfy d I^2 = 160 n
+    ns = np.array([MAX_N], dtype=np.int64)
+    rows = np.array([[-1, 0, 0, 1, 1, 0, 2, 8, 1]], dtype=np.int64)
     table, _ = polarizations._classes(ns, rows)
-    assert table.index.tolist() == [2**30] and table.n.tolist() == [2**59]
+    assert table.index.tolist() == [200000] and table.n.tolist() == [MAX_N]
     assert not (table.div1[0] or table.div2[0] or table.eq90[0])
+    # and the table's quadric column is exact there
+    assert quadric_count(table.n).tolist() == [2 * MAX_N**2 - 3 * MAX_N + 1]
 
 
 def test_class_of_points_each_orbit_at_its_class():
@@ -185,18 +179,19 @@ def test_index_guard():
 
 def test_index_from_guards_reach_the_table():
     ns, rows = polarizations._orbit_rows(1, 5, orbit_reps(1, 5))
-    # c one larger keeps d = 4ac - b^2 with d = 44 at n = 1: n d is not 10 times a square
+    # c one larger keeps d = 4ac - b^2 with d = 44 at n = 1: n d is not 10 times a
+    # square, which index_from checks first, and so 160 n / d is no square either
     rows[:, 6] += 1
     rows[:, 7] += 4 * rows[:, 4]
-    with pytest.raises(IndexAnomaly, match=r"n\*d = 44 is not 10 times a square at n = 1, d = 44") as exc:
+    with pytest.raises(IndexAnomaly, match=r"I = 1 breaks d I\^2 = 160 n at n = 1, d = 44") as exc:
         polarizations._classes(ns, rows)
     assert (exc.value.n, exc.value.d) == (1, 44)
 
 
 def test_index_column_matches_index_from():
-    # on int64 rows, and on the python-int rows of a degree above BATCH_MAX_N
+    # on a range, and on the large degree 2^24 + 1
     small, big = class_table(2000), classify(2**24 + 1).classes
-    assert small.index.dtype == np.int64 and big.index.dtype == object and len(big)
+    assert small.index.dtype == big.index.dtype == np.int64 and len(big)
     for table in (small, big):
         pairs = zip(table.n.tolist(), table.d.tolist(), table.index.tolist())
         assert all(index == index_from(n, d) for n, d, index in pairs)
@@ -287,9 +282,9 @@ def test_status_columns_match_table_statuses(monkeypatch, prior_models):
     monkeypatch.setattr(polarizations, "PRIOR_MODELS", prior_models)
     table = class_table(2000)
     _check_statuses(table, polarizations._statuses(table))
-    # python-int columns, the prior-model degrees and the doubled degrees, through classify
+    # a large degree, the prior-model degrees and the doubled degrees, through classify
     big = classify(2**24 + 1)
-    assert big.classes.n.dtype == object and len(big.classes)
+    assert big.classes.n.dtype == np.int64 and len(big.classes)
     for report in [big, *map(classify, (1, 2, 10, 4, 8, 20, 40))]:
         _check_statuses(report.classes, report.statuses)
     assert status_columns(table)[2].any() == (not prior_models)

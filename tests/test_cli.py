@@ -326,12 +326,15 @@ def _corrupt_rows(edit):
 _UNREDUCED_FORM = _corrupt_rows("rows[:, 5] = 3 * rows[:, 4]")
 # the class layer's discriminant check: d = 9 * 40 at n = 1 without its form (1, 0, 10)
 _WRONG_DISCRIMINANT = _corrupt_rows("rows[:, 7] *= 9")
-# its two index checks, each alone, with forms that keep d = 4ac - b^2: d = 9 * 40
-# at n = 1, form (3, 0, 30), keeps n d = 10 t^2 but breaks d I^2 = 160 n; d = 44,
-# form (1, 0, 11), breaks n d = 10 t^2
+# its index check, with forms that keep d = 4ac - b^2: d = 9 * 40 at n = 1, form
+# (3, 0, 30), keeps n d = 10 t^2 but breaks d I^2 = 160 n; d = 44, form (1, 0, 11),
+# breaks n d = 10 t^2, and so d I^2 = 160 n too
 _WRONG_INDEX = _corrupt_rows("rows[:, 4:8] *= (3, 3, 3, 9)")
 _NOT_TEN_SQUARES = _corrupt_rows("rows[:, 6] += 1; rows[:, 7] += 4 * rows[:, 4]")
 _CLASSIFY = ("classify(3)", ["classify", "--n", "3"])
+# the first degree with an orbit whose size-reduced form still swaps in Gauss
+# reduction, so that a wrong witness shows
+_CLASSIFY_SWAP = ("classify(5)", ["classify", "--n", "5"])
 _TABLE = ("polarizations.class_table(5)", ["table", "--max-n", "5"])
 
 
@@ -351,13 +354,13 @@ _TABLE = ("polarizations.class_table(5)", ["table", "--max-n", "5"])
             "ComplementAnomaly",
             "not both orthogonal",
         ),
-        (_IDENTITY_WITNESS, _CLASSIFY, "ReductionAnomaly", "not the canonical reduced form"),
+        (_IDENTITY_WITNESS, _CLASSIFY_SWAP, "ReductionAnomaly", "not the canonical reduced form"),
         (_WRONG_COFACTORS, _CLASSIFY, "ComplementAnomaly", "not both orthogonal"),
         (_UNREDUCED_FORM, _CLASSIFY, "ReductionAnomaly", "b^2 <= ac"),
         (_UNREDUCED_FORM, _TABLE, "ReductionAnomaly", "b^2 <= ac"),
         (_WRONG_DISCRIMINANT, _TABLE, "ReductionAnomaly", "breaks d = 4ac - b^2"),
         (_WRONG_INDEX, _TABLE, "IndexAnomaly", "breaks d I^2 = 160 n"),
-        (_NOT_TEN_SQUARES, _TABLE, "IndexAnomaly", "not 10 times a square"),
+        (_NOT_TEN_SQUARES, _TABLE, "IndexAnomaly", "breaks d I^2 = 160 n"),
         # the split form of the norm, against a Gram matrix with the wrong last entry
         (
             "lattice.GRAM = ((4, 0, -2), (0, 4, -2), (-2, -2, 10))\n",
@@ -441,7 +444,7 @@ def test_result_guards_fire_under_python_optimize(fault, call, error, message):
         ["table", "--max-n", "0"],
         ["table", "--max-n", "5", "--parallel", "0"],
         ["scan", "--max-n", "5", "--parallel", "0"],
-        ["classify", "--n", str(2**60 + 1)],  # 4n leaves the exact int64 range too
+        ["classify", "--n", str(2**60 + 1)],  # past kernels.MAX_N too
         ["table", "--max-n", str(2**60 + 1)],
         ["scan", "--max-n", str(2**60 + 1)],
         ["scan", "--max-n", "5", "--format", "csv"],  # csv not offered here

@@ -4,8 +4,8 @@
 ints, one orbit at a time, through the oracles `orthogonal_complement` and
 `canonical`.  The batched layer must give the same canonical
 member, divisibility, reduced form, discriminant, index and orbit size for
-every orbit, in its int64 branch up to `BATCH_MAX_N` and its python-int
-branch above, and each of its guards must raise its named error.
+every orbit, in int64 up to `MAX_N`, and each of its guards must raise its
+named error.
 """
 
 import random
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from k3m20 import kernels
 from k3m20.kernels import (
-    BATCH_MAX_N,
+    MAX_N,
     EnumerationAnomaly,
     ReductionAnomaly,
     orbit_classes,
@@ -85,23 +85,51 @@ def _domain_points(lo, hi, count, seed):
     return np.array(sorted(points), dtype=np.int64)
 
 
+def _edge_points(hi, count, seed):
+    """Domain points of degree at most hi, and near it, on each edge of the
+    domain: x = 0, x = y and z = 0, count of each, and the one point (0, 0, z)."""
+    rng = random.Random(seed)
+    top = 4 * hi
+    points = set()
+    for _ in range(count):
+        z = 2 * rng.randint(0, isqrt(top // 10) // 2)  # x = 0 needs y and z even
+        y = isqrt(top - 10 * z * z)
+        points.add((0, y - y % 2, z))
+        z = rng.randint(0, isqrt(top // 10) - 1)
+        x = isqrt((top - 10 * z * z) // 2)
+        x -= (x - z) % 2
+        points.add((x, x, z))
+        x = 2 * rng.randint(0, isqrt(top // 2) // 2)  # z = 0 needs x and y even
+        y = isqrt(top - x * x)
+        points.add((x, y - y % 2, 0))
+    z = isqrt(top // 10)
+    points.add((0, 0, z - z % 2))
+    return np.array(sorted(points), dtype=np.int64)
+
+
 @pytest.mark.parametrize(
     "lo, hi",
-    [(BATCH_MAX_N - 10**5, BATCH_MAX_N), (BATCH_MAX_N + 1, BATCH_MAX_N + 10**5), (10**15, 10**16)],
-    ids=["int64", "object", "object-far"],
+    [(2**24 - 10**5, 2**24), (2**24 + 1, 2**24 + 10**5), (MAX_N - 10**6, MAX_N)],
+    ids=["int64", "object", "max-n"],
 )
-def test_matches_oracle_around_the_int64_bound(monkeypatch, lo, hi):
-    reps = _domain_points(lo, hi, 300, seed=lo)
+def test_matches_oracle_around_the_int64_bound(lo, hi):
+    # just below and just above 2**24, where blocks once went over to python
+    # ints (hence the id "object"), and just below MAX_N, up to which int64 is
+    # proven exact; every case now runs int64 rows
+    reps = np.concatenate([_domain_points(lo, hi, 300, seed=lo), _edge_points(hi, 20, seed=hi)])
     ns = _degrees(reps)
     assert lo <= ns.min() and ns.max() <= hi
-    dtypes = []
-    block = kernels._classes_block
-    monkeypatch.setattr(kernels, "_classes_block", lambda n, pts: dtypes.append(n.dtype) or block(n, pts))
     rows = _check_rows(ns, reps)
-    dtype = np.dtype(np.int64) if hi <= BATCH_MAX_N else np.dtype(object)
-    assert dtypes == [dtype] and rows.dtype == dtype
+    assert rows.dtype == np.int64
     # the same block on python ints, where nothing can wrap, gives the same rows
-    assert rows.tolist() == block(ns.astype(object), reps.astype(object)).tolist()
+    assert rows.tolist() == kernels._classes_block(ns.astype(object), reps.astype(object)).tolist()
+
+
+def test_degree_guard():
+    point = np.array([[0, 0, 0]])
+    for n in (0, MAX_N + 1):
+        with pytest.raises(ValueError, match=f"need 1 <= n <= {MAX_N}"):
+            orbit_classes(np.array([n]), point)
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,8 @@ def test_orbit_reps_guards():
 
 
 def test_isqrt_exact_up_to_the_int64_bound():
-    top = 4 * MAX_N
+    # the bound _isqrt_np documents, far above the 4 * MAX_N the walk needs
+    top = 2**62
     s = math.isqrt(top)
     ms = [0, 1, 2, 3, 4, top, top - 1, s * s, s * s - 1, (s - 1) ** 2, (s - 1) ** 2 - 1]
     ms += [k * k + e for k in (2**26 + 1, 2**30 - 3, 3 * 2**29 + 7) for e in (-1, 0, 1)]

@@ -8,8 +8,9 @@ classify --n 3999999 (the largest degree of the reference draw) before
 classify enumerated one degree by sums of two squares, and its json and
 text before the reports became array rows; the text scan before its
 anomaly count came from the status columns.  Degree 2^24 + 1, the first
-whose invariants are computed on python-int arrays, is pinned by the
-sha256 of its output, recorded at the same time."""
+whose invariants were computed on python-int arrays before the complement
+basis was size-reduced, is pinned by the sha256 of its output, recorded
+before the reports became array rows."""
 
 import hashlib
 from pathlib import Path
