@@ -88,9 +88,9 @@ _PARALLEL_HELP = "accepted for compatibility; a range is swept once, in one proc
 MAX_CLASSIFY_N = 10**9
 MAX_RANGE_N = 2 * 10**4
 _TOO_COSTLY_N = (
-    "--n must be at most 10**9: classify trial-divides about 0.63 sqrt(n) values"
-    " 4n - 10 z^2 by the primes up to 2 sqrt(n) (about 1 s at n = 10**9),"
-    " growing about as n / log n"
+    "--n must be at most 10**9: classify factors about 0.63 sqrt(n) values"
+    " 4n - 10 z^2 by a root sieve over the primes up to 2 sqrt(n)"
+    " (about 0.5 s at n = 10**9), growing about as n / log n"
 )
 _TOO_COSTLY_MAX_N = (
     "--max-n must be at most 2*10**4: a range keeps about 0.17 N^1.5 orbits in memory"

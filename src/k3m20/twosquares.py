@@ -2,9 +2,11 @@
 
 `degree_reps(n)` returns the array of `kernels.orbit_reps(n, n)` without
 walking the norm: each of the about sqrt(0.4 n) values m = 4n - 10 z^2 is
-factored by trial division, and its points x^2 + y^2 = m are combined from
-its Gaussian primes.  The walk visits about 0.45 n (z, x) pairs for the same
-rows; it stays the range path and, in the tests, this path's reference.
+factored at the z where its primes up to sqrt(4n) divide it, found from the
+square roots of 4n / 10 mod p, and its points x^2 + y^2 = m are combined
+from its Gaussian primes.  The walk visits about 0.45 n (z, x) pairs for
+the same rows; it stays the range path and, in the tests, this path's
+reference (and trial division of every m the reference of the sieve).
 All arithmetic is exact: in int64 for n up to kernels.MAX_N, but for the
 primes above 2**31, which `_gaussian_primes` splits on python ints.
 """
@@ -18,7 +20,7 @@ import numpy as np
 from .kernels import MAX_N, EnumerationAnomaly, _first_bad, _isqrt_np
 
 # values m = 4n - 10 z^2 factored at once in degree_reps, and (m, prime) entries
-# per divisibility tile; together they bound its working memory
+# per tile of the remainder test; together they bound its working memory
 _BLOCK = 2**12
 _TILE = 2**13
 
@@ -37,11 +39,16 @@ def degree_reps(n: int) -> np.ndarray:
     x = y = z (mod 2) holds by itself: m is 0 mod 4 for even z, 2 mod 4 for
     odd z.  m = 0 gives the point x = y = 0.
 
-    m is factored by trial division by the odd primes up to sqrt(4n), in
-    blocks of `_BLOCK` values of m and tiles of `_TILE` entries; what is
-    left is a power of 2 times 1 or one prime above sqrt(4n).  Each m's
-    points must account for exactly its r2(m) = 4 prod_p (e_p + 1) ordered
-    pairs, or EnumerationAnomaly is raised.
+    An odd prime p divides m exactly when z = r or -r (mod p) for a root r
+    of 10 r^2 = 4n (mod p), so m's odd primes up to sqrt(4n) are sieved:
+    `_roots` finds r for every p it can, and the hits z = +-r (mod p) are
+    marked as arithmetic progressions; only the primes p = 1 (mod 8) that
+    have roots (and 5 when 5 | n) are found by testing remainders, in
+    tiles of `_TILE` entries.  Each block of `_BLOCK` values of m is then
+    divided by its primes only at the hits; what is left is a power of 2
+    times 1 or one prime above sqrt(4n).  Each m's points must account for
+    exactly its r2(m) = 4 prod_p (e_p + 1) ordered pairs, or
+    EnumerationAnomaly is raised.
     """
     if not 1 <= n <= MAX_N:
         raise ValueError(f"need 1 <= n <= {MAX_N}")
@@ -49,18 +56,47 @@ def degree_reps(n: int) -> np.ndarray:
     zs = np.arange(isqrt(top // 10) + 1, dtype=np.int64)
     ms = top - 10 * zs * zs
     z, m = zs[ms > 0], ms[ms > 0]
-    # p divides some m only if 10 z^2 = 4n (mod p) is solvable: p | n, or 10 n is a square mod p
-    primes = _odd_primes(isqrt(top))
-    res = n % primes
-    primes = primes[(res == 0) | (_powmod(10 * res % primes, (primes - 1) // 2, primes) == 1)]
-    blocks = [_block_reps(n, z[j : j + _BLOCK], m[j : j + _BLOCK], primes) for j in range(0, len(m), _BLOCK)]
+    roots = _roots(n, _odd_primes(isqrt(top)))
+    blocks = [_block_reps(n, z[j : j + _BLOCK], m[j : j + _BLOCK], roots) for j in range(0, len(m), _BLOCK)]
     zero = zs[ms == 0]
     return np.concatenate([*blocks, np.stack([0 * zero, 0 * zero, zero], axis=1)])
 
 
-def _block_reps(n: int, z: np.ndarray, m: np.ndarray, primes: np.ndarray) -> np.ndarray:
-    """degree_reps' points (x, y, z) for one block of z and m = 4n - 10 z^2 > 0."""
-    i, p, e, pe = _trial_division(m, primes)
+def _roots(n: int, primes: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(p, r, tested): for the odd primes `primes`, the p that divide some
+    4n - 10 z^2, each with a root r of 10 r^2 = 4n (mod p), and the primes
+    `tested` that divide some 4n - 10 z^2 but get no root.
+
+    With a = 4n / 10 (mod p), r is a square root of a: a^((p + 1) / 4) for
+    p = 3 (mod 4), and Atkin's a v (2 a v^2 - 1) with v = (2a)^((p - 5) / 8)
+    for p = 5 (mod 8); a root is kept when r^2 = a, which holds
+    exactly when a is a square mod p.  For p = 1 (mod 8), a is tested by
+    Euler's criterion a^((p - 1) / 2) = 1 and goes to `tested`.  p | n gives
+    r = 0.  10 has no inverse mod 5, and 5 divides every 4n - 10 z^2 when
+    5 | n and none otherwise.
+    """
+    five = primes == 5
+    p = primes[~five]
+    # 1 / 10 = (k p + 1) / 10 (mod p), with k = 9, 3, 7, 1 for p = 1, 3, 7, 9 (mod 10)
+    a = 4 * n % p * ((np.array([0, 9, 0, 3, 0, 0, 0, 7, 0, 1])[p % 10] * p + 1) // 10) % p
+    three, five_eight = p % 4 == 3, p % 8 == 5
+    t = _powmod(
+        np.where(five_eight, 2 * a % p, a),
+        np.where(three, (p + 1) // 4, np.where(five_eight, (p - 5) // 8, (p - 1) // 2)),
+        p,
+    )
+    r = np.where(three, t, a * t % p * ((2 * a * t % p * t - 1) % p) % p)
+    euler = p % 8 == 1
+    root = (r * r % p == a) & (~euler | (a == 0))
+    tested = p[euler & (t == 1)]
+    if n % 5 == 0:
+        tested = np.concatenate([primes[five], tested])
+    return p[root], r[root], tested
+
+
+def _block_reps(n: int, z: np.ndarray, m: np.ndarray, roots: tuple[np.ndarray, ...]) -> np.ndarray:
+    """degree_reps' points (x, y, z) for one block of consecutive z and m = 4n - 10 z^2 > 0."""
+    i, p, e, pe = _hits(z, m, *roots)
     # per m with a prime found (i is sorted): the product over its primes, or its split ones
     first = np.ones(len(i), dtype=bool)
     first[1:] = i[1:] != i[:-1]
@@ -116,17 +152,26 @@ def _block_reps(n: int, z: np.ndarray, m: np.ndarray, primes: np.ndarray) -> np.
     return np.stack([x, y, z[row]], axis=1)
 
 
-def _trial_division(m: np.ndarray, primes: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(i, p, e, p^e): every prime p of primes that divides m[i], to the power
-    e, ordered by i; the divisibility test runs in tiles of `_TILE` entries."""
+def _hits(
+    z: np.ndarray, m: np.ndarray, p: np.ndarray, r: np.ndarray, tested: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """(i, p, e, p^e): every odd prime p up to sqrt(4n) that divides
+    m[i] = 4n - 10 z[i]^2, to the power e, ordered by i and p; z is a run of
+    consecutive values, and (p, r, tested) come from `_roots`."""
+    # the progressions z = r and z = -r (mod p), one when r = 0, from their first term in the window
+    step = np.concatenate([p, p[r > 0]])
+    off = (np.concatenate([r, -r[r > 0]]) - z[0]) % step
+    count = (len(z) - off + step - 1) // step
+    term = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    prime = np.repeat(step, count)
+    hits = [(np.repeat(off, count) + term * prime, prime)]
     width = max(1, _TILE // len(m))
-    hits = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
-    for p0 in range(0, len(primes), width):
-        tile = primes[p0 : p0 + width]
+    for p0 in range(0, len(tested), width):
+        tile = tested[p0 : p0 + width]
         hit = np.flatnonzero(m % tile[:, None] == 0)
         hits.append((hit % len(m), tile[hit // len(m)]))
     i, p = (np.concatenate(h) for h in zip(*hits))
-    order = np.lexsort((i,))
+    order = np.lexsort((p, i))
     i, p = i[order], p[order]
     # divide p out of a copy of m while it divides
     cof, e = m[i], np.zeros_like(p)

@@ -10,7 +10,9 @@ search or one value at a time over python ints:
   `_two_squares` (brute force), with `two_squares` their checked entry,
   find the primes p = 1 (mod 4) and their splits p = lam^2 + mu^2 (check
   `representability.prime_witnesses`, which sieves and splits them by
-  Hermite-Serret);
+  Hermite-Serret); `trial_division_hits` finds the odd primes of
+  4n - 10 z^2 by the remainder of every pair (checks `twosquares._hits`,
+  which sieves them from roots mod p);
 - `unimodular_entries` / `transform_forms`: the forms a bounded SL2(Z)
   search reaches from (a, b, c) (checks Gauss reduction);
 - `generate_group` / `orbit`: the 16 isometries as the closure of three
@@ -82,6 +84,7 @@ from k3m20.polarizations import (
     IndexAnomaly,
     class_table,
 )
+from k3m20.twosquares import _odd_primes
 
 
 def two_square_tables(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -522,6 +525,43 @@ def two_squares(p: int) -> tuple[int, int]:
     if not is_prime(p) or p % 4 != 1:
         raise ValueError("need a prime congruent to 1 mod 4")
     return _two_squares(p)
+
+
+# the remainders of every (m, prime) pair in tiles of this many entries
+_TILE = 2**13
+
+
+def trial_division_hits(n: int, m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(i, p, e, p^e): every odd prime p <= sqrt(4n) that divides m[i], to the
+    power e, ordered by i and p, for values m = 4n - 10 z^2 > 0.
+
+    Tests the remainder of every pair of an m and a prime p with 10 z^2 = 4n
+    solvable mod p (p | n, or 10 n a square mod p by Euler's criterion), in
+    tiles of `_TILE` entries, and divides each hit out while it divides
+    (checks `twosquares._hits`, which sieves the hits from roots mod p).
+    """
+    primes = np.array(
+        [p for p in _odd_primes(isqrt(4 * n)).tolist() if n % p == 0 or pow(10 * n, (p - 1) // 2, p) == 1],
+        dtype=np.int64,
+    )
+    width = max(1, _TILE // len(m))
+    hits = [(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
+    for p0 in range(0, len(primes), width):
+        tile = primes[p0 : p0 + width]
+        hit = np.flatnonzero(m % tile[:, None] == 0)
+        hits.append((hit % len(m), tile[hit // len(m)]))
+    i, p = (np.concatenate(h) for h in zip(*hits))
+    order = np.lexsort((i,))
+    i, p = i[order], p[order]
+    cof, e = m[i], np.zeros_like(p)
+    live = np.arange(len(p))
+    while live.size:
+        q = cof[live] // p[live]
+        exact = q * p[live] == cof[live]
+        live = live[exact]
+        cof[live] = q[exact]
+        e[live] += 1
+    return i, p, e, m[i] // cof
 
 
 def index_from(n: int, d: int) -> int:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from k3m20 import twosquares
 from k3m20.kernels import MAX_N, orbit_reps
 from k3m20.twosquares import _gaussian_primes, degree_reps
-from oracles import is_prime, two_squares
+from oracles import is_prime, trial_division_hits, two_squares
 
 
 def _same(n):
@@ -43,20 +43,20 @@ def _ms(n):
     return [4 * n - 10 * z * z for z in range(isqrt(4 * n // 10) + 1)]
 
 
-@pytest.mark.parametrize(
-    "n, why",
-    [
-        (10, "m = 0 at z = 2: the point (0, 0, 2)"),
-        (90, "m = 0 at z = 6"),
-        (3999949, "m = 4n at z = 0 has the prime n = 1 (mod 4) above sqrt(4n)"),
-        (3999971, "m = 4n at z = 0 has the prime n = 3 (mod 4) above sqrt(4n)"),
-        (2**21, "a high power of 2"),
-        (5**9, "a high power of 5"),
-        (2**10 * 5**4, "powers of 2 and 5"),
-        (9 * 49 * 1009, "m = 4n at z = 0 has 3^2 7^2"),
-        (27 * 1009, "m = 4n at z = 0 has 3^3"),
-    ],
-)
+EDGE_CASES = [
+    (10, "m = 0 at z = 2: the point (0, 0, 2)"),
+    (90, "m = 0 at z = 6"),
+    (3999949, "m = 4n at z = 0 has the prime n = 1 (mod 4) above sqrt(4n)"),
+    (3999971, "m = 4n at z = 0 has the prime n = 3 (mod 4) above sqrt(4n)"),
+    (2**21, "a high power of 2"),
+    (5**9, "a high power of 5"),
+    (2**10 * 5**4, "powers of 2 and 5"),
+    (9 * 49 * 1009, "m = 4n at z = 0 has 3^2 7^2"),
+    (27 * 1009, "m = 4n at z = 0 has 3^3"),
+]
+
+
+@pytest.mark.parametrize("n, why", EDGE_CASES)
 def test_degree_reps_edge_cases(n, why):
     ms = _ms(n)
     if "m = 0" in why:
@@ -72,6 +72,85 @@ def test_degree_reps_survive_small_blocks_and_tiles(monkeypatch):
     monkeypatch.setattr(twosquares, "_TILE", 7)
     for n in (1, 2, 3, 10, 90, 1000, 12345, 3999999):
         _same(n)
+
+
+def _same_hits(n):
+    # degree_reps' blocks of m = 4n - 10 z^2 > 0, each factored at its sieved hits and by trial division
+    top = 4 * n
+    z = np.arange(isqrt(top // 10) + 1, dtype=np.int64)
+    m = top - 10 * z * z
+    z, m = z[m > 0], m[m > 0]
+    roots = twosquares._roots(n, twosquares._odd_primes(isqrt(top)))
+    for j in range(0, len(m), twosquares._BLOCK):
+        block = slice(j, j + twosquares._BLOCK)
+        got, want = twosquares._hits(z[block], m[block], *roots), trial_division_hits(n, m[block])
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and (g == w).all(), (n, j)
+
+
+# a prime the sieve missed would stay in the cofactor, which degree_reps takes for one prime, so
+# the r2 guard could pass on a wrong factorization: the hit list itself is pinned to trial division
+def test_hits_match_trial_division_up_to_3000():
+    for n in range(1, 3001):
+        _same_hits(n)
+
+
+@pytest.mark.parametrize("n, why", EDGE_CASES)
+def test_hits_match_trial_division_edge_cases(n, why):
+    _same_hits(n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(3001, 4 * 10**6))
+def test_hits_match_trial_division_large_n(n):
+    _same_hits(n)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        999707100,  # 2^2 3 5^2 7 17 41 683: primes 1 (mod 8) divide n, and 5 divides every m
+        10**9,  # 10 n is a square, so every prime up to sqrt(4n) divides some m
+    ],
+)
+def test_hits_match_trial_division_at_the_cap(n):
+    _same_hits(n)
+
+
+_ODD_PRIMES = [p for p in range(3, 1000, 2) if is_prime(p)]
+
+
+def _solutions(p):
+    """Every z mod p with 10 z^2 = c (mod p), per residue c."""
+    out = [set() for _ in range(p)]
+    for z in range(p):
+        out[10 * z * z % p].add(z)
+    return out
+
+
+_SOLUTIONS = {p: _solutions(p) for p in _ODD_PRIMES}
+
+
+@pytest.mark.parametrize(
+    "ns",
+    [
+        range(1, 1201),
+        [5**k for k in range(1, 13)] + [25 * k for k in (3, 7, 17, 41, 113, 9973)],
+        [17 * 41 * 73 * 89 * 97, 3**7 * 5**2 * 7 * 11 * 13, 113 * 137 * 193 * 241 * 257],
+        [999707100, 10**9, 3999999, 2 * 10**9, 997 * 991 * 983],
+    ],
+    ids=["small", "powers-of-5", "products-of-primes", "large"],
+)
+def test_roots_match_brute_force(ns):
+    # every prime that divides some 4n - 10 z^2 gets a root r, whose +-r are all of z mod p, or is
+    # one of the primes 1 (mod 8), or 5, whose hits are found by their remainders
+    primes = np.array(_ODD_PRIMES, dtype=np.int64)
+    for n in ns:
+        p, r, tested = (v.tolist() for v in twosquares._roots(n, primes))
+        solvable = {q for q in _ODD_PRIMES if _SOLUTIONS[q][4 * n % q]}
+        assert set(p) | set(tested) == solvable and not set(p) & set(tested), n
+        assert all(q % 8 == 1 or q == 5 for q in tested), n
+        assert all(_SOLUTIONS[q][4 * n % q] == {s, -s % q} for q, s in zip(p, r)), n
 
 
 def test_degree_reps_guards():
