@@ -10,7 +10,8 @@ All lattice arithmetic is exact; the orbit representatives are walked
 over a fundamental domain of the isometries, and their invariants
 computed, in numpy blocks of int64, exact for every degree the library
 accepts (see `kernels.MAX_N`); `class_table` groups them into the
-classification table, one row per degree and transcendental class.  A
+classification table, one row per degree and transcendental class, for
+ranges up to `polarizations.MAX_RANGE_N`, whose orbit rows fit in memory.  A
 report of one degree carries its orbits as one array, a row per orbit,
 and its classes as that degree's rows of the class table.
 """

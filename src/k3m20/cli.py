@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .golden import golden_check
 from .polarizations import (
+    MAX_RANGE_N,
     ClassTable,
     ModelVerdict,
     PolarizationReport,
@@ -83,10 +84,9 @@ _JSON_INT = _json_template("%d", 2)
 _JSON_TRIPLE = _json_template(["%d"] * 3, 2)
 _JSON_WITNESS = _json_template(["%d", ["%d"] * 3], 2)
 _PARALLEL_HELP = "accepted for compatibility; a range is swept once, in one process"
-# cost caps, below the library bound kernels.MAX_N = 2*10**9; the times in the
-# messages were measured on a 2-CPU Xeon VM
+# cost caps, checked here to exit 64: classify's, below kernels.MAX_N = 2*10**9, and
+# polarizations.MAX_RANGE_N; the times in the messages were measured on a 2-CPU Xeon VM
 MAX_CLASSIFY_N = 10**9
-MAX_RANGE_N = 2 * 10**4
 _TOO_COSTLY_N = (
     "--n must be at most 10**9: classify factors about 0.63 sqrt(n) values"
     " 4n - 10 z^2 by a root sieve over the primes up to 2 sqrt(n)"

@@ -3,8 +3,8 @@
 `orbit_reps` walks one vector per isometry orbit of a band of norms (the
 range path; one degree is enumerated by `twosquares.degree_reps`);
 `orbit_classes` turns rows of those representatives into the per-orbit
-invariants `classify` reports (canonical member, divisibility, reduced
-transcendental form, discriminant, orbit size), running every check of the
+rows `classify` reports (canonical member, orbit size, divisibility,
+reduced transcendental form, discriminant, index), running every check of the
 one-orbit reference on whole arrays and raising its named error, so that
 the checks survive `python -O`.  Both are exact in int64 for every degree
 parameter up to MAX_N (the bound is derived next to it).  The exact
@@ -33,13 +33,13 @@ from .lattice import GRAM, ComplementAnomaly
 #   g11 - 2 g12, the numerator of the size reduction's quotient k and the
 #   largest value formed, stays below 2000 n^1.5: 1.8e17 at n = MAX_N.
 # - Size reduction leaves 2 |g12| <= g11, and the Gram determinant is
-#   4d <= 640 n (d I^2 = 160 n), so g22 <= 640 n / g11 + g11 / 4 <= 176 n:
-#   every Gram entry, k u1 = u2' - u2 and the orthogonality check's terms
-#   are O(n).  Gauss reduction never grows a form past its diagonal
-#   entries, at most 44 n, and its witness entries stay below
-#   2 * 44 n / sqrt(3) (Cramer's rule); the final witness's are at most
-#   sqrt(59 n), the reduced form's values being at most d / 3, so the
-#   witness check's products are O(n) too.
+#   4d <= 160 n (d I^2 = 160 n, and I >= 2, every entry of G v being even),
+#   so g22 <= 160 n / g11 + g11 / 4 <= 56 n: every Gram entry,
+#   k u1 = u2' - u2 and the orthogonality check's terms are O(n).  Gauss
+#   reduction never grows a form past its diagonal entries, at most 16 n,
+#   and its witness entries stay below 2 * 16 n / sqrt(3) (Cramer's rule);
+#   the final witness's are at most sqrt(22 n), the reduced form's values
+#   being at most d / 3, so the witness check's products are O(n) too.
 # - quadric_count's 2 n^2 on an int64 column needs n < 2**31.
 MAX_N = 2 * 10**9
 # (z, x) pairs per numpy block in orbit_reps; bounds its working memory
@@ -112,23 +112,23 @@ def orbit_reps(lo: int, hi: int) -> np.ndarray:
 
 
 def orbit_classes(ns: np.ndarray, reps: np.ndarray) -> np.ndarray:
-    """The invariants of the orbits with domain points reps, of degrees ns.
+    """The report rows of the orbits with domain points reps, of degrees ns.
 
     reps is a (k, 3) int64 array of split-coordinate points (x, y, z) as
     returned by orbit_reps, ns the (k,) degrees they must have
-    (x^2 + y^2 + 10 z^2 = 4 n).  Row i of the (k, 9) result is
-    [lam, mu, delta, r, a, b, c, d, size] for orbit i: its canonical
-    member (lam, mu, delta), the member's divisibility r, the canonical
-    reduced transcendental form (a, b, c), its discriminant d and the orbit
-    size.  The index depends on (n, d) alone; `polarizations._classes`
-    computes it for the whole class table at once.
+    (x^2 + y^2 + 10 z^2 = 4 n).  Row i of the (k, 10) result, a report's
+    orbit row, is [lam, mu, delta, size, r, a, b, c, d, index] for orbit i:
+    its canonical member v, the orbit size, v's divisibility, the canonical
+    reduced form of v's orthogonal complement, its discriminant d and the
+    index I = div(v), the content of G v; d I^2 = 160 n (Nikulin's index
+    formula) ties the two, and `polarizations._classes` checks it.
 
     Rows are processed in blocks of `_ROWS`, so no intermediate grows with
     k.  Every degree must be in 1..MAX_N, where int64 is exact.
     """
     if len(ns) and not 1 <= ns.min() <= ns.max() <= MAX_N:
         raise ValueError(f"need 1 <= n <= {MAX_N}")
-    rows = np.empty((len(ns), 9), dtype=np.int64)
+    rows = np.empty((len(ns), 10), dtype=np.int64)
     for i in range(0, len(ns), _ROWS):
         rows[i : i + _ROWS] = _classes_block(ns[i : i + _ROWS], reps[i : i + _ROWS])
     return rows
@@ -151,9 +151,10 @@ def _classes_block(n: np.ndarray, pts: np.ndarray) -> np.ndarray:
     # the canonical member, the lift of (-y, -x, -z) (see oracles.canonical_member)
     rep = np.stack([(-y - z) // 2, (-x - z) // 2, -z], axis=1)
     r = np.gcd(np.gcd(rep[:, 0], rep[:, 1]), rep[:, 2])
-    # the complement is the kernel of w -> <rep, w>, the row G rep divided by its content
+    # the complement is the kernel of w -> <rep, w>, the row G rep over its content div(rep)
     w = np.stack([-2 * y, -2 * x, x + y - 10 * z], axis=1)
-    p = w // np.gcd(np.gcd(w[:, 0], w[:, 1]), w[:, 2])[:, None]
+    index = np.gcd(np.gcd(w[:, 0], w[:, 1]), w[:, 2])
+    p = w // index[:, None]
     gab, s, t = _xgcd(p[:, 0], p[:, 1])
     flat = gab == 0  # p = (0, 0, +-1): the kernel is spanned by (1, 0, 0) and (0, 1, 0)
     g1 = np.where(flat, 1, gab)
@@ -189,7 +190,7 @@ def _classes_block(n: np.ndarray, pts: np.ndarray) -> np.ndarray:
     stabiliser = np.where(z == 0, 2, 1) * np.where(
         (x == 0) & (y == 0), 8, np.where((x == 0) | (x == y), 2, 1)
     )
-    return np.column_stack([rep, r, a, b, c, d, 16 // stabiliser])
+    return np.column_stack([rep, 16 // stabiliser, r, a, b, c, d, index])
 
 
 def _check_gram(gram: np.ndarray) -> None:

@@ -3,11 +3,12 @@
 For a representable degree L^2 = 4n the solution vectors fall into orbits
 under the 16 isometries; each orbit determines (up to equivalence) the
 transcendental lattice, an even positive definite binary form (a, b, c) of
-discriminant d = 4 a c - b^2 with 160 n = d * I^2 for an integer sublattice
-index I, computed for every class at once as isqrt(160 n / d) (its scalar
-reference is `index_from` in `tests/oracles.py`).  A non-square 160 n / d
-can only come from a computation bug, so it is raised loudly rather than
-reported.
+discriminant d = 4 a c - b^2, and an index I = div(v), the content of G v,
+taken from the orbit's point by `kernels.orbit_classes` (its scalar
+reference is `index_from` in `tests/oracles.py`).  Nikulin's index formula
+for an orthogonal complement gives d I^2 = 160 n, so a complement basis
+that spans a proper sublattice, or any other fault in d, breaks it; every
+orbit row is checked, and a break is raised loudly rather than reported.
 
 Obstruction bookkeeping: a divisor class D with D^2 = 2k and D primitive in
 the polarized sublattice forces an index equation
@@ -39,16 +40,19 @@ from .kernels import (
     EnumerationAnomaly,
     ReductionAnomaly,
     _first_bad,
-    _isqrt_np,
     orbit_classes,
     orbit_reps,
 )
 from .representability import is_representable
 from .twosquares import degree_reps
 
+# the largest range class_table and classify_range accept: a range keeps about
+# 0.17 N^1.5 orbit rows in memory (478,346 at N = 2*10**4)
+MAX_RANGE_N = 2 * 10**4
+
 
 class IndexAnomaly(ValueError):
-    """A class of degree 4n and discriminant d breaks d I^2 = 160 n; carries (n, d)."""
+    """An orbit of degree 4n and discriminant d breaks d I^2 = 160 n; carries (n, d)."""
 
     def __init__(self, n: int, d: int, message: str):
         self.n, self.d = n, d
@@ -111,12 +115,10 @@ class ClassTable:
 class PolarizationReport:
     """The classification of one degree 4n, as rows of arrays.
 
-    orbits has one row per isometry orbit, ordered by canonical member, with
-    the columns (lam, mu, delta, size, r, a, b, c, d, index): the canonical
-    member, the orbit size, the member's divisibility, the reduced form of
-    the orthogonal complement, its discriminant and the sublattice index,
-    all int64.  classes is the degree's rows of the class table and statuses
-    their (base-point, hyperelliptic, quadrics) statuses (see
+    orbits has one row per isometry orbit, ordered by canonical member: the
+    int64 rows (lam, mu, delta, size, r, a, b, c, d, index) of
+    kernels.orbit_classes.  classes is the degree's rows of the class table
+    and statuses their (base-point, hyperelliptic, quadrics) statuses (see
     status_columns).
     """
 
@@ -153,27 +155,24 @@ def _orbit_rows(lo: int, hi: int, reps: np.ndarray) -> tuple[np.ndarray, np.ndar
     return ns, rows
 
 
-def _classes(ns: np.ndarray, rows: np.ndarray) -> tuple[ClassTable, np.ndarray]:
+def _classes(ns: np.ndarray, rows: np.ndarray) -> ClassTable:
     """Group orbit rows (ordered as _orbit_rows orders them) by (n, a, b, c).
 
-    Returns the ClassTable and, for each orbit row, the table row of its
-    class.  The sort is stable, so the first orbit of a class is its
-    smallest canonical member.  The index I = isqrt(160 n / d) is computed
-    on the whole column; every class is checked for a, c, d > 0 and
-    b^2 <= ac, then for d = 4ac - b^2 (ReductionAnomaly), then for
-    d I^2 = 160 n (IndexAnomaly), which the closed-form obstruction checks
-    rest on.
+    The sort is stable, so the first orbit of a class is its smallest
+    canonical member.  Every class is checked for a, c, d > 0 and b^2 <= ac,
+    then for d = 4ac - b^2 (ReductionAnomaly), and every orbit row for
+    d I^2 = 160 n (IndexAnomaly), I being the point's, so that a wrong
+    complement shows; the closed-form obstruction checks rest on it.
     """
-    a, b, c = rows[:, 4], rows[:, 5], rows[:, 6]
+    a, b, c = rows[:, 5], rows[:, 6], rows[:, 7]
     order = np.lexsort((c, b, a, ns))
-    n, cls = ns[order], rows[order]
+    # sort the form columns alone: a sorted copy of all ten would set the range path's peak memory
+    n, forms = ns[order], rows[order, 5:8]
     first = np.ones(len(n), dtype=bool)
-    first[1:] = (n[1:] != n[:-1]) | (cls[1:, 4:7] != cls[:-1, 4:7]).any(axis=1)
+    first[1:] = (n[1:] != n[:-1]) | (forms[1:] != forms[:-1]).any(axis=1)
     starts = np.flatnonzero(first)
-    odd = np.logical_or.reduceat(cls[:, 3] % 2 == 1, starts)
-    class_of = np.empty(len(n), dtype=np.intp)
-    class_of[order] = np.cumsum(first) - 1
-    n, (lam, mu, delta, _, a, b, c, d, _) = n[starts], cls[starts].T
+    odd = np.logical_or.reduceat(rows[order, 4] % 2 == 1, starts)
+    n, (lam, mu, delta, _, _, a, b, c, d, index) = n[starts], rows[order[starts]].T
 
     i = _first_bad((a <= 0) | (c <= 0) | (d <= 0) | (b * b > a * c))
     if i is not None:
@@ -187,23 +186,21 @@ def _classes(ns: np.ndarray, rows: np.ndarray) -> tuple[ClassTable, np.ndarray]:
             f"reduction anomaly: discriminant {int(d[i])} at n = {int(n[i])} breaks d = 4ac - b^2"
             f" for the reduced form {(int(a[i]), int(b[i]), int(c[i]))}"
         )
-    # the complement of a degree-4n vector has index I in the orthogonal sublattice of the
-    # vector: d I^2 = 160 n, and so n d = 10 t^2 with t = 4n / I (I^2 | 160 n forces I | 4n)
-    index = _isqrt_np(160 * n // d)
-    i = _first_bad(d * index * index != 160 * n)
+    # the complement of a degree-4n vector v has discriminant d with d I^2 = 160 n, I = div(v),
+    # and so n d = 10 t^2 with t = 4n / I (I^2 | 160 n forces I | 4n)
+    i = _first_bad(rows[:, 8] * rows[:, 9] * rows[:, 9] != 160 * ns)
     if i is not None:
-        bad_n, bad_d = int(n[i]), int(d[i])
-        message = f"index anomaly: I = {int(index[i])} breaks d I^2 = 160 n at n = {bad_n}, d = {bad_d}"
+        bad_n, bad_d = int(ns[i]), int(rows[i, 8])
+        message = f"index anomaly: I = {int(rows[i, 9])} breaks d I^2 = 160 n at n = {bad_n}, d = {bad_d}"
         raise IndexAnomaly(bad_n, bad_d, message)
     t = 4 * n // index
     # the obstruction equations in closed form (oracles.div_feasible is their reference):
     # n alpha^2 d m = 10 (t alpha)^2 m is 10, 40 or 90 for some alpha, m >= 1
     # exactly when t = 1, t | 2 or t | 3
-    table = ClassTable(
+    return ClassTable(
         n=n, a=a, b=b, c=c, d=d, lam=lam, mu=mu, delta=delta, index=index,
         div1=t == 1, div2=2 % t == 0, eq90=3 % t == 0, odd=odd
     )
-    return table, class_of
 
 
 def class_table(max_n: int) -> ClassTable:
@@ -213,9 +210,9 @@ def class_table(max_n: int) -> ClassTable:
     each report in order, each with its smallest orbit, index and
     feasibility; no per-orbit object is built.
     """
-    if not 1 <= max_n <= MAX_N:
-        raise ValueError(f"scan limit must be in 1..{MAX_N}")
-    return _classes(*_orbit_rows(1, max_n, orbit_reps(1, max_n)))[0]
+    if not 1 <= max_n <= MAX_RANGE_N:
+        raise ValueError(f"scan limit must be in 1..{MAX_RANGE_N}")
+    return _classes(*_orbit_rows(1, max_n, orbit_reps(1, max_n)))
 
 
 def _reports(lo: int, hi: int, reps: np.ndarray) -> list[PolarizationReport]:
@@ -224,10 +221,8 @@ def _reports(lo: int, hi: int, reps: np.ndarray) -> list[PolarizationReport]:
     Each report holds its degree's slices of one orbit array and of the
     class table; no per-orbit or per-class object is built.
     """
-    ns, rows = _orbit_rows(lo, hi, reps)
-    table, class_of = _classes(ns, rows)
-    # orbit_classes' columns (lam, mu, delta, r, a, b, c, d, size) in the report's order, then the index
-    orbits = np.column_stack((rows[:, [0, 1, 2, 8, 3, 4, 5, 6, 7]], table.index[class_of]))
+    ns, orbits = _orbit_rows(lo, hi, reps)
+    table = _classes(ns, orbits)
     statuses = _statuses(table)
     degrees = np.arange(lo, hi + 2)
     cuts = np.searchsorted(ns, degrees).tolist()
@@ -337,6 +332,6 @@ def classify_range(max_n: int) -> list[PolarizationReport]:
     degree at once; orbit_classes computes their invariants in blocks of
     kernels._ROWS rows, and they are bucketed by n = norm / 4.
     """
-    if not 1 <= max_n <= MAX_N:
-        raise ValueError(f"scan limit must be in 1..{MAX_N}")
+    if not 1 <= max_n <= MAX_RANGE_N:
+        raise ValueError(f"scan limit must be in 1..{MAX_RANGE_N}")
     return _reports(1, max_n, orbit_reps(1, max_n))

@@ -124,7 +124,9 @@ def _block_reps(n: int, z: np.ndarray, m: np.ndarray, roots: tuple[np.ndarray, .
     f_row = (np.cumsum(keep) - 1)[f_row[mine][order]]
     f_p, f_e = f_p[mine][order], f_e[mine][order]
     m, z, r2 = m[keep], z[keep], r2[keep]
-    a, b = _gaussian_primes(f_p)
+    # each distinct prime is split once
+    primes, which = np.unique(f_p, return_inverse=True)
+    a, b = (v[which] for v in _gaussian_primes(primes))
     k = _first_bad(a * a + b * b != f_p)
     if k is not None:
         raise EnumerationAnomaly(n, f"({int(a[k])}, {int(b[k])}) does not split the prime {int(f_p[k])}")

@@ -35,8 +35,8 @@ search or one value at a time over python ints:
 - `div_feasible`: the obstruction equation target = n alpha^2 d m by
   search (checks the closed form t = 1, t | 2, t | 3 of
   `polarizations.class_table`), `index_from`, the sublattice index of
-  one (n, d) from d I^2 = 160 n (checks the index column `_classes`
-  computes on whole arrays), and `quadric_count_parts`, the two counts
+  one (n, d) from d I^2 = 160 n (checks the index column that
+  `orbit_classes` reads off each point), and `quadric_count_parts`, the two counts
   whose difference is `quadric_count`;
 - `class_statuses`: one class's (base-point, hyperelliptic, quadrics)
   statuses by branches, and `table_statuses` every row's, one row at a

@@ -25,12 +25,14 @@ from k3m20.polarizations import (
     FEASIBLE,
     INFEASIBLE,
     KNOWN_MODEL,
+    MAX_RANGE_N,
     PRIOR_MODELS,
     ClassTable,
     EnumerationAnomaly,
     IndexAnomaly,
     class_table,
     classify,
+    classify_range,
     model_verdict,
     quadric_count,
     status_columns,
@@ -52,7 +54,7 @@ def _feasible(n, d):
 def _expected_rows(ns, rows):
     """The table rows recomputed one orbit row at a time."""
     classes: dict = {}
-    for n, (lam, mu, delta, r, a, b, c, d, _) in zip(ns.tolist(), rows.tolist()):
+    for n, (lam, mu, delta, _, r, a, b, c, d, _) in zip(ns.tolist(), rows.tolist()):
         d0, member, odd = classes.get((n, a, b, c), (d, (lam, mu, delta), False))
         assert d0 == d
         classes[n, a, b, c] = (d, min(member, (lam, mu, delta)), odd or r % 2 == 1)
@@ -89,10 +91,11 @@ def test_classify_feasibility_matches_div_feasible_large_n(n):
 
 def _fake_rows(pairs):
     """One orbit row per (n, d), each with the form (1, 0, d / 4) or
-    (1, 1, (d + 1) / 4) of discriminant d, which the layer's guards accept."""
+    (1, 1, (d + 1) / 4) of discriminant d and the index of (n, d), which the
+    layer's guards accept."""
     ns = np.array([n for n, _ in pairs], dtype=np.int64)
-    rows = np.array([[-1, 0, 0, 1, 1, d % 2, (d + 1) // 4, d, 1] for _, d in pairs], dtype=np.int64)
-    return ns, rows
+    rows = [[-1, 0, 0, 1, 1, 1, d % 2, (d + 1) // 4, d, index_from(n, d)] for n, d in pairs]
+    return ns, np.array(rows, dtype=np.int64)
 
 
 def test_closed_form_on_every_index_pair():
@@ -111,7 +114,7 @@ def test_closed_form_on_every_index_pair():
                 pairs.append((n, d))
     assert {(1, 10), (9, 10), (30, 3)} <= set(pairs)  # t = 1 twice, then t = 3
     pairs = sorted((n, d) for n, d in pairs if d % 4 in (0, 3))
-    table, _ = polarizations._classes(*_fake_rows(pairs))
+    table = polarizations._classes(*_fake_rows(pairs))
     got = zip(*(col.tolist() for col in (table.n, table.d, table.div1, table.div2, table.eq90)))
     # the table orders a degree's rows by form, not by d
     assert sorted(got) == [(n, d, *_feasible(n, d)) for n, d in pairs]
@@ -121,25 +124,37 @@ def test_closed_form_on_every_index_pair():
 def test_class_rows_at_the_bound():
     # at n = MAX_N, d = 8 (the form (1, 0, 2)) and I = 200000 satisfy d I^2 = 160 n
     ns = np.array([MAX_N], dtype=np.int64)
-    rows = np.array([[-1, 0, 0, 1, 1, 0, 2, 8, 1]], dtype=np.int64)
-    table, _ = polarizations._classes(ns, rows)
+    rows = np.array([[-1, 0, 0, 1, 1, 1, 0, 2, 8, 200000]], dtype=np.int64)
+    table = polarizations._classes(ns, rows)
     assert table.index.tolist() == [200000] and table.n.tolist() == [MAX_N]
     assert not (table.div1[0] or table.div2[0] or table.eq90[0])
     # and the table's quadric column is exact there
     assert quadric_count(table.n).tolist() == [2 * MAX_N**2 - 3 * MAX_N + 1]
 
 
-def test_class_of_points_each_orbit_at_its_class():
-    ns, rows = polarizations._orbit_rows(1, 500, orbit_reps(1, 500))
-    table, class_of = polarizations._classes(ns, rows)
-    for n, row, k in zip(ns.tolist(), rows.tolist(), class_of.tolist()):
-        assert (n, *row[4:8]) == (table.n[k], table.a[k], table.b[k], table.c[k], table.d[k])
+def test_every_orbit_row_carries_its_class_index():
+    reports = classify_range(500)
+    assert sum(len(r.orbits) for r in reports) > sum(len(r.classes) for r in reports)
+    for report in reports:
+        index = dict(zip(report.classes.forms(), report.classes.index.tolist()))
+        for row in report.orbits.tolist():
+            assert row[9] == index[tuple(row[5:8])], (report.n, row)
 
 
 def test_class_table_guards():
     for max_n in (0, MAX_N + 1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"scan limit must be in 1..{MAX_RANGE_N}"):
             class_table(max_n)
+
+
+@pytest.mark.parametrize("function", [class_table, classify_range], ids=["class_table", "classify_range"])
+def test_range_bound_refuses_before_the_walk(monkeypatch, function):
+    def walk(lo, hi):
+        raise AssertionError(f"orbit_reps({lo}, {hi}) was called")
+
+    monkeypatch.setattr(polarizations, "orbit_reps", walk)
+    with pytest.raises(ValueError, match=f"scan limit must be in 1..{MAX_RANGE_N}"):
+        function(MAX_RANGE_N + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +163,7 @@ def test_class_table_guards():
 
 @pytest.mark.parametrize(
     "column, value",
-    [(4, 0), (6, 0), (7, 0), (5, 6)],
+    [(5, 0), (7, 0), (8, 0), (6, 6)],
     ids=["a", "c", "d", "b^2>ac"],
 )
 def test_form_guard(column, value):
@@ -162,17 +177,17 @@ def test_form_guard(column, value):
 def test_discriminant_guard():
     # d = 9 * 40 at n = 1 without its form (1, 0, 10): the class's d no longer is 4ac - b^2
     ns, rows = polarizations._orbit_rows(1, 5, orbit_reps(1, 5))
-    rows[:, 7] *= 9
+    rows[:, 8] *= 9
     with pytest.raises(ReductionAnomaly, match=r"discriminant 360 at n = 1 breaks d = 4ac - b\^2"):
         polarizations._classes(ns, rows)
 
 
 def test_index_guard():
     # d = 9 * 40 at n = 1, with the form scaled by 3 to (3, 0, 30), keeps
-    # d = 4ac - b^2 and n d = 10 t^2 (t = 6) but 160 n / d is no square
+    # d = 4ac - b^2 (and n d = 10 t^2, t = 6), but the point's index I = 2 gives 9 * 160 n
     ns, rows = polarizations._orbit_rows(1, 5, orbit_reps(1, 5))
-    rows[:, 4:8] *= (3, 3, 3, 9)
-    with pytest.raises(IndexAnomaly, match=r"I = 0 breaks d I\^2 = 160 n at n = 1, d = 360") as exc:
+    rows[:, 5:9] *= (3, 3, 3, 9)
+    with pytest.raises(IndexAnomaly, match=r"I = 2 breaks d I\^2 = 160 n at n = 1, d = 360") as exc:
         polarizations._classes(ns, rows)
     assert (exc.value.n, exc.value.d) == (1, 360)
 
@@ -180,10 +195,10 @@ def test_index_guard():
 def test_index_from_guards_reach_the_table():
     ns, rows = polarizations._orbit_rows(1, 5, orbit_reps(1, 5))
     # c one larger keeps d = 4ac - b^2 with d = 44 at n = 1: n d is not 10 times a
-    # square, which index_from checks first, and so 160 n / d is no square either
-    rows[:, 6] += 1
-    rows[:, 7] += 4 * rows[:, 4]
-    with pytest.raises(IndexAnomaly, match=r"I = 1 breaks d I\^2 = 160 n at n = 1, d = 44") as exc:
+    # square, which index_from checks first, and d I^2 = 160 n fails at the point's I = 2
+    rows[:, 7] += 1
+    rows[:, 8] += 4 * rows[:, 5]
+    with pytest.raises(IndexAnomaly, match=r"I = 2 breaks d I\^2 = 160 n at n = 1, d = 44") as exc:
         polarizations._classes(ns, rows)
     assert (exc.value.n, exc.value.d) == (1, 44)
 

@@ -323,14 +323,32 @@ def _corrupt_rows(edit):
 
 # b^2 > ac in every form orbit_classes returns; the class layer's form check
 # (polarizations._classes) raises it for classify, table and scan alike
-_UNREDUCED_FORM = _corrupt_rows("rows[:, 5] = 3 * rows[:, 4]")
+_UNREDUCED_FORM = _corrupt_rows("rows[:, 6] = 3 * rows[:, 5]")
 # the class layer's discriminant check: d = 9 * 40 at n = 1 without its form (1, 0, 10)
-_WRONG_DISCRIMINANT = _corrupt_rows("rows[:, 7] *= 9")
-# its index check, with forms that keep d = 4ac - b^2: d = 9 * 40 at n = 1, form
-# (3, 0, 30), keeps n d = 10 t^2 but breaks d I^2 = 160 n; d = 44, form (1, 0, 11),
-# breaks n d = 10 t^2, and so d I^2 = 160 n too
-_WRONG_INDEX = _corrupt_rows("rows[:, 4:8] *= (3, 3, 3, 9)")
-_NOT_TEN_SQUARES = _corrupt_rows("rows[:, 6] += 1; rows[:, 7] += 4 * rows[:, 4]")
+_WRONG_DISCRIMINANT = _corrupt_rows("rows[:, 8] *= 9")
+# its index check, with forms that keep d = 4ac - b^2, against the point's index
+# I = 2 at n = 1: d = 9 * 40, form (3, 0, 30), keeps n d = 10 t^2; d = 44, form
+# (1, 0, 11), breaks it too
+_WRONG_INDEX = _corrupt_rows("rows[:, 5:9] *= (3, 3, 3, 9)")
+_NOT_TEN_SQUARES = _corrupt_rows("rows[:, 7] += 1; rows[:, 8] += 4 * rows[:, 5]")
+
+
+def _scaled_complement(k):
+    """A fault that scales the complement's second basis vector u2 by k, so that
+    the basis spans an index-k sublattice of v^perp: orthogonal, with an even
+    Gram matrix, but d is k^2 times too large."""
+    return (
+        "import inspect\n"
+        "source = inspect.getsource(kernels._classes_block)\n"
+        "line = '    ug = u @ np.array(GRAM)\\n'\n"
+        "if line not in source:\n"
+        "    raise SystemExit('no line to patch in kernels._classes_block')\n"
+        f"exec(source.replace(line, '    u[:, 1] *= {k}\\n' + line), kernels.__dict__)\n"
+    )
+
+
+_CLASSIFY_90 = ("classify(90)", ["classify", "--n", "90"])
+_TABLE_200 = ("polarizations.class_table(200)", ["table", "--max-n", "200"])
 _CLASSIFY = ("classify(3)", ["classify", "--n", "3"])
 # the first degree with an orbit whose size-reduced form still swaps in Gauss
 # reduction, so that a wrong witness shows
@@ -361,6 +379,11 @@ _TABLE = ("polarizations.class_table(5)", ["table", "--max-n", "5"])
         (_WRONG_DISCRIMINANT, _TABLE, "ReductionAnomaly", "breaks d = 4ac - b^2"),
         (_WRONG_INDEX, _TABLE, "IndexAnomaly", "breaks d I^2 = 160 n"),
         (_NOT_TEN_SQUARES, _TABLE, "IndexAnomaly", "breaks d I^2 = 160 n"),
+        # the first orbit of n = 90 has d = 900 and I = 4, that of n = 1 d = 40 and I = 2
+        (_scaled_complement(2), _CLASSIFY_90, "IndexAnomaly", "I = 4 breaks d I^2 = 160 n at n = 90, d = 3600"),
+        (_scaled_complement(2), _TABLE_200, "IndexAnomaly", "I = 2 breaks d I^2 = 160 n at n = 1, d = 160"),
+        (_scaled_complement(3), _CLASSIFY_90, "IndexAnomaly", "I = 4 breaks d I^2 = 160 n at n = 90, d = 8100"),
+        (_scaled_complement(3), _TABLE_200, "IndexAnomaly", "I = 2 breaks d I^2 = 160 n at n = 1, d = 360"),
         # the split form of the norm, against a Gram matrix with the wrong last entry
         (
             "lattice.GRAM = ((4, 0, -2), (0, 4, -2), (-2, -2, 10))\n",
@@ -409,6 +432,10 @@ _TABLE = ("polarizations.class_table(5)", ["table", "--max-n", "5"])
         "table-discriminant",
         "table-index",
         "table-index-ten-squares",
+        "complement-doubled",
+        "table-complement-doubled",
+        "complement-tripled",
+        "table-complement-tripled",
         "norm",
         "witness-norm",
         "degree-reps-root",

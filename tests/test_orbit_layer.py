@@ -33,7 +33,7 @@ RANGE_N = 2000
 
 def _oracle_row(n, x, y, z):
     o = orbit_class(n, x, y, z)
-    return [*o.canonical, o.divisibility, *o.tx.triple(), o.discriminant, o.orbit_size]
+    return [*o.canonical, o.orbit_size, o.divisibility, *o.tx.triple(), o.discriminant, o.index]
 
 
 def _degrees(reps):
@@ -42,7 +42,7 @@ def _degrees(reps):
 
 def _check_rows(ns, reps):
     rows = orbit_classes(ns, reps)
-    assert rows.shape == (len(reps), 9)
+    assert rows.shape == (len(reps), 10)
     for n, (x, y, z), row in zip(ns.tolist(), reps.tolist(), rows.tolist()):
         assert row == _oracle_row(n, x, y, z), (n, x, y, z)
     return rows
@@ -50,7 +50,7 @@ def _check_rows(ns, reps):
 
 def test_no_rows():
     rows = orbit_classes(np.zeros(0, dtype=np.int64), np.zeros((0, 3), dtype=np.int64))
-    assert rows.shape == (0, 9) and rows.dtype == np.int64
+    assert rows.shape == (0, 10) and rows.dtype == np.int64
 
 
 def test_matches_oracle_for_every_orbit_up_to_2000():
