@@ -21,7 +21,9 @@ from .lattice import GRAM, ComplementAnomaly
 
 # The largest degree parameter n the library accepts.  Every value formed for
 # n <= MAX_N is exact in int64, below 2**63 (about 9.2e18):
-# - orbit_reps and degree_reps stay exact for 4n <= 2**62.
+# - orbit_reps and degree_reps stay exact for 4n <= 2**62; degree_reps' modular
+#   powers (twosquares._powmod, exact below 2**40) take root primes below
+#   sqrt(4n) < 2**17 and split primes below 2n, the odd part of an even m <= 4n.
 # - orbit_classes: with m = 4n = x^2 + y^2 + 10 z^2, the functional
 #   G v = (-2y, -2x, x + y - 10z) has entries at most 2 sqrt(m), 2 sqrt(m)
 #   and sqrt(12 m) (Cauchy-Schwarz), and so has its primitive part p; the

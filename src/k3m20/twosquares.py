@@ -7,8 +7,7 @@ square roots of 4n / 10 mod p, and its points x^2 + y^2 = m are combined
 from its Gaussian primes.  The walk visits about 0.45 n (z, x) pairs for
 the same rows; it stays the range path and, in the tests, this path's
 reference (and trial division of every m the reference of the sieve).
-All arithmetic is exact: in int64 for n up to kernels.MAX_N, but for the
-primes above 2**31, which `_gaussian_primes` splits on python ints.
+All arithmetic is exact in int64 for n up to kernels.MAX_N (see there).
 """
 
 from __future__ import annotations
@@ -207,13 +206,10 @@ def _gaussian_primes(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first odd q with p a non-square mod q, which by reciprocity ((q/p) =
     (p/q) for p = 1 mod 4) is the least odd prime non-residue; a composite
     q is a square mod every such p, its prime factors all being residues.
-    Products of two residues are exact in int64 below p = 2**31; above it
-    the primes run as python ints (`dtype=object`).
+    Exact in int64 for p < 2**40 (see _powmod).
     """
     if not len(p):
         return p, p
-    if p.max() >= 2**31:
-        p = p.astype(object)
     c = np.where(p % 8 == 5, 2, 0)
     q = 3
     # a prime's least non-residue is below sqrt(p) + 1; a p that is not prime may have none,
@@ -221,25 +217,26 @@ def _gaussian_primes(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     while (c == 0).any() and (q - 1) ** 2 <= p.max():
         squares = np.zeros(q, dtype=bool)
         squares[np.arange(q) ** 2 % q] = True
-        c[(c == 0) & ~squares[(p % q).astype(np.int64)]] = q
+        c[(c == 0) & ~squares[p % q]] = q
         q += 2
     c[c == 0] = 2
-    t = _powmod(c.astype(p.dtype), (p - 1) // 4, p)
-    a, b = p.copy(), np.minimum(t, p - t)
-    live = np.flatnonzero(b * b > p)
+    t = _powmod(c, (p - 1) // 4, p)
+    # b > isqrt(p) is b^2 > p for an integer b
+    a, b, root = p.copy(), np.minimum(t, p - t), _isqrt_np(p)
+    live = np.flatnonzero(b > root)
     while live.size:
         a[live], b[live] = b[live], a[live] % b[live]
-        live = live[b[live] * b[live] > p[live]]
-    return b.astype(np.int64), (a % b).astype(np.int64)
+        live = live[b[live] > root[live]]
+    return b, a % b
 
 
 def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """base^exp mod mod elementwise (broadcast), by squaring."""
+    """base^exp mod mod elementwise (broadcast), from the top bit of exp down; exact in int64
+    for 0 <= base < 2**23 and 2 <= mod < 2**40, each square r^2 being split at bit 17 of r."""
     result = np.ones_like(base * exp)
-    base = base % mod
-    while (exp > 0).any():
-        result = np.where(exp % 2 == 1, result * base % mod, result)
-        base, exp = base * base % mod, exp // 2
+    for bit in range(int(np.max(exp, initial=0)).bit_length() - 1, -1, -1):
+        result = (result * (result >> 17) % mod * 2**17 + result * (result & (2**17 - 1))) % mod
+        result = np.where(exp >> bit & 1 == 1, result * base % mod, result)
     return result
 
 

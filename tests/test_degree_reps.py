@@ -6,6 +6,7 @@ the walk that stays the range path and is itself pinned to the pure-python
 enumeration in `test_orbit_reps.py`.
 """
 
+import hashlib
 import subprocess
 import sys
 from math import isqrt
@@ -15,9 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from k3m20 import twosquares
+from k3m20 import classify, twosquares
+from k3m20.cli import report_json
 from k3m20.kernels import MAX_N, orbit_reps
-from k3m20.twosquares import _gaussian_primes, degree_reps
+from k3m20.twosquares import _gaussian_primes, _powmod, degree_reps
 from oracles import is_prime, trial_division_hits, two_squares
 
 
@@ -153,6 +155,43 @@ def test_roots_match_brute_force(ns):
         assert all(_SOLUTIONS[q][4 * n % q] == {s, -s % q} for q, s in zip(p, r)), n
 
 
+# above 2**30 the cofactor primes that degree_reps splits pass 2**31, and above 2**30.5 they pass
+# 2**31.5, where a plain int64 product of two residues overflows (3999999593 at n = 1999999999)
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (1500000001, "f04c423412d41661a3b9795929f18179ff962de7ae60d65cf459f5925a8c24ec"),
+        (1999999999, "5f468c18c94ad5bd722e2f7b2e2b41a864eb91c8762022264ea08b212f6ce366"),
+    ],
+)
+def test_classify_above_2_to_the_30(n, digest):
+    assert hashlib.sha256((report_json(classify(n)) + "\n").encode()).hexdigest() == digest
+
+
+# primes just below 2**31.5 (past it a plain product of two residues overflows), 4e9 (above
+# every prime degree_reps splits, which is below 2n) and 2**40
+_MODULI = [3037000493, 3999999979, 1099511627689]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 2**23 - 1),
+            st.integers(0, 2**40),
+            st.one_of(st.sampled_from(_MODULI), st.integers(2, 2**40 - 1)),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+@example([(2**23 - 1, 2**40 - 1, _MODULI[2]), (2**17 - 1, 2**40, _MODULI[0]), (0, 0, 2), (5, 0, 3)])
+def test_powmod_matches_pow(triples):
+    base, exp, mod = (np.array(v, dtype=np.int64) for v in zip(*triples))
+    got = _powmod(base, exp, mod)
+    assert got.dtype == np.int64 and got.tolist() == [pow(b, e, m) for b, e, m in triples]
+
+
 def test_degree_reps_guards():
     for n in (0, MAX_N + 1):
         with pytest.raises(ValueError):
@@ -163,10 +202,11 @@ def test_gaussian_primes_split_every_prime():
     small = [p for p in range(5, 20000, 4) if is_prime(p)]
     a, b = _gaussian_primes(np.array(small, dtype=np.int64))
     assert [tuple(sorted(ab)) for ab in zip(a.tolist(), b.tolist())] == [two_squares(p) for p in small]
-    # above 2**31 the primes run as python ints
+    # past 2**31 on int64 too, up to the largest split prime (below 2n <= 4e9) and on to 2**40
     large = [p for p in range(2**31 + 1, 2**31 + 1000, 4) if is_prime(p)]
-    large += [2305843009213693973, 2305843009213694009]  # primes near 2**61
+    large += [3999999901, 3999999937, 1099511627609, 1099511627689]  # primes just below 4e9 and 2**40
     a, b = _gaussian_primes(np.array(large, dtype=np.int64))
+    assert a.dtype == b.dtype == np.int64
     assert [x * x + y * y for x, y in zip(a.tolist(), b.tolist())] == large
 
 
