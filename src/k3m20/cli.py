@@ -25,6 +25,7 @@ import numpy as np
 
 from . import __version__
 from .golden import golden_check
+from .kernels import _one_key
 from .polarizations import (
     MAX_RANGE_N,
     ClassTable,
@@ -223,12 +224,14 @@ def _cmd_golden_check(args) -> int:
 def _cmd_scan(args) -> int:
     table = class_table(args.max_n)
     # the degrees without a class, which class_table has checked are the non-representable ones
-    non_rep = np.setdiff1d(np.arange(1, args.max_n + 1), table.n)
+    non_rep = np.flatnonzero(np.bincount(table.n, minlength=args.max_n + 1)[1:] == 0) + 1
     # the distinct forms (a, b, c), sorted, as the first row of each run of equal ones
-    forms = np.column_stack((table.a, table.b, table.c))[np.lexsort((table.c, table.b, table.a))]
-    first = np.ones(len(forms), dtype=bool)
-    first[1:] = (forms[1:] != forms[:-1]).any(axis=1)
-    classes = forms[first]
+    key = _one_key(table.a, table.b, table.c)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    classes = np.column_stack((table.a, table.b, table.c))[order[first]]
     witnesses = prime_witnesses(args.max_n)
     # the degrees with a class that some obstruction check finds FEASIBLE
     anomalies = len(np.unique(table.n[status_columns(table)[2]]))

@@ -13,7 +13,7 @@ pure-python references they are tested against are in `tests/oracles.py`.
 
 from __future__ import annotations
 
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
@@ -43,6 +43,18 @@ from .lattice import GRAM, ComplementAnomaly
 #   the final witness's are at most sqrt(22 n), the reduced form's values
 #   being at most d / 3, so the witness check's products are O(n) too.
 # - quadric_count's 2 n^2 on an int64 column needs n < 2**31.
+# - Every sort is a stable argsort of one _one_key, whose radices multiply to
+#   below 2**63 (bits = log2 of that product).  With x <= y and x^2 + y^2 +
+#   10 z^2 = 4n, Cauchy-Schwarz gives y + z <= sqrt(4.4 n), x + z <= sqrt(2.4 n)
+#   and z <= sqrt(0.4 n); a checked reduced form has -a < b <= a <= sqrt(d / 3),
+#   c <= (d + 1) / 4 and d = 160 n / I^2 with 3 <= d <= 40 n, so
+#   I <= sqrt(160 n / 3).  At n = MAX_N (one degree, the norm's radix 1) and
+#   N = polarizations.MAX_RANGE_N = 2*10**4 (degrees 1..N):
+#   - polarizations._orbit_rows (norm, -y - z, -x - z, -z): 48 bits; range 39;
+#   - polarizations._classes (n, a, b, -I): 54 bits; range 44;
+#   - cli._cmd_scan (a, b, c), range only: 37 bits;
+#   - twosquares._hits (i, p), i < _BLOCK = 2**12, p <= sqrt(4n): 29 bits;
+#   - twosquares._block_reps (row, x, y), x <= sqrt(2n), y <= sqrt(4n): 45 bits.
 MAX_N = 2 * 10**9
 # (z, x) pairs per numpy block in orbit_reps; bounds its working memory
 _CHUNK = 2**13
@@ -61,6 +73,32 @@ class EnumerationAnomaly(ValueError):
 class ReductionAnomaly(ValueError):
     """Gauss reduction's witness does not carry the form to its reduced form,
     or a reduced form breaks an inequality every reduced form satisfies."""
+
+
+class SortKeyAnomaly(ValueError):
+    """The radices of a sort key's columns multiply to 2**63 or more, past int64."""
+
+
+def _one_key(*columns: np.ndarray) -> np.ndarray:
+    """One int64 key per row of the given int64 columns, most significant first.
+
+    The key is a mixed-radix number: each column's digit is its value less
+    the column's minimum, and its radix is max - min + 1 (taken in python
+    ints).  So a stable argsort of the key is a lexicographic sort by the
+    columns, and equal keys are equal rows: key[1:] != key[:-1] marks a run's
+    first row.  SortKeyAnomaly is raised unless the radices multiply to below
+    2**63 (see MAX_N for each key's budget), so no digit or key wraps.
+    """
+    if not len(columns[0]):
+        return np.zeros(0, dtype=np.int64)
+    digits = np.stack(columns)
+    low, high = digits.min(axis=1), digits.max(axis=1)
+    spans = [top - bottom + 1 for bottom, top in zip(low.tolist(), high.tolist())]
+    total = prod(spans)
+    if total >= 2**63:
+        raise SortKeyAnomaly(f"sort key anomaly: columns of spans {spans} need {total} keys, past int64")
+    digits -= low[:, None]
+    return np.ravel_multi_index(digits, spans)
 
 
 def _isqrt_np(m: np.ndarray) -> np.ndarray:

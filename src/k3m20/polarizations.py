@@ -40,6 +40,7 @@ from .kernels import (
     EnumerationAnomaly,
     ReductionAnomaly,
     _first_bad,
+    _one_key,
     orbit_classes,
     orbit_reps,
 )
@@ -140,12 +141,12 @@ def _orbit_rows(lo: int, hi: int, reps: np.ndarray) -> tuple[np.ndarray, np.ndar
     x, y, z = reps[:, 0], reps[:, 1], reps[:, 2]
     norms = x * x + y * y + 10 * z * z
     # by degree, then by canonical member ((-y - z) / 2, (-x - z) / 2, -z)
-    order = np.lexsort((-z, -x - z, -y - z, norms))
+    order = np.argsort(_one_key(norms, -y - z, -x - z, -z), kind="stable")
     # a norm off 4 lo..4 hi, or not divisible by 4, fails orbit_classes' norm check
     ns = np.clip(norms[order] // 4, lo, hi)
     rows = orbit_classes(ns, reps[order])
     counts = np.diff(np.searchsorted(ns, np.arange(lo, hi + 2)))
-    representable = np.array([is_representable(n) for n in range(lo, hi + 1)])
+    representable = is_representable(np.arange(lo, hi + 1))
     bad = np.flatnonzero((counts > 0) != representable)
     if bad.size:
         i = int(bad[0])
@@ -156,43 +157,47 @@ def _orbit_rows(lo: int, hi: int, reps: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _classes(ns: np.ndarray, rows: np.ndarray) -> ClassTable:
-    """Group orbit rows (ordered as _orbit_rows orders them) by (n, a, b, c).
+    """Group orbit rows (ordered as _orbit_rows orders them) by (n, a, b, -I).
 
-    The sort is stable, so the first orbit of a class is its smallest
-    canonical member.  Every class is checked for a, c, d > 0 and b^2 <= ac,
-    then for d = 4ac - b^2 (ReductionAnomaly), and every orbit row for
-    d I^2 = 160 n (IndexAnomaly), I being the point's, so that a wrong
-    complement shows; the closed-form obstruction checks rest on it.
+    Every orbit row is checked first: for a, c, d > 0 and b^2 <= ac, then
+    for d = 4ac - b^2 (ReductionAnomaly), then for d I^2 = 160 n
+    (IndexAnomaly), I being the point's, so that a wrong complement shows;
+    the closed-form obstruction checks rest on it.  Those checks make
+    c = (160 n / I^2 + b^2) / 4a, which falls as I rises, so grouping by
+    (n, a, b, -I) gives the classes (n, a, b, c) in the same order with a
+    key of fewer bits (see kernels.MAX_N).  The sort is stable, so the
+    first orbit of a class is its smallest canonical member.
     """
-    a, b, c = rows[:, 5], rows[:, 6], rows[:, 7]
-    order = np.lexsort((c, b, a, ns))
-    # sort the form columns alone: a sorted copy of all ten would set the range path's peak memory
-    n, forms = ns[order], rows[order, 5:8]
-    first = np.ones(len(n), dtype=bool)
-    first[1:] = (n[1:] != n[:-1]) | (forms[1:] != forms[:-1]).any(axis=1)
-    starts = np.flatnonzero(first)
-    odd = np.logical_or.reduceat(rows[order, 4] % 2 == 1, starts)
-    n, (lam, mu, delta, _, _, a, b, c, d, index) = n[starts], rows[order[starts]].T
-
+    a, b, c, d, index = rows[:, 5:].T
     i = _first_bad((a <= 0) | (c <= 0) | (d <= 0) | (b * b > a * c))
     if i is not None:
         raise ReductionAnomaly(
             f"reduction anomaly: reduced form {(int(a[i]), int(b[i]), int(c[i]))} of discriminant"
-            f" {int(d[i])} at n = {int(n[i])} breaks a, c, d > 0 and b^2 <= ac"
+            f" {int(d[i])} at n = {int(ns[i])} breaks a, c, d > 0 and b^2 <= ac"
         )
     i = _first_bad(d != 4 * a * c - b * b)
     if i is not None:
         raise ReductionAnomaly(
-            f"reduction anomaly: discriminant {int(d[i])} at n = {int(n[i])} breaks d = 4ac - b^2"
+            f"reduction anomaly: discriminant {int(d[i])} at n = {int(ns[i])} breaks d = 4ac - b^2"
             f" for the reduced form {(int(a[i]), int(b[i]), int(c[i]))}"
         )
     # the complement of a degree-4n vector v has discriminant d with d I^2 = 160 n, I = div(v),
     # and so n d = 10 t^2 with t = 4n / I (I^2 | 160 n forces I | 4n)
-    i = _first_bad(rows[:, 8] * rows[:, 9] * rows[:, 9] != 160 * ns)
+    i = _first_bad(d * index * index != 160 * ns)
     if i is not None:
-        bad_n, bad_d = int(ns[i]), int(rows[i, 8])
-        message = f"index anomaly: I = {int(rows[i, 9])} breaks d I^2 = 160 n at n = {bad_n}, d = {bad_d}"
+        bad_n, bad_d = int(ns[i]), int(d[i])
+        message = f"index anomaly: I = {int(index[i])} breaks d I^2 = 160 n at n = {bad_n}, d = {bad_d}"
         raise IndexAnomaly(bad_n, bad_d, message)
+
+    # sort the key alone: a sorted copy of all ten columns would set the range path's peak memory
+    key = _one_key(ns, a, b, -index)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    starts = np.flatnonzero(first)
+    odd = np.logical_or.reduceat(rows[order, 4] % 2 == 1, starts)
+    n, (lam, mu, delta, _, _, a, b, c, d, index) = ns[order[starts]], rows[order[starts]].T
     t = 4 * n // index
     # the obstruction equations in closed form (oracles.div_feasible is their reference):
     # n alpha^2 d m = 10 (t alpha)^2 m is 10, 40 or 90 for some alpha, m >= 1

@@ -20,14 +20,17 @@ from .lattice import NormAnomaly, Vec
 from .twosquares import _gaussian_primes, _odd_primes
 
 
-def is_representable(n: int) -> bool:
-    """Closed form: strip factors of 4, reject residue 6 mod 16."""
-    if n < 1:
+def is_representable(n):
+    """Closed form, elementwise on an array of n: n is not 4^i (16 j + 6).
+
+    n = 2^k o with o odd is 4^i (16 j + 6) = 2^(2i + 1) (8 j + 3) exactly
+    when k is odd and o = 3 (mod 8); its lowest set bit 2^k is 2 (mod 3)
+    exactly when k is odd.
+    """
+    if np.any(n < 1):
         raise ValueError("degree parameter n must be positive")
-    m = n
-    while m % 4 == 0:
-        m //= 4
-    return m % 16 != 6
+    low = n & -n
+    return (low % 3 == 1) | (n // low % 8 != 3)
 
 
 def prime_witnesses(max_n: int) -> list[tuple[int, Vec]]:

@@ -16,7 +16,7 @@ from math import isqrt
 
 import numpy as np
 
-from .kernels import MAX_N, EnumerationAnomaly, _first_bad, _isqrt_np
+from .kernels import MAX_N, EnumerationAnomaly, _first_bad, _isqrt_np, _one_key
 
 # values m = 4n - 10 z^2 factored at once in degree_reps, and (m, prime) entries
 # per tile of the remainder test; together they bound its working memory
@@ -119,7 +119,7 @@ def _block_reps(n: int, z: np.ndarray, m: np.ndarray, roots: tuple[np.ndarray, .
     f_p = np.concatenate([p[split], large[big]])
     f_e = np.concatenate([e[split], np.ones(int(big.sum()), dtype=np.int64)])
     mine = keep[f_row]
-    order = np.lexsort((f_row[mine],))
+    order = np.argsort(f_row[mine], kind="stable")
     f_row = (np.cumsum(keep) - 1)[f_row[mine][order]]
     f_p, f_e = f_p[mine][order], f_e[mine][order]
     m, z, r2 = m[keep], z[keep], r2[keep]
@@ -133,11 +133,12 @@ def _block_reps(n: int, z: np.ndarray, m: np.ndarray, roots: tuple[np.ndarray, .
 
     # one point per orbit in the domain 0 <= x <= y, ordered by z, x, y
     x, y = np.minimum(np.abs(re), np.abs(im)), np.maximum(np.abs(re), np.abs(im))
-    order = np.lexsort((y, x, row))
-    row, x, y = row[order], x[order], y[order]
-    first = np.ones(len(row), dtype=bool)
-    first[1:] = (row[1:] != row[:-1]) | (x[1:] != x[:-1]) | (y[1:] != y[:-1])
-    row, x, y = row[first], x[first], y[first]
+    key = _one_key(row, x, y)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    row, x, y = row[order[first]], x[order[first]], y[order[first]]
     # completeness: a point with 0 < x < y stands for 8 ordered pairs, one with x = 0 or x = y for
     # 4, and the points of each m must stand for its r2(m) = 4 prod_p (e_p + 1)
     weight = np.concatenate([[0], np.cumsum(np.where((x == 0) | (x == y), 4, 8))])
@@ -172,7 +173,7 @@ def _hits(
         hit = np.flatnonzero(m % tile[:, None] == 0)
         hits.append((hit % len(m), tile[hit // len(m)]))
     i, p = (np.concatenate(h) for h in zip(*hits))
-    order = np.lexsort((p, i))
+    order = np.argsort(_one_key(i, p), kind="stable")
     i, p = i[order], p[order]
     # divide p out of a copy of m while it divides
     cof, e = m[i], np.zeros_like(p)

@@ -13,6 +13,9 @@ search or one value at a time over python ints:
   Hermite-Serret); `trial_division_hits` finds the odd primes of
   4n - 10 z^2 by the remainder of every pair (checks `twosquares._hits`,
   which sieves them from roots mod p);
+- `orbit_order`, `class_columns` and `distinct_forms`: the orbit order, the
+  class grouping and `scan`'s distinct forms by multi-key `np.lexsort`
+  (check the package's sorts, each a stable argsort of one int64 key);
 - `unimodular_entries` / `transform_forms`: the forms a bounded SL2(Z)
   search reaches from (a, b, c) (checks Gauss reduction);
 - `generate_group` / `orbit`: the 16 isometries as the closure of three
@@ -551,7 +554,7 @@ def trial_division_hits(n: int, m: np.ndarray) -> tuple[np.ndarray, ...]:
         hit = np.flatnonzero(m % tile[:, None] == 0)
         hits.append((hit % len(m), tile[hit // len(m)]))
     i, p = (np.concatenate(h) for h in zip(*hits))
-    order = np.lexsort((i,))
+    order = np.lexsort((p, i))
     i, p = i[order], p[order]
     cof, e = m[i], np.zeros_like(p)
     live = np.arange(len(p))
@@ -562,6 +565,38 @@ def trial_division_hits(n: int, m: np.ndarray) -> tuple[np.ndarray, ...]:
         cof[live] = q[exact]
         e[live] += 1
     return i, p, e, m[i] // cof
+
+
+def orbit_order(reps: np.ndarray) -> np.ndarray:
+    """The order of orbit points (x, y, z) by degree, then by canonical member
+    ((-y - z) / 2, (-x - z) / 2, -z), by a 4-key np.lexsort (checks the
+    one-key sort of `polarizations._orbit_rows`)."""
+    x, y, z = reps.T
+    return np.lexsort((-z, -x - z, -y - z, x * x + y * y + 10 * z * z))
+
+
+def class_columns(ns: np.ndarray, rows: np.ndarray) -> dict[str, np.ndarray]:
+    """The class table's columns n, lam, mu, delta, a, b, c, d, index and odd
+    from orbit rows ordered by degree and canonical member, grouped by
+    (n, a, b, c) by a 4-key np.lexsort, each class's first orbit giving its
+    row (checks `polarizations._classes`, which groups by (n, a, b, -I))."""
+    order = np.lexsort((rows[:, 7], rows[:, 6], rows[:, 5], ns))
+    n, forms = ns[order], rows[order, 5:8]
+    first = np.ones(len(n), dtype=bool)
+    first[1:] = (n[1:] != n[:-1]) | (forms[1:] != forms[:-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    lam, mu, delta, _, _, a, b, c, d, index = rows[order[starts]].T
+    odd = np.logical_or.reduceat(rows[order, 4] % 2 == 1, starts)
+    return dict(n=n[starts], lam=lam, mu=mu, delta=delta, a=a, b=b, c=c, d=d, index=index, odd=odd)
+
+
+def distinct_forms(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The distinct forms (a, b, c) in increasing order, as rows, by a 3-key
+    np.lexsort (checks the one-key sort of `scan`)."""
+    forms = np.column_stack((a, b, c))[np.lexsort((c, b, a))]
+    first = np.ones(len(forms), dtype=bool)
+    first[1:] = (forms[1:] != forms[:-1]).any(axis=1)
+    return forms[first]
 
 
 def index_from(n: int, d: int) -> int:

@@ -182,6 +182,16 @@ def test_discriminant_guard():
         polarizations._classes(ns, rows)
 
 
+def test_discriminant_guard_sees_every_orbit():
+    # the second orbit of the class (5, 0, 10) of n = 5 with d = 4 * 200 and I = 2 / 2 keeps
+    # d I^2 = 160 n but breaks d = 4ac - b^2; grouping by (n, a, b, -I) needs both on every orbit
+    ns, rows = polarizations._orbit_rows(1, 5, orbit_reps(1, 5))
+    assert ns[4] == ns[5] == 5 and rows[4, 5:10].tolist() == rows[5, 5:10].tolist() == [5, 0, 10, 200, 2]
+    rows[5, 8:10] = (800, 1)
+    with pytest.raises(ReductionAnomaly, match=r"discriminant 800 at n = 5 breaks d = 4ac - b\^2"):
+        polarizations._classes(ns, rows)
+
+
 def test_index_guard():
     # d = 9 * 40 at n = 1, with the form scaled by 3 to (3, 0, 30), keeps
     # d = 4ac - b^2 (and n d = 10 t^2, t = 6), but the point's index I = 2 gives 9 * 160 n

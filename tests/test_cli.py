@@ -331,6 +331,12 @@ _WRONG_DISCRIMINANT = _corrupt_rows("rows[:, 8] *= 9")
 # (1, 0, 11), breaks it too
 _WRONG_INDEX = _corrupt_rows("rows[:, 5:9] *= (3, 3, 3, 9)")
 _NOT_TEN_SQUARES = _corrupt_rows("rows[:, 7] += 1; rows[:, 8] += 4 * rows[:, 5]")
+# a walk whose points lie far past their degrees: the orbit sort's columns would
+# need about 2**105 keys, which kernels._one_key refuses before any int64 wraps
+_FAR_POINTS = (
+    "import numpy as np\n"
+    "polarizations.orbit_reps = lambda lo, hi: np.array([[0, 0, 0], [0, 2**20, 2**20]])\n"
+)
 
 
 def _scaled_complement(k):
@@ -379,6 +385,7 @@ _TABLE = ("polarizations.class_table(5)", ["table", "--max-n", "5"])
         (_WRONG_DISCRIMINANT, _TABLE, "ReductionAnomaly", "breaks d = 4ac - b^2"),
         (_WRONG_INDEX, _TABLE, "IndexAnomaly", "breaks d I^2 = 160 n"),
         (_NOT_TEN_SQUARES, _TABLE, "IndexAnomaly", "breaks d I^2 = 160 n"),
+        (_FAR_POINTS, _TABLE, "SortKeyAnomaly", "past int64"),
         # the first orbit of n = 90 has d = 900 and I = 4, that of n = 1 d = 40 and I = 2
         (_scaled_complement(2), _CLASSIFY_90, "IndexAnomaly", "I = 4 breaks d I^2 = 160 n at n = 90, d = 3600"),
         (_scaled_complement(2), _TABLE_200, "IndexAnomaly", "I = 2 breaks d I^2 = 160 n at n = 1, d = 160"),
@@ -432,6 +439,7 @@ _TABLE = ("polarizations.class_table(5)", ["table", "--max-n", "5"])
         "table-discriminant",
         "table-index",
         "table-index-ten-squares",
+        "table-sort-key",
         "complement-doubled",
         "table-complement-doubled",
         "complement-tripled",
