@@ -95,7 +95,7 @@ _TOO_COSTLY_N = (
 )
 _TOO_COSTLY_MAX_N = (
     "--max-n must be at most 2*10**4: a range keeps about 0.17 N^1.5 orbits in memory"
-    " (about 1.5 s and 0.15 GB at N = 2*10**4), growing as N^1.5"
+    " (about 1.5 s and 0.12 GB at N = 2*10**4), growing as N^1.5"
 )
 
 

@@ -25,18 +25,21 @@ from .lattice import GRAM, ComplementAnomaly
 #   powers (twosquares._powmod, exact below 2**40) take root primes below
 #   sqrt(4n) < 2**17 and split primes below 2n, the odd part of an even m <= 4n.
 # - orbit_classes: with m = 4n = x^2 + y^2 + 10 z^2, the functional
-#   G v = (-2y, -2x, x + y - 10z) has entries at most 2 sqrt(m), 2 sqrt(m)
-#   and sqrt(12 m) (Cauchy-Schwarz), and so has its primitive part p; the
-#   extended-gcd cofactors s, t are at most max(|p1|, |p2|) <= 2 sqrt(m).
-#   So the complement basis u1 = (-p2, p1, 0) / g, u2 = (p3 s, p3 t, -g) has
-#   entries at most 2 sqrt(m) and 4 sqrt(3) m, G u1 at most 8 sqrt(m), G u2
-#   at most 64 sqrt(3) m, and g11 = u1^T G u1 <= 16 m.  The terms of
-#   g12 = u1^T G u2 add up to at most 64 sqrt(3) m^1.5 + 8 sqrt(2) m, so
-#   g11 - 2 g12, the numerator of the size reduction's quotient k and the
+#   G v = (-2y, -2x, w3), w3 = x + y - 10z, has entries at most 2 sqrt(m),
+#   2 sqrt(m) and sqrt(12 m) (Cauchy-Schwarz).  Euclid on (-2y, -2x) gives
+#   g = gcd(2x, 2y) and cofactors s, t at most max(2x, 2y) / g <= 2 sqrt(m);
+#   with the index I = gcd(g, w3), p3 = w3 / I is at most sqrt(12 m).  So
+#   u1 = (2x, -2y, 0) / g has entries at most 2 sqrt(m) (|u1_1| + |u1_2| at
+#   most 2 sqrt(2m)), u2 = (p3 s, p3 t, -g / I) at most 4 sqrt(3) m, the
+#   columns of u1^T G at most 8 sqrt(m), and g11 = u1^T G u1 <= 16 m.  The
+#   terms of g12 = u1^T G u2 add up to at most 64 sqrt(3) m^1.5 + 8 sqrt(2) m,
+#   so g11 - 2 g12, the numerator of the size reduction's quotient k and the
 #   largest value formed, stays below 2000 n^1.5: 1.8e17 at n = MAX_N.
 # - Size reduction leaves 2 |g12| <= g11, and the Gram determinant is
 #   4d <= 160 n (d I^2 = 160 n, and I >= 2, every entry of G v being even),
-#   so g22 <= 160 n / g11 + g11 / 4 <= 56 n: every Gram entry,
+#   so g22 <= 160 n / g11 + g11 / 4 <= 56 n.  The split form of the norm puts
+#   each entry of the reduced u2' = u2 + k u1 at most sqrt(g22) <= sqrt(56 n),
+#   so the columns of u2'^T G are O(sqrt(n)), and every Gram entry,
 #   k u1 = u2' - u2 and the orthogonality check's terms are O(n).  Gauss
 #   reduction never grows a form past its diagonal entries, at most 16 n,
 #   and its witness entries stay below 2 * 16 n / sqrt(3) (Cramer's rule);
@@ -179,7 +182,7 @@ def _first_bad(bad: np.ndarray) -> int | None:
 
 
 def _classes_block(n: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """orbit_classes for one block."""
+    """orbit_classes for one block, on int64 columns."""
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     i = _first_bad((x < 0) | (x > y) | (z < 0) | ((x - z) % 2 != 0) | ((y - z) % 2 != 0))
     if i is not None:
@@ -189,39 +192,34 @@ def _classes_block(n: np.ndarray, pts: np.ndarray) -> np.ndarray:
         raise EnumerationAnomaly(int(n[i]), f"{tuple(pts[i].tolist())} does not have norm {4 * int(n[i])}")
 
     # the canonical member, the lift of (-y, -x, -z) (see oracles.canonical_member)
-    rep = np.stack([(-y - z) // 2, (-x - z) // 2, -z], axis=1)
-    r = np.gcd(np.gcd(rep[:, 0], rep[:, 1]), rep[:, 2])
-    # the complement is the kernel of w -> <rep, w>, the row G rep over its content div(rep)
-    w = np.stack([-2 * y, -2 * x, x + y - 10 * z], axis=1)
-    index = np.gcd(np.gcd(w[:, 0], w[:, 1]), w[:, 2])
-    p = w // index[:, None]
-    gab, s, t = _xgcd(p[:, 0], p[:, 1])
-    flat = gab == 0  # p = (0, 0, +-1): the kernel is spanned by (1, 0, 0) and (0, 1, 0)
-    g1 = np.where(flat, 1, gab)
-    u = np.stack(
-        [
-            np.stack([np.where(flat, 1, -p[:, 1] // g1), p[:, 0] // g1, 0 * gab], axis=1),
-            np.stack([np.where(flat, 0, p[:, 2] * s), np.where(flat, 1, p[:, 2] * t), -gab], axis=1),
-        ],
-        axis=1,
-    )
-    ug = u @ np.array(GRAM)
+    rep = ((-y - z) // 2, (-x - z) // 2, -z)
+    r = np.gcd(np.gcd(rep[0], rep[1]), rep[2])
+    # the complement is the kernel of w -> <rep, w>, the row G rep = (-2y, -2x, w3)
+    # over its content div(rep) = gcd(g, w3), g = gcd(2x, 2y); Euclid on (-2y, -2x)
+    # runs the quotients it would on that primitive row, so its cofactors s, t serve
+    w3 = x + y - 10 * z
+    g, s, t = _xgcd(-2 * y, -2 * x)
+    index = np.gcd(g, w3)
+    flat = g == 0  # x = y = 0: the kernel is spanned by (1, 0, 0) and (0, 1, 0)
+    g1 = np.where(flat, 1, g)
+    p3 = w3 // index
+    u1 = (np.where(flat, 1, 2 * x // g1), -2 * y // g1, 0 * g)
+    u2 = (np.where(flat, 0, p3 * s), np.where(flat, 1, p3 * t), -g // index)
+    ug1 = _times_gram(u1)
     # size-reduce u2 against u1, the shift _reduce starts with, so that no entry
     # of the Gram matrix grows past O(n) (see MAX_N); a g11 <= 0 fails _check_gram,
     # and the maximum only keeps k defined there
-    g11, g12 = (ug[:, :1] @ u.swapaxes(1, 2))[:, 0].T
-    k = (g11 - 2 * g12) // (2 * np.maximum(g11, 1))
-    u[:, 1] += k[:, None] * u[:, 0]
-    ug[:, 1] += k[:, None] * ug[:, 0]
-    i = _first_bad((ug @ rep[:, :, None] != 0).any(axis=(1, 2)))
+    g11 = _dot(ug1, u1)
+    k = (g11 - 2 * _dot(ug1, u2)) // (2 * np.maximum(g11, 1))
+    u2 = tuple(e + k * f for e, f in zip(u2, u1))
+    ug2 = _times_gram(u2)
+    i = _first_bad((_dot(ug1, rep) != 0) | (_dot(ug2, rep) != 0))
     if i is not None:
-        u1, u2 = (tuple(b) for b in u[i].tolist())
-        raise ComplementAnomaly(
-            f"complement anomaly: {u1}, {u2} are not both orthogonal to {tuple(rep[i].tolist())}"
-        )
-    gram = ug @ u.swapaxes(1, 2)
-    _check_gram(gram)
-    form = (gram[:, 0, 0] // 4, gram[:, 0, 1] // 2, gram[:, 1, 1] // 4)
+        u1, u2, rep = (tuple(int(e[i]) for e in v) for v in (u1, u2, rep))
+        raise ComplementAnomaly(f"complement anomaly: {u1}, {u2} are not both orthogonal to {rep}")
+    g12, g21, g22 = _dot(ug1, u2), _dot(ug2, u1), _dot(ug2, u2)
+    _check_gram(g11, g12, g21, g22)
+    form = (g11 // 4, g12 // 2, g22 // 4)
     (a, b, c), witness = _reduce(*form)
     _check_witness(form, (a, b, c), witness)
     d = 4 * a * c - b * b
@@ -230,14 +228,23 @@ def _classes_block(n: np.ndarray, pts: np.ndarray) -> np.ndarray:
     stabiliser = np.where(z == 0, 2, 1) * np.where(
         (x == 0) & (y == 0), 8, np.where((x == 0) | (x == y), 2, 1)
     )
-    return np.column_stack([rep, 16 // stabiliser, r, a, b, c, d, index])
+    return np.column_stack([*rep, 16 // stabiliser, r, a, b, c, d, index])
 
 
-def _check_gram(gram: np.ndarray) -> None:
-    """oracles.check_gram2 on a (k, 2, 2) array, raising ComplementAnomaly, but
-    for the determinant: past g11 > 0, positive definiteness is left to
-    _reduce, which certifies it without forming it."""
-    g11, g12, g21, g22 = gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 0], gram[:, 1, 1]
+def _dot(u: tuple, v: tuple) -> np.ndarray:
+    """The row-wise dot product of two triples of columns (or python scalars)."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _times_gram(u: tuple) -> tuple:
+    """u^T G as three columns, G = lattice.GRAM's entries as python scalars."""
+    return tuple(_dot(u, column) for column in zip(*GRAM))
+
+
+def _check_gram(g11: np.ndarray, g12: np.ndarray, g21: np.ndarray, g22: np.ndarray) -> None:
+    """oracles.check_gram2 on the columns of Gram matrices [[g11, g12], [g21, g22]],
+    raising ComplementAnomaly, but for the determinant: past g11 > 0, positive
+    definiteness is left to _reduce, which certifies it without forming it."""
     for bad, what in (
         (g12 != g21, "is not symmetric"),
         ((g11 % 4 != 0) | (g22 % 4 != 0), "has a diagonal entry not divisible by 4"),
@@ -246,7 +253,8 @@ def _check_gram(gram: np.ndarray) -> None:
     ):
         i = _first_bad(bad)
         if i is not None:
-            raise ComplementAnomaly(f"complement anomaly: Gram matrix {gram[i].tolist()} {what}")
+            gram = [[int(g11[i]), int(g12[i])], [int(g21[i]), int(g22[i])]]
+            raise ComplementAnomaly(f"complement anomaly: Gram matrix {gram} {what}")
 
 
 def _xgcd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -346,10 +346,10 @@ def _scaled_complement(k):
     return (
         "import inspect\n"
         "source = inspect.getsource(kernels._classes_block)\n"
-        "line = '    ug = u @ np.array(GRAM)\\n'\n"
-        "if line not in source:\n"
+        "line = next((l for l in source.splitlines(True) if l.startswith('    u2 = (')), None)\n"
+        "if line is None:\n"
         "    raise SystemExit('no line to patch in kernels._classes_block')\n"
-        f"exec(source.replace(line, '    u[:, 1] *= {k}\\n' + line), kernels.__dict__)\n"
+        f"exec(source.replace(line, line + '    u2 = tuple({k} * e for e in u2)\\n'), kernels.__dict__)\n"
     )
 
 

@@ -222,7 +222,7 @@ def test_orthogonality_guard(monkeypatch, attr, value):
 def test_gram_guards(gram, message):
     good = [[4, 2], [2, 8]]
     with pytest.raises(ComplementAnomaly, match=message):
-        kernels._check_gram(np.array([good, gram, good]))
+        kernels._check_gram(*(np.array([good[i][j], gram[i][j], good[i][j]]) for i in (0, 1) for j in (0, 1)))
 
 
 # GRAM matrices that keep G rep = (-2, -2, -8) for the point (1, 1, 1), so the
