@@ -227,7 +227,7 @@ def _cmd_scan(args) -> int:
     non_rep = np.flatnonzero(np.bincount(table.n, minlength=args.max_n + 1)[1:] == 0) + 1
     # the distinct forms (a, b, c), sorted, as the first row of each run of equal ones
     key = _one_key(table.a, table.b, table.c)
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)
     key = key[order]
     first = np.ones(len(key), dtype=bool)
     first[1:] = key[1:] != key[:-1]

@@ -46,13 +46,17 @@ from .lattice import GRAM, ComplementAnomaly
 #   the final witness's are at most sqrt(22 n), the reduced form's values
 #   being at most d / 3, so the witness check's products are O(n) too.
 # - quadric_count's 2 n^2 on an int64 column needs n < 2**31.
-# - Every sort is a stable argsort of one _one_key, whose radices multiply to
-#   below 2**63 (bits = log2 of that product).  With x <= y and x^2 + y^2 +
-#   10 z^2 = 4n, Cauchy-Schwarz gives y + z <= sqrt(4.4 n), x + z <= sqrt(2.4 n)
-#   and z <= sqrt(0.4 n); a checked reduced form has -a < b <= a <= sqrt(d / 3),
-#   c <= (d + 1) / 4 and d = 160 n / I^2 with 3 <= d <= 40 n, so
-#   I <= sqrt(160 n / 3).  At n = MAX_N (one degree, the norm's radix 1) and
-#   N = polarizations.MAX_RANGE_N = 2*10**4 (degrees 1..N):
+# - Every sort is an argsort of one _one_key, of numpy's default kind, whose
+#   radices multiply to below 2**63 (bits = log2 of that product).  The default
+#   kind is not stable, so each key is unique, or its ties are equal rows, or
+#   the order of its ties is not used (_classes takes each class's smallest row
+#   index).  With x <= y and x^2 + y^2 + 10 z^2 = 4n, x <= sqrt(2n) and
+#   y <= 2 sqrt(n), and Cauchy-Schwarz gives y + z <= sqrt(4.4 n),
+#   x + z <= sqrt(2.4 n) and z <= sqrt(0.4 n); a checked reduced form has
+#   -a < b <= a <= sqrt(d / 3), c <= (d + 1) / 4 and d = 160 n / I^2 with
+#   3 <= d <= 40 n, so I <= sqrt(160 n / 3).  At n = MAX_N (one degree, the
+#   norm's radix 1) and N = polarizations.MAX_RANGE_N = 2*10**4 (degrees 1..N):
+#   - orbit_classes' pairs (x, y), taken after its norm check: 33 bits; range 16;
 #   - polarizations._orbit_rows (norm, -y - z, -x - z, -z): 48 bits; range 39;
 #   - polarizations._classes (n, a, b, -I): 54 bits; range 44;
 #   - cli._cmd_scan (a, b, c), range only: 37 bits;
@@ -87,10 +91,11 @@ def _one_key(*columns: np.ndarray) -> np.ndarray:
 
     The key is a mixed-radix number: each column's digit is its value less
     the column's minimum, and its radix is max - min + 1 (taken in python
-    ints).  So a stable argsort of the key is a lexicographic sort by the
-    columns, and equal keys are equal rows: key[1:] != key[:-1] marks a run's
-    first row.  SortKeyAnomaly is raised unless the radices multiply to below
-    2**63 (see MAX_N for each key's budget), so no digit or key wraps.
+    ints).  So an argsort of the key is a lexicographic sort by the columns,
+    and equal keys are equal rows: key[1:] != key[:-1] marks a run's first
+    row (only a stable argsort keeps equal rows in input order).
+    SortKeyAnomaly is raised unless the radices multiply to below 2**63 (see
+    MAX_N for each key's budget), so no digit or key wraps.
     """
     if not len(columns[0]):
         return np.zeros(0, dtype=np.int64)
@@ -166,14 +171,30 @@ def orbit_classes(ns: np.ndarray, reps: np.ndarray) -> np.ndarray:
     index I = div(v), the content of G v; d I^2 = 160 n (Nikulin's index
     formula) ties the two, and `polarizations._classes` checks it.
 
-    Rows are processed in blocks of `_ROWS`, so no intermediate grows with
-    k.  Every degree must be in 1..MAX_N, where int64 is exact.
+    The domain and norm checks run on all rows, and then the extended gcd,
+    which depends on (x, y) alone, once per distinct pair; the rest runs in
+    blocks of `_ROWS` rows, so that its intermediates do not grow with k.
+    Every degree must be in 1..MAX_N, where int64 is exact.
     """
     if len(ns) and not 1 <= ns.min() <= ns.max() <= MAX_N:
         raise ValueError(f"need 1 <= n <= {MAX_N}")
+    x, y, z = reps[:, 0], reps[:, 1], reps[:, 2]
+    i = _first_bad((x < 0) | (x > y) | (z < 0) | ((x - z) % 2 != 0) | ((y - z) % 2 != 0))
+    if i is not None:
+        raise EnumerationAnomaly(int(ns[i]), f"{tuple(reps[i].tolist())} is outside the fundamental domain")
+    i = _first_bad(x * x + y * y + 10 * z * z != 4 * ns)
+    if i is not None:
+        raise EnumerationAnomaly(int(ns[i]), f"{tuple(reps[i].tolist())} does not have norm {4 * int(ns[i])}")
+
+    # one row per distinct (x, y), whose key the norm check keeps within 33 bits (see MAX_N)
+    pairs, pair = np.unique(_one_key(x, y), return_inverse=True)
+    at = np.empty(len(pairs), dtype=np.int64)
+    at[pair] = np.arange(len(pair))
+    euclid = _xgcd(-2 * y[at], -2 * x[at])
     rows = np.empty((len(ns), 10), dtype=np.int64)
     for i in range(0, len(ns), _ROWS):
-        rows[i : i + _ROWS] = _classes_block(ns[i : i + _ROWS], reps[i : i + _ROWS])
+        block = pair[i : i + _ROWS]
+        rows[i : i + _ROWS] = _classes_block(reps[i : i + _ROWS], [e[block] for e in euclid])
     return rows
 
 
@@ -181,15 +202,10 @@ def _first_bad(bad: np.ndarray) -> int | None:
     return int(np.argmax(bad)) if bad.any() else None
 
 
-def _classes_block(n: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """orbit_classes for one block, on int64 columns."""
+def _classes_block(pts: np.ndarray, euclid) -> np.ndarray:
+    """orbit_classes for one block of checked points, on int64 columns;
+    euclid is _xgcd(-2y, -2x) of the block's rows."""
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    i = _first_bad((x < 0) | (x > y) | (z < 0) | ((x - z) % 2 != 0) | ((y - z) % 2 != 0))
-    if i is not None:
-        raise EnumerationAnomaly(int(n[i]), f"{tuple(pts[i].tolist())} is outside the fundamental domain")
-    i = _first_bad(x * x + y * y + 10 * z * z != 4 * n)
-    if i is not None:
-        raise EnumerationAnomaly(int(n[i]), f"{tuple(pts[i].tolist())} does not have norm {4 * int(n[i])}")
 
     # the canonical member, the lift of (-y, -x, -z) (see oracles.canonical_member)
     rep = ((-y - z) // 2, (-x - z) // 2, -z)
@@ -198,7 +214,7 @@ def _classes_block(n: np.ndarray, pts: np.ndarray) -> np.ndarray:
     # over its content div(rep) = gcd(g, w3), g = gcd(2x, 2y); Euclid on (-2y, -2x)
     # runs the quotients it would on that primitive row, so its cofactors s, t serve
     w3 = x + y - 10 * z
-    g, s, t = _xgcd(-2 * y, -2 * x)
+    g, s, t = euclid
     index = np.gcd(g, w3)
     flat = g == 0  # x = y = 0: the kernel is spanned by (1, 0, 0) and (0, 1, 0)
     g1 = np.where(flat, 1, g)
@@ -264,11 +280,13 @@ def _xgcd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     old_t, t = np.zeros_like(a), np.ones_like(a)
     live = np.flatnonzero(r != 0)
     while live.size:
-        q = old_r[live] // r[live]
-        old_r[live], r[live] = r[live], old_r[live] - q * r[live]
-        old_s[live], s[live] = s[live], old_s[live] - q * s[live]
-        old_t[live], t[live] = t[live], old_t[live] - q * t[live]
-        live = live[r[live] != 0]
+        o_r, n_r, o_s, n_s, o_t, n_t = (v[live] for v in (old_r, r, old_s, s, old_t, t))
+        q = o_r // n_r
+        rest = o_r - q * n_r
+        old_r[live], r[live] = n_r, rest
+        old_s[live], s[live] = n_s, o_s - q * n_s
+        old_t[live], t[live] = n_t, o_t - q * n_t
+        live = live[rest != 0]
     sign = np.where(old_r < 0, -1, 1)
     return sign * old_r, sign * old_s, sign * old_t
 

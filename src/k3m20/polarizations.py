@@ -141,7 +141,7 @@ def _orbit_rows(lo: int, hi: int, reps: np.ndarray) -> tuple[np.ndarray, np.ndar
     x, y, z = reps[:, 0], reps[:, 1], reps[:, 2]
     norms = x * x + y * y + 10 * z * z
     # by degree, then by canonical member ((-y - z) / 2, (-x - z) / 2, -z)
-    order = np.argsort(_one_key(norms, -y - z, -x - z, -z), kind="stable")
+    order = np.argsort(_one_key(norms, -y - z, -x - z, -z))
     # a norm off 4 lo..4 hi, or not divisible by 4, fails orbit_classes' norm check
     ns = np.clip(norms[order] // 4, lo, hi)
     rows = orbit_classes(ns, reps[order])
@@ -165,8 +165,9 @@ def _classes(ns: np.ndarray, rows: np.ndarray) -> ClassTable:
     the closed-form obstruction checks rest on it.  Those checks make
     c = (160 n / I^2 + b^2) / 4a, which falls as I rises, so grouping by
     (n, a, b, -I) gives the classes (n, a, b, c) in the same order with a
-    key of fewer bits (see kernels.MAX_N).  The sort is stable, so the
-    first orbit of a class is its smallest canonical member.
+    key of fewer bits (see kernels.MAX_N).  A class's first orbit is its
+    smallest row, the smallest canonical member, whatever order the sort
+    leaves its ties in.
     """
     a, b, c, d, index = rows[:, 5:].T
     i = _first_bad((a <= 0) | (c <= 0) | (d <= 0) | (b * b > a * c))
@@ -191,13 +192,14 @@ def _classes(ns: np.ndarray, rows: np.ndarray) -> ClassTable:
 
     # sort the key alone: a sorted copy of all ten columns would set the range path's peak memory
     key = _one_key(ns, a, b, -index)
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)
     key = key[order]
     first = np.ones(len(key), dtype=bool)
     first[1:] = key[1:] != key[:-1]
     starts = np.flatnonzero(first)
     odd = np.logical_or.reduceat(rows[order, 4] % 2 == 1, starts)
-    n, (lam, mu, delta, _, _, a, b, c, d, index) = ns[order[starts]], rows[order[starts]].T
+    head = np.minimum.reduceat(order, starts)
+    n, (lam, mu, delta, _, _, a, b, c, d, index) = ns[head], rows[head].T
     t = 4 * n // index
     # the obstruction equations in closed form (oracles.div_feasible is their reference):
     # n alpha^2 d m = 10 (t alpha)^2 m is 10, 40 or 90 for some alpha, m >= 1

@@ -119,7 +119,7 @@ def _block_reps(n: int, z: np.ndarray, m: np.ndarray, roots: tuple[np.ndarray, .
     f_p = np.concatenate([p[split], large[big]])
     f_e = np.concatenate([e[split], np.ones(int(big.sum()), dtype=np.int64)])
     mine = keep[f_row]
-    order = np.argsort(f_row[mine], kind="stable")
+    order = np.argsort(f_row[mine])
     f_row = (np.cumsum(keep) - 1)[f_row[mine][order]]
     f_p, f_e = f_p[mine][order], f_e[mine][order]
     m, z, r2 = m[keep], z[keep], r2[keep]
@@ -134,7 +134,7 @@ def _block_reps(n: int, z: np.ndarray, m: np.ndarray, roots: tuple[np.ndarray, .
     # one point per orbit in the domain 0 <= x <= y, ordered by z, x, y
     x, y = np.minimum(np.abs(re), np.abs(im)), np.maximum(np.abs(re), np.abs(im))
     key = _one_key(row, x, y)
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)
     key = key[order]
     first = np.ones(len(key), dtype=bool)
     first[1:] = key[1:] != key[:-1]
@@ -173,7 +173,7 @@ def _hits(
         hit = np.flatnonzero(m % tile[:, None] == 0)
         hits.append((hit % len(m), tile[hit // len(m)]))
     i, p = (np.concatenate(h) for h in zip(*hits))
-    order = np.argsort(_one_key(i, p), kind="stable")
+    order = np.argsort(_one_key(i, p))
     i, p = i[order], p[order]
     # divide p out of a copy of m while it divides
     cof, e = m[i], np.zeros_like(p)

@@ -1,11 +1,14 @@
 """The one-key sorts: `kernels._one_key` and the package's sorts built on it.
 
-Every sort in the package is a stable argsort of one mixed-radix int64 key.
-Here the key is checked on its own (stable ties, negative columns, empty
-input, the 2**63 bound), and each sort is pinned to the multi-key
-`np.lexsort` order it replaced, kept in `tests/oracles.py`: the orbit order
-and the class grouping on ranges up to the cap and on single degrees up to
-`MAX_N`, `scan`'s distinct forms, and the order of `degree_reps`' points.
+Every sort in the package is an argsort of one mixed-radix int64 key, of
+numpy's default kind: each key is unique, or its ties are equal rows, or
+the order of its ties is not used.  Here the key is checked on its own
+(ties, negative columns, empty input, the 2**63 bound), each sort is pinned
+to the multi-key `np.lexsort` order it replaced, kept in `tests/oracles.py`
+(the orbit order and the class grouping on ranges up to the cap and on
+single degrees up to `MAX_N`, `scan`'s distinct forms, and the order of
+`degree_reps`' points), and the output is shown not to depend on the order
+of ties.
 """
 
 import json
@@ -105,3 +108,34 @@ def test_single_degree_sorts_match_lexsort(n):
     assert (np.lexsort((y, x, z)) == np.arange(len(reps))).all()
     assert len(np.unique(reps, axis=0)) == len(reps)
     _check_sorts(n, n, reps)
+
+
+# ---------------------------------------------------------------------------
+# no output depends on the order of ties
+
+
+def _reversed_ties(argsort):
+    """np.argsort of a 1-d key with each run of equal keys in reverse input order."""
+
+    def patched(key):
+        assert key.ndim == 1
+        return len(key) - 1 - argsort(key[::-1], kind="stable")
+
+    return patched
+
+
+def test_reversed_ties_change_no_output(capsys, monkeypatch):
+    calls = [["table", "--max-n", "300", "--format", f] for f in ("text", "csv", "json")]
+    calls += [["scan", "--max-n", "300", "--format", f] for f in ("text", "json")]
+    calls.append(["classify", "--n", "3999999", "--format", "json"])
+    want = []
+    for argv in calls:
+        cli.main(argv)
+        want.append(capsys.readouterr().out)
+    key = np.array([3, 1, 3, 1, 2])
+    assert _reversed_ties(np.argsort)(key).tolist() == [3, 1, 4, 2, 0]
+    monkeypatch.setattr(np, "argsort", _reversed_ties(np.argsort))
+    for argv, out in zip(calls, want):
+        cli.main(argv)
+        assert capsys.readouterr().out == out, argv
+    _check_sorts(1, 300, orbit_reps(1, 300))

@@ -122,7 +122,25 @@ def test_matches_oracle_around_the_int64_bound(lo, hi):
     rows = _check_rows(ns, reps)
     assert rows.dtype == np.int64
     # the same block on python ints, where nothing can wrap, gives the same rows
-    assert rows.tolist() == kernels._classes_block(ns.astype(object), reps.astype(object)).tolist()
+    big = reps.astype(object)
+    x, y, _ = big.T
+    assert rows.tolist() == kernels._classes_block(big, kernels._xgcd(-2 * y, -2 * x)).tolist()
+
+
+def test_euclid_per_pair_across_blocks(monkeypatch):
+    # the extended gcd runs once per distinct (x, y); with blocks of 5 rows, the
+    # rows of one pair (which differ in z) fall in many blocks
+    reps = orbit_reps(1, 300)
+    ns = _degrees(reps)
+    pairs = len(np.unique(reps[:, :2], axis=0))
+    assert pairs < len(reps) // 2
+    want = orbit_classes(ns, reps)
+    calls = []
+    xgcd = kernels._xgcd
+    monkeypatch.setattr(kernels, "_xgcd", lambda a, b: calls.append(len(a)) or xgcd(a, b))
+    monkeypatch.setattr(kernels, "_ROWS", 5)
+    assert (_check_rows(ns, reps) == want).all()
+    assert calls == [pairs]
 
 
 def test_degree_guard():
@@ -181,6 +199,14 @@ def test_domain_guard(point):
     with pytest.raises(EnumerationAnomaly, match="fundamental domain") as exc:
         orbit_classes(np.array([5]), np.array([point]))
     assert exc.value.n == 5
+
+
+def test_domain_guard_before_the_pair_key():
+    # x, y spans of 2**40 + 1 and 2**24 - 1 would need 2**64 keys: the domain guard fires
+    # first, not SortKeyAnomaly
+    with pytest.raises(EnumerationAnomaly, match=r"\(1099511627776, 16777216, 0\) is outside") as exc:
+        orbit_classes(np.array([1, 7]), np.array([[0, 2, 0], [2**40, 2**24, 0]]))
+    assert exc.value.n == 7
 
 
 def test_norm_guard():
