@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .golden import golden_check
-from .kernels import _one_key
+from .kernels import _one_key, _starts
 from .polarizations import (
     MAX_RANGE_N,
     ClassTable,
@@ -228,10 +228,7 @@ def _cmd_scan(args) -> int:
     # the distinct forms (a, b, c), sorted, as the first row of each run of equal ones
     key = _one_key(table.a, table.b, table.c)
     order = np.argsort(key)
-    key = key[order]
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    classes = np.column_stack((table.a, table.b, table.c))[order[first]]
+    classes = np.column_stack((table.a, table.b, table.c))[order[_starts(key[order])]]
     witnesses = prime_witnesses(args.max_n)
     # the degrees with a class that some obstruction check finds FEASIBLE
     anomalies = len(np.unique(table.n[status_columns(table)[2]]))

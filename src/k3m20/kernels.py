@@ -19,43 +19,41 @@ import numpy as np
 
 from .lattice import GRAM, ComplementAnomaly
 
-# The largest degree parameter n the library accepts.  Every value formed for
-# n <= MAX_N is exact in int64, below 2**63 (about 9.2e18):
+# The largest degree parameter n the library accepts.  Every value formed for n <= MAX_N
+# is exact in int64, below 2**63 (about 9.2e18).  A domain point (x, y, z) of degree n has
+# x^2 + y^2 + 10 z^2 = 4n and 0 <= x <= y, so x <= sqrt(2n), y <= 2 sqrt(n), z <= sqrt(0.4 n),
+# and Cauchy-Schwarz gives y + z <= sqrt(4.4 n) and x + z <= sqrt(2.4 n).
 # - orbit_reps and degree_reps stay exact for 4n <= 2**62; degree_reps' modular
 #   powers (twosquares._powmod, exact below 2**40) take root primes below
 #   sqrt(4n) < 2**17 and split primes below 2n, the odd part of an even m <= 4n.
-# - orbit_classes: with m = 4n = x^2 + y^2 + 10 z^2, the functional
-#   G v = (-2y, -2x, w3), w3 = x + y - 10z, has entries at most 2 sqrt(m),
-#   2 sqrt(m) and sqrt(12 m) (Cauchy-Schwarz).  Euclid on (-2y, -2x) gives
-#   g = gcd(2x, 2y) and cofactors s, t at most max(2x, 2y) / g <= 2 sqrt(m);
-#   with the index I = gcd(g, w3), p3 = w3 / I is at most sqrt(12 m).  So
-#   u1 = (2x, -2y, 0) / g has entries at most 2 sqrt(m) (|u1_1| + |u1_2| at
-#   most 2 sqrt(2m)), u2 = (p3 s, p3 t, -g / I) at most 4 sqrt(3) m, the
-#   columns of u1^T G at most 8 sqrt(m), and g11 = u1^T G u1 <= 16 m.  The
-#   terms of g12 = u1^T G u2 add up to at most 64 sqrt(3) m^1.5 + 8 sqrt(2) m,
-#   so g11 - 2 g12, the numerator of the size reduction's quotient k and the
-#   largest value formed, stays below 2000 n^1.5: 1.8e17 at n = MAX_N.
-# - Size reduction leaves 2 |g12| <= g11, and the Gram determinant is
-#   4d <= 160 n (d I^2 = 160 n, and I >= 2, every entry of G v being even),
-#   so g22 <= 160 n / g11 + g11 / 4 <= 56 n.  The split form of the norm puts
-#   each entry of the reduced u2' = u2 + k u1 at most sqrt(g22) <= sqrt(56 n),
-#   so the columns of u2'^T G are O(sqrt(n)), and every Gram entry,
-#   k u1 = u2' - u2 and the orthogonality check's terms are O(n).  Gauss
-#   reduction never grows a form past its diagonal entries, at most 16 n,
-#   and its witness entries stay below 2 * 16 n / sqrt(3) (Cramer's rule);
-#   the final witness's are at most sqrt(22 n), the reduced form's values
-#   being at most d / 3, so the witness check's products are O(n) too.
+# - orbit_classes: g = gcd(2x, 2y) is even, and 2 <= g <= 2y but at x = y = 0 (g = 0, and the
+#   basis is (0, 1, 0), (-1, 0, 0)); the index I = gcd(g, w3) is even.  By Cauchy-Schwarz and
+#   the split form X^2 + Y^2 + 10 Z^2 of the norm, each value is at most:
+#   - w3 = x + y - 10 z: 4 sqrt(3n); Euclid's values: 8 sqrt(n), its cofactors s, t: 2y / g <= y;
+#   - p3 = w3 / I: 2 sqrt(3n); u1 = (2x, -2y, 0) / g: y; u2 = (p3 s, p3 t, -g / I): 4 sqrt(3) n;
+#   - the shift's numerator 2 u2[1] + u1[1], its k, and k u1 = u2' - u2: 16 n;
+#   - the shifted u2' = u2 + k u1: y / g at u1's largest entry u1[1] = -2y / g, g / I <= y at the
+#     third, and, as (-2y, -2x, w3) . u2' = 0, |w3| / I + x / g < 4.2 sqrt(n) at the first;
+#   - rep: sqrt(1.1 n); an entry of u^T G: 16 max|u|; a term of u^T G w: 16 max|u| max|w| < 300 n;
+#   - g11 = 16 (x^2 + y^2) / g^2: 16 n; g22 = X^2 + Y^2 + 10 Z^2, with |X| <= |x - 10 z| + x
+#     <= max(2x, 10 z), |Y| <= y + 1 and |Z| <= y, so that X^2 + 11 y^2 <= 44 n: 49 n;
+#     |g12| <= sqrt(g11 g22): 28 n;
+#   - Gauss reduction of (g11 / 4, g12 / 2, g22 / 4), d = 160 n / I^2 <= 40 n: a only falls, and a
+#     shift leaves |b| <= a and c = (d + b^2) / 4a <= 11 n, so a form entry: 14 n; a witness
+#     column (x, y) takes the start form's value f <= 14 n, 4 c0 f >= d x^2 and 4 a0 f >= d y^2
+#     (d >= 3): 17 n; any other value is a sum or difference of two of these;
+#   - the witness check's terms, a reduced form's a x^2, |b x y| and c y^2 being at most twice its
+#     value a0 <= 4 n or c0 <= 12.25 n: 2 c0, or 4 sqrt(a0 c0) in its middle entry: 28 n.
 # - quadric_count's 2 n^2 on an int64 column needs n < 2**31.
-# - Every sort is an argsort of one _one_key, of numpy's default kind, whose
-#   radices multiply to below 2**63 (bits = log2 of that product).  The default
-#   kind is not stable, so each key is unique, or its ties are equal rows, or
-#   the order of its ties is not used (_classes takes each class's smallest row
-#   index).  With x <= y and x^2 + y^2 + 10 z^2 = 4n, x <= sqrt(2n) and
-#   y <= 2 sqrt(n), and Cauchy-Schwarz gives y + z <= sqrt(4.4 n),
-#   x + z <= sqrt(2.4 n) and z <= sqrt(0.4 n); a checked reduced form has
-#   -a < b <= a <= sqrt(d / 3), c <= (d + 1) / 4 and d = 160 n / I^2 with
-#   3 <= d <= 40 n, so I <= sqrt(160 n / 3).  At n = MAX_N (one degree, the
-#   norm's radix 1) and N = polarizations.MAX_RANGE_N = 2*10**4 (degrees 1..N):
+# - Every multi-column sort is an argsort of one _one_key, of numpy's default kind, whose radices
+#   multiply to below 2**63 (bits = log2 of that product).  The other sorts take one column:
+#   twosquares._block_reps' argsort of f_row, whose ties are one row's factors, multiplied in any
+#   order, and the np.unique calls of orbit_classes, _block_reps and cli._cmd_scan.  The default
+#   kind is not stable, so each key is unique, or its ties are equal rows, or the order of its
+#   ties is not used (_classes takes each class's smallest row index).  A checked reduced form has
+#   -a < b <= a <= sqrt(d / 3), c <= (d + 1) / 4 and d = 160 n / I^2 with 3 <= d <= 40 n, so
+#   I <= sqrt(160 n / 3).  At n = MAX_N (one degree, the norm's radix 1) and
+#   N = polarizations.MAX_RANGE_N = 2*10**4 (degrees 1..N):
 #   - orbit_classes' pairs (x, y), taken after its norm check: 33 bits; range 16;
 #   - polarizations._orbit_rows (norm, -y - z, -x - z, -z): 48 bits; range 39;
 #   - polarizations._classes (n, a, b, -I): 54 bits; range 44;
@@ -92,8 +90,8 @@ def _one_key(*columns: np.ndarray) -> np.ndarray:
     The key is a mixed-radix number: each column's digit is its value less
     the column's minimum, and its radix is max - min + 1 (taken in python
     ints).  So an argsort of the key is a lexicographic sort by the columns,
-    and equal keys are equal rows: key[1:] != key[:-1] marks a run's first
-    row (only a stable argsort keeps equal rows in input order).
+    and equal keys are equal rows: _starts of the sorted key finds each run's
+    first row (only a stable argsort keeps equal rows in input order).
     SortKeyAnomaly is raised unless the radices multiply to below 2**63 (see
     MAX_N for each key's budget), so no digit or key wraps.
     """
@@ -107,6 +105,11 @@ def _one_key(*columns: np.ndarray) -> np.ndarray:
         raise SortKeyAnomaly(f"sort key anomaly: columns of spans {spans} need {total} keys, past int64")
     digits -= low[:, None]
     return np.ravel_multi_index(digits, spans)
+
+
+def _starts(key: np.ndarray) -> np.ndarray:
+    """The index of the first entry of each run of equal entries of a sorted key (none if it is empty)."""
+    return np.flatnonzero(np.r_[len(key) > 0, key[1:] != key[:-1]])
 
 
 def _isqrt_np(m: np.ndarray) -> np.ndarray:
@@ -174,7 +177,7 @@ def orbit_classes(ns: np.ndarray, reps: np.ndarray) -> np.ndarray:
     The domain and norm checks run on all rows, and then the extended gcd,
     which depends on (x, y) alone, once per distinct pair; the rest runs in
     blocks of `_ROWS` rows, so that its intermediates do not grow with k.
-    Every degree must be in 1..MAX_N, where int64 is exact.
+    Every degree must be in 1..MAX_N, where every value formed, O(n), is exact in int64.
     """
     if len(ns) and not 1 <= ns.min() <= ns.max() <= MAX_N:
         raise ValueError(f"need 1 <= n <= {MAX_N}")
@@ -203,8 +206,8 @@ def _first_bad(bad: np.ndarray) -> int | None:
 
 
 def _classes_block(pts: np.ndarray, euclid) -> np.ndarray:
-    """orbit_classes for one block of checked points, on int64 columns;
-    euclid is _xgcd(-2y, -2x) of the block's rows."""
+    """orbit_classes for one block of checked points, on int64 columns (or python-int object
+    arrays); euclid is _xgcd(-2y, -2x) of the block's rows."""
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
 
     # the canonical member, the lift of (-y, -x, -z) (see oracles.canonical_member)
@@ -216,24 +219,21 @@ def _classes_block(pts: np.ndarray, euclid) -> np.ndarray:
     w3 = x + y - 10 * z
     g, s, t = euclid
     index = np.gcd(g, w3)
-    flat = g == 0  # x = y = 0: the kernel is spanned by (1, 0, 0) and (0, 1, 0)
-    g1 = np.where(flat, 1, g)
+    flat = g == 0  # x = y = 0: u1 = (0, 1, 0), and s = 1, t = 0 and p3 = -1 make u2 = (-1, 0, 0)
+    g1 = np.maximum(g, 1)
     p3 = w3 // index
-    u1 = (np.where(flat, 1, 2 * x // g1), -2 * y // g1, 0 * g)
-    u2 = (np.where(flat, 0, p3 * s), np.where(flat, 1, p3 * t), -g // index)
-    ug1 = _times_gram(u1)
-    # size-reduce u2 against u1, the shift _reduce starts with, so that no entry
-    # of the Gram matrix grows past O(n) (see MAX_N); a g11 <= 0 fails _check_gram,
-    # and the maximum only keeps k defined there
-    g11 = _dot(ug1, u1)
-    k = (g11 - 2 * _dot(ug1, u2)) // (2 * np.maximum(g11, 1))
+    u1 = (2 * x // g1, np.where(flat, 1, -2 * y // g1), 0 * g)
+    u2 = (p3 * s, p3 * t, -g // index)
+    # shift u2 by the multiple of u1 that brings its entry at u1's largest, u1[1] (x <= y),
+    # nearest to 0: then every entry of u2 is O(sqrt(n)), and every Gram entry O(n) (see MAX_N)
+    k = -((2 * u2[1] + u1[1]) // (2 * u1[1]))
     u2 = tuple(e + k * f for e, f in zip(u2, u1))
-    ug2 = _times_gram(u2)
+    ug1, ug2 = _times_gram(u1), _times_gram(u2)
     i = _first_bad((_dot(ug1, rep) != 0) | (_dot(ug2, rep) != 0))
     if i is not None:
         u1, u2, rep = (tuple(int(e[i]) for e in v) for v in (u1, u2, rep))
         raise ComplementAnomaly(f"complement anomaly: {u1}, {u2} are not both orthogonal to {rep}")
-    g12, g21, g22 = _dot(ug1, u2), _dot(ug2, u1), _dot(ug2, u2)
+    g11, g12, g21, g22 = _dot(ug1, u1), _dot(ug1, u2), _dot(ug2, u1), _dot(ug2, u2)
     _check_gram(g11, g12, g21, g22)
     form = (g11 // 4, g12 // 2, g22 // 4)
     (a, b, c), witness = _reduce(*form)

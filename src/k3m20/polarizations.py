@@ -41,6 +41,7 @@ from .kernels import (
     ReductionAnomaly,
     _first_bad,
     _one_key,
+    _starts,
     orbit_classes,
     orbit_reps,
 )
@@ -137,14 +138,22 @@ def _orbit_rows(lo: int, hi: int, reps: np.ndarray) -> tuple[np.ndarray, np.ndar
     """(ns, rows): the orbit_classes rows of degrees lo..hi from all their
     orbit representatives (see orbit_reps), ordered by degree ns, then by
     canonical member; EnumerationAnomaly unless exactly the representable
-    degrees have orbits."""
+    degrees have orbits, each found once."""
     x, y, z = reps[:, 0], reps[:, 1], reps[:, 2]
     norms = x * x + y * y + 10 * z * z
     # by degree, then by canonical member ((-y - z) / 2, (-x - z) / 2, -z)
-    order = np.argsort(_one_key(norms, -y - z, -x - z, -z))
+    key = _one_key(norms, -y - z, -x - z, -z)
+    order = np.argsort(key)
+    # the key is one-to-one on points, so a row that starts no run repeats the orbit before it
+    again = np.ones(len(key), dtype=bool)
+    again[_starts(key[order])] = False
+    del key  # not kept through orbit_classes, where the range path's memory peaks
     # a norm off 4 lo..4 hi, or not divisible by 4, fails orbit_classes' norm check
     ns = np.clip(norms[order] // 4, lo, hi)
     rows = orbit_classes(ns, reps[order])
+    i = _first_bad(again)
+    if i is not None:
+        raise EnumerationAnomaly(int(ns[i]), f"{tuple(reps[order[i]].tolist())} is found twice")
     counts = np.diff(np.searchsorted(ns, np.arange(lo, hi + 2)))
     representable = is_representable(np.arange(lo, hi + 1))
     bad = np.flatnonzero((counts > 0) != representable)
@@ -193,10 +202,7 @@ def _classes(ns: np.ndarray, rows: np.ndarray) -> ClassTable:
     # sort the key alone: a sorted copy of all ten columns would set the range path's peak memory
     key = _one_key(ns, a, b, -index)
     order = np.argsort(key)
-    key = key[order]
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    starts = np.flatnonzero(first)
+    starts = _starts(key[order])
     odd = np.logical_or.reduceat(rows[order, 4] % 2 == 1, starts)
     head = np.minimum.reduceat(order, starts)
     n, (lam, mu, delta, _, _, a, b, c, d, index) = ns[head], rows[head].T

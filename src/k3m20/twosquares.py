@@ -16,7 +16,7 @@ from math import isqrt
 
 import numpy as np
 
-from .kernels import MAX_N, EnumerationAnomaly, _first_bad, _isqrt_np, _one_key
+from .kernels import MAX_N, EnumerationAnomaly, _first_bad, _isqrt_np, _one_key, _starts
 
 # values m = 4n - 10 z^2 factored at once in degree_reps, and (m, prime) entries
 # per tile of the remainder test; together they bound its working memory
@@ -97,9 +97,7 @@ def _block_reps(n: int, z: np.ndarray, m: np.ndarray, roots: tuple[np.ndarray, .
     """degree_reps' points (x, y, z) for one block of consecutive z and m = 4n - 10 z^2 > 0."""
     i, p, e, pe = _hits(z, m, *roots)
     # per m with a prime found (i is sorted): the product over its primes, or its split ones
-    first = np.ones(len(i), dtype=bool)
-    first[1:] = i[1:] != i[:-1]
-    starts = np.flatnonzero(first)
+    starts = _starts(i)
     split = p % 4 == 1
     left = m.copy()
     left[i[starts]] //= np.multiply.reduceat(pe, starts)
@@ -135,10 +133,8 @@ def _block_reps(n: int, z: np.ndarray, m: np.ndarray, roots: tuple[np.ndarray, .
     x, y = np.minimum(np.abs(re), np.abs(im)), np.maximum(np.abs(re), np.abs(im))
     key = _one_key(row, x, y)
     order = np.argsort(key)
-    key = key[order]
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    row, x, y = row[order[first]], x[order[first]], y[order[first]]
+    order = order[_starts(key[order])]
+    row, x, y = row[order], x[order], y[order]
     # completeness: a point with 0 < x < y stands for 8 ordered pairs, one with x = 0 or x = y for
     # 4, and the points of each m must stand for its r2(m) = 4 prod_p (e_p + 1)
     weight = np.concatenate([[0], np.cumsum(np.where((x == 0) | (x == y), 4, 8))])

@@ -337,6 +337,12 @@ _FAR_POINTS = (
     "import numpy as np\n"
     "polarizations.orbit_reps = lambda lo, hi: np.array([[0, 0, 0], [0, 2**20, 2**20]])\n"
 )
+# a walk that finds the orbit (0, 12, 0) of n = 36 twice, which the orbit sort's key shows
+_REPEATED_ORBIT = (
+    "import numpy as np\n"
+    "reps = polarizations.orbit_reps\n"
+    "polarizations.orbit_reps = lambda lo, hi: np.concatenate([reps(lo, hi), [[0, 12, 0]]])\n"
+)
 
 
 def _scaled_complement(k):
@@ -356,10 +362,12 @@ def _scaled_complement(k):
 _CLASSIFY_90 = ("classify(90)", ["classify", "--n", "90"])
 _TABLE_200 = ("polarizations.class_table(200)", ["table", "--max-n", "200"])
 _CLASSIFY = ("classify(3)", ["classify", "--n", "3"])
-# the first degree with an orbit whose size-reduced form still swaps in Gauss
-# reduction, so that a wrong witness shows
+# the first degree with an orbit whose starting form, from the shifted complement
+# basis, still swaps in Gauss reduction, so that a wrong witness shows
 _CLASSIFY_SWAP = ("classify(5)", ["classify", "--n", "5"])
 _TABLE = ("polarizations.class_table(5)", ["table", "--max-n", "5"])
+_RANGE_TABLE = ("polarizations.classify_range(50)", ["table", "--max-n", "50"])
+_RANGE_SCAN = ("polarizations.classify_range(50)", ["scan", "--max-n", "50"])
 
 
 @pytest.mark.parametrize(
@@ -386,6 +394,8 @@ _TABLE = ("polarizations.class_table(5)", ["table", "--max-n", "5"])
         (_WRONG_INDEX, _TABLE, "IndexAnomaly", "breaks d I^2 = 160 n"),
         (_NOT_TEN_SQUARES, _TABLE, "IndexAnomaly", "breaks d I^2 = 160 n"),
         (_FAR_POINTS, _TABLE, "SortKeyAnomaly", "past int64"),
+        (_REPEATED_ORBIT, _RANGE_TABLE, "EnumerationAnomaly", "at n = 36: (0, 12, 0) is found twice"),
+        (_REPEATED_ORBIT, _RANGE_SCAN, "EnumerationAnomaly", "at n = 36: (0, 12, 0) is found twice"),
         # the first orbit of n = 90 has d = 900 and I = 4, that of n = 1 d = 40 and I = 2
         (_scaled_complement(2), _CLASSIFY_90, "IndexAnomaly", "I = 4 breaks d I^2 = 160 n at n = 90, d = 3600"),
         (_scaled_complement(2), _TABLE_200, "IndexAnomaly", "I = 2 breaks d I^2 = 160 n at n = 1, d = 160"),
@@ -440,6 +450,8 @@ _TABLE = ("polarizations.class_table(5)", ["table", "--max-n", "5"])
         "table-index",
         "table-index-ten-squares",
         "table-sort-key",
+        "table-repeated-orbit",
+        "scan-repeated-orbit",
         "complement-doubled",
         "table-complement-doubled",
         "complement-tripled",

@@ -1,7 +1,7 @@
 """The one-key sorts: `kernels._one_key` and the package's sorts built on it.
 
-Every sort in the package is an argsort of one mixed-radix int64 key, of
-numpy's default kind: each key is unique, or its ties are equal rows, or
+Every multi-column sort in the package is an argsort of one mixed-radix
+int64 key, of numpy's default kind: each key is unique, or its ties are equal rows, or
 the order of its ties is not used.  Here the key is checked on its own
 (ties, negative columns, empty input, the 2**63 bound), each sort is pinned
 to the multi-key `np.lexsort` order it replaced, kept in `tests/oracles.py`

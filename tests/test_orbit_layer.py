@@ -4,8 +4,8 @@
 ints, one orbit at a time, through the oracles `orthogonal_complement` and
 `canonical`.  The batched layer must give the same canonical
 member, divisibility, reduced form, discriminant, index and orbit size for
-every orbit, in int64 up to `MAX_N`, and each of its guards must raise its
-named error.
+every orbit, in int64 up to `MAX_N`, with Gram entries within the bounds
+derived next to `MAX_N`, and each of its guards must raise its named error.
 """
 
 import random
@@ -26,6 +26,7 @@ from k3m20.kernels import (
 )
 from k3m20.lattice import ComplementAnomaly
 from k3m20.polarizations import classify
+from k3m20.twosquares import degree_reps
 from oracles import EvenBinaryForm, _xgcd, canonical, orbit_class, transform
 
 RANGE_N = 2000
@@ -125,6 +126,33 @@ def test_matches_oracle_around_the_int64_bound(lo, hi):
     big = reps.astype(object)
     x, y, _ = big.T
     assert rows.tolist() == kernels._classes_block(big, kernels._xgcd(-2 * y, -2 * x)).tolist()
+
+
+@pytest.mark.parametrize(
+    "reps",
+    [
+        lambda: orbit_reps(1, RANGE_N),
+        lambda: np.concatenate([_domain_points(MAX_N - 10**6, MAX_N, 300, seed=1), _edge_points(MAX_N, 20, seed=2)]),
+        lambda: degree_reps(MAX_N - 1),
+    ],
+    ids=["range", "max-n", "degree-max-n-1"],
+)
+def test_gram_entries_within_the_stated_bounds(monkeypatch, reps):
+    # the bounds derived next to MAX_N: g11 <= 16 n, |g12| <= 28 n and g22 <= 49 n, on python
+    # ints, where nothing can wrap
+    reps = reps()
+    grams = []
+    check = kernels._check_gram
+    monkeypatch.setattr(kernels, "_check_gram", lambda *gram: grams.append(gram) or check(*gram))
+    big = reps.astype(object)
+    x, y, _ = big.T
+    kernels._classes_block(big, kernels._xgcd(-2 * y, -2 * x))
+    [(g11, g12, g21, g22)] = grams
+    n = _degrees(reps).astype(object)
+    assert (g12 == g21).all()
+    assert (g11 <= 16 * n).all()
+    assert (abs(g12) <= 28 * n).all()
+    assert (g22 <= 49 * n).all()
 
 
 def test_euclid_per_pair_across_blocks(monkeypatch):
