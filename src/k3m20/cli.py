@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import signal
 import sys
 from collections.abc import Iterator, Sequence
@@ -63,7 +64,8 @@ _TABLE_FORMATS = {
     "json": ("[\n", _JSON_ROW, ",\n", "\n]\n"),
     "text": (f"{_BANNER}\n{CSV_HEADER}\n".replace(",", "\t"), _CSV_ROW.replace(",", "\t"), "", ""),
 }
-# rows per % in _render_rows (2**12 raised the benchmark's peak RSS 0.4 MB by heap layout)
+# rows per % in _render_rows, and the least per % in _write_table but in its last chunk
+# (2**12 raised the benchmark's peak RSS 0.4 MB by heap layout)
 _CHUNK = 2**14
 # one orbit row of classify's text report
 _TEXT_ORBIT = "  canonical (%d, %d, %d)  size %d  div %d  tx (a,b,c) = (%d, %d, %d)  d = %d  I = %d"
@@ -152,14 +154,29 @@ def report_json(report: PolarizationReport) -> str:
 
 def _write_table(fmt: str, table: ClassTable) -> None:
     """A class table in the format fmt, one row per class (its data plus its
-    smallest member, the columns of CSV_HEADER), written chunk by chunk."""
+    smallest member, the columns of CSV_HEADER), written degree by degree:
+    each degree's row template is filled once with its n, 4n and q, and one %
+    fills the seven class fields of a chunk of whole degrees from the columns."""
     head, row, sep, tail = _TABLE_FORMATS[fmt]
-    n = table.n
-    columns = (n, 4 * n, quadric_count(n), table.a, table.b, table.c, table.lam, table.mu, table.delta)
-    values = np.column_stack(columns + (table.index,))
+    # every row template starts with the fields n, l2 and q; each row follows a separator
+    prefix = sep + row.replace("%d", "%%d").replace("%%d", "%d", 3)
+    classes = np.column_stack((table.a, table.b, table.c, table.lam, table.mu, table.delta, table.index))
+    starts = _starts(table.n)
+    ends = np.r_[starts[1:], len(table)]
+    templates = [prefix % (n, 4 * n, quadric_count(n)) for n in table.n[starts].tolist()]
+    counts = (ends - starts).tolist()
     out = sys.stdout
     out.write(head)
-    out.writelines(_render_rows(row, sep, values))
+    lo = d0 = 0
+    while d0 < len(templates):
+        # the degrees from d0 through the first that ends _CHUNK rows or more past lo
+        d1 = min(int(np.searchsorted(ends, lo + _CHUNK)) + 1, len(templates))
+        hi = int(ends[d1 - 1])
+        blocks = list(map(operator.mul, templates[d0:d1], counts[d0:d1]))
+        if not lo:  # the table's first row has no separator before it
+            blocks[0] = blocks[0][len(sep) :]
+        out.write("".join(blocks) % tuple(classes[lo:hi].ravel().tolist()))
+        lo, d0 = hi, d1
     out.write(tail)
 
 

@@ -61,9 +61,9 @@ class IndexAnomaly(ValueError):
         super().__init__(message)
 
 
-def quadric_count(n):
-    """Quadrics through the degree-4n model: 2 n^2 - 3 n + 1 (elementwise on an array of n)."""
-    if np.any(n < 1):
+def quadric_count(n: int) -> int:
+    """Quadrics through the degree-4n model: 2 n^2 - 3 n + 1."""
+    if n < 1:
         raise ValueError("degree parameter n must be positive")
     return 2 * n * n - 3 * n + 1
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from k3m20 import polarizations
+from k3m20 import cli, polarizations
 from k3m20.cli import main
 from k3m20.kernels import MAX_N, ReductionAnomaly, orbit_reps
 from k3m20.polarizations import (
@@ -121,7 +121,7 @@ def test_closed_form_on_every_index_pair():
     assert not table.div1.any() and table.div2.any() and table.eq90.any()
 
 
-def test_class_rows_at_the_bound():
+def test_class_rows_at_the_bound(capsys):
     # at n = MAX_N, d = 8 (the form (1, 0, 2)) and I = 200000 satisfy d I^2 = 160 n
     ns = np.array([MAX_N], dtype=np.int64)
     rows = np.array([[-1, 0, 0, 1, 1, 1, 0, 2, 8, 200000]], dtype=np.int64)
@@ -130,6 +130,10 @@ def test_class_rows_at_the_bound():
     assert not (table.div1[0] or table.div2[0] or table.eq90[0])
     # and the table's quadric column is exact there
     assert quadric_count(table.n).tolist() == [2 * MAX_N**2 - 3 * MAX_N + 1]
+    # and so is the q field the table renders
+    cli._write_table("csv", table)
+    (row,) = capsys.readouterr().out.splitlines()[1:]
+    assert row.split(",")[2] == str(2 * MAX_N**2 - 3 * MAX_N + 1)
 
 
 def test_every_orbit_row_carries_its_class_index():

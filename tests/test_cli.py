@@ -105,11 +105,12 @@ def test_table_csv_roundtrip(capsys):
     assert len(n9) == 2
 
 
-@pytest.mark.parametrize("chunk", [cli._CHUNK, 1000], ids=["chunk", "chunk-1000"])
+@pytest.mark.parametrize("chunk", [cli._CHUNK, 1000, 1], ids=["chunk", "chunk-1000", "chunk-1"])
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
 @pytest.mark.parametrize("max_n", [1, 2, 13, 2000])
 def test_table_matches_row_by_row_render(capsys, monkeypatch, max_n, fmt, chunk):
-    # with chunks of 1000 rows, the 10 693 rows of 2000 cross ten chunk boundaries
+    # with chunks of 1000 rows, the 10 693 rows of 2000 cross ten chunk boundaries; with
+    # chunks of 1 row every degree ends a chunk, and a degree of two rows or more outgrows one
     monkeypatch.setattr(cli, "_CHUNK", chunk)
     code, out, _ = run(capsys, "table", "--max-n", str(max_n), "--format", fmt)
     assert code == 0
