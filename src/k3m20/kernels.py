@@ -53,8 +53,7 @@ from .lattice import GRAM, ComplementAnomaly
 #   -a < b <= a <= sqrt(d / 3), c <= (d + 1) / 4 and d = 160 n / I^2 with 3 <= d <= 40 n, so
 #   I <= sqrt(160 n / 3).  At n = MAX_N (one degree, the norm's radix 1) and
 #   N = polarizations.MAX_RANGE_N = 2*10**4 (degrees 1..N):
-#   - orbit_classes' pairs (x, y), after its norm check, range only (one degree takes each row as
-#     its pair): 16 bits, and 33 on a band of degrees next to MAX_N;
+#   - orbit_classes' pairs (x, y), taken after its norm check: 33 bits; range 16;
 #   - polarizations._orbit_rows (norm, -y - z, -x - z, -z): 48 bits; range 39;
 #   - polarizations._classes (n, a, b, -I): 54 bits; range 44;
 #   - cli._cmd_scan (a, b, c), range only: 37 bits;
@@ -189,14 +188,10 @@ def orbit_classes(ns: np.ndarray, reps: np.ndarray) -> np.ndarray:
     if i is not None:
         raise EnumerationAnomaly(int(ns[i]), f"{tuple(reps[i].tolist())} does not have norm {4 * int(ns[i])}")
 
-    # one row per distinct (x, y): within one degree (x, y) fixes z, so each row is its own
-    # pair; across degrees the key of the pairs is within 33 bits (see MAX_N)
-    if not len(ns) or ns.min() == ns.max():
-        pair = at = np.arange(len(ns))
-    else:
-        pairs, pair = np.unique(_one_key(x, y), return_inverse=True)
-        at = np.empty(len(pairs), dtype=np.int64)
-        at[pair] = np.arange(len(pair))
+    # one row per distinct (x, y), whose key the norm check keeps within 33 bits (see MAX_N)
+    pairs, pair = np.unique(_one_key(x, y), return_inverse=True)
+    at = np.empty(len(pairs), dtype=np.int64)
+    at[pair] = np.arange(len(pair))
     euclid = _xgcd(-2 * y[at], -2 * x[at])
     rows = np.empty((len(ns), 10), dtype=np.int64)
     for i in range(0, len(ns), _ROWS):

@@ -171,22 +171,6 @@ def test_euclid_per_pair_across_blocks(monkeypatch):
     assert calls == [pairs]
 
 
-def test_euclid_per_row_on_one_degree(monkeypatch):
-    # within one degree (x, y) fixes z, so each row is its own pair and no dedupe runs;
-    # the rows equal those the dedupe gives when a point of degree 1 joins them
-    n = 100000
-    reps = degree_reps(n)
-    ns = np.full(len(reps), n)
-    want = orbit_classes(np.r_[ns, 1], np.r_[reps, [[0, 2, 0]]])[:-1]
-    calls, keys = [], []
-    xgcd, one_key = kernels._xgcd, kernels._one_key
-    monkeypatch.setattr(kernels, "_xgcd", lambda a, b: calls.append(len(a)) or xgcd(a, b))
-    monkeypatch.setattr(kernels, "_one_key", lambda *cols: keys.append(len(cols)) or one_key(*cols))
-    monkeypatch.setattr(kernels, "_ROWS", 5)
-    assert (_check_rows(ns, reps) == want).all()
-    assert calls == [len(reps)] and keys == []
-
-
 def test_degree_guard():
     point = np.array([[0, 0, 0]])
     for n in (0, MAX_N + 1):
