@@ -25,7 +25,9 @@ from .lattice import GRAM, ComplementAnomaly
 # and Cauchy-Schwarz gives y + z <= sqrt(4.4 n) and x + z <= sqrt(2.4 n).
 # - orbit_reps and degree_reps stay exact for 4n <= 2**62; degree_reps' modular
 #   powers (twosquares._powmod, exact below 2**40) take root primes below
-#   sqrt(4n) < 2**17 and split primes below 2n, the odd part of an even m <= 4n.
+#   sqrt(4n) < 2**17 and split primes below 2n, the odd part of an even m <= 4n.  A call
+#   squares whole when its moduli are all below 2**31 (always for the root primes, and for
+#   the split primes when n < 2**30), else in two limbs.
 # - orbit_classes: g = gcd(2x, 2y) is even, and 2 <= g <= 2y but at x = y = 0 (g = 0, and the
 #   basis is (0, 1, 0), (-1, 0, 0)); the index I = gcd(g, w3) is even.  By Cauchy-Schwarz and
 #   the split form X^2 + Y^2 + 10 Z^2 of the norm, each value is at most:
@@ -108,7 +110,7 @@ def _one_key(*columns: np.ndarray) -> np.ndarray:
 
 def _starts(key: np.ndarray) -> np.ndarray:
     """The index of the first entry of each run of equal entries of a sorted key (none if it is empty)."""
-    return np.flatnonzero(np.r_[len(key) > 0, key[1:] != key[:-1]])
+    return np.flatnonzero(np.concatenate([[len(key) > 0], key[1:] != key[:-1]]))
 
 
 def _isqrt_np(m: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ report its rows' statuses as strings (reference: `class_statuses` and
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import product
 
 import numpy as np
 
@@ -287,6 +288,11 @@ INFEASIBLE = "infeasible"
 FEASIBLE = "FEASIBLE"
 KNOWN_MODEL = "known model"
 DOUBLED = "doubled polarization"
+# every (base-point, hyperelliptic, quadrics) status triple, at its code in _statuses
+_STATUS_TRIPLES = (
+    *product((INFEASIBLE, FEASIBLE), (INFEASIBLE, FEASIBLE, DOUBLED), (INFEASIBLE, FEASIBLE)),
+    *product((KNOWN_MODEL,), (KNOWN_MODEL,), (INFEASIBLE, FEASIBLE)),
+)
 
 
 @dataclass(frozen=True)
@@ -319,10 +325,10 @@ def status_columns(table: ClassTable) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def _statuses(table: ClassTable) -> list[tuple[str, str, str]]:
     """The (base-point, hyperelliptic, quadrics) statuses of every row of a class table."""
     prior, doubled, _ = status_columns(table)
-    base_point = np.select([prior, table.div1], [KNOWN_MODEL, FEASIBLE], INFEASIBLE)
-    hyperelliptic = np.select([prior, doubled, table.div2], [KNOWN_MODEL, DOUBLED, FEASIBLE], INFEASIBLE)
-    quadrics = np.where(table.eq90, FEASIBLE, INFEASIBLE)
-    return list(zip(base_point.tolist(), hyperelliptic.tolist(), quadrics.tolist()))
+    # the index into _STATUS_TRIPLES: 6 base + 2 hyper + quadrics, each check 1 when feasible and hyper 2
+    # for a doubled class; a class of a prior model takes 12 + quadrics
+    code = 2 * np.where(prior, 6, 3 * table.div1 + np.where(doubled, 2, table.div2)) + table.eq90
+    return [_STATUS_TRIPLES[c] for c in code.tolist()]
 
 
 def model_verdict(report: PolarizationReport) -> ModelVerdict:

@@ -101,7 +101,7 @@ def _block_reps(n: int, z: np.ndarray, m: np.ndarray, roots: tuple[np.ndarray, .
     split = p % 4 == 1
     left = m.copy()
     left[i[starts]] //= np.multiply.reduceat(pe, starts)
-    large = left // np.gcd(left, 2**62)  # the odd part: 1 or the one prime factor above sqrt(4n)
+    large = left // (left & -left)  # the odd part: 1 or the one prime factor above sqrt(4n)
     big = (large % 4 == 1) & (large > 1)
     h = m // np.where(big, large, 1)
     h[i[starts]] //= np.multiply.reduceat(np.where(split, pe, 1), starts)
@@ -229,11 +229,19 @@ def _gaussian_primes(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _powmod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
     """base^exp mod mod elementwise (broadcast), from the top bit of exp down; exact in int64
-    for 0 <= base < 2**23 and 2 <= mod < 2**40, each square r^2 being split at bit 17 of r."""
+    for 0 <= base < 2**23 and 2 <= mod < 2**40.  Each bit squares r and multiplies it by base or 1;
+    r^2 is taken whole when every mod is below 2**31 (r^2 < 2**62), else in two limbs of r split
+    at bit 17, exact up to 2**40."""
+    bits = np.arange(int(np.max(exp, initial=0)).bit_length())[::-1, None]
+    factors = np.where(exp >> bits & 1 == 1, base, 1)
     result = np.ones_like(base * exp)
-    for bit in range(int(np.max(exp, initial=0)).bit_length() - 1, -1, -1):
-        result = (result * (result >> 17) % mod * 2**17 + result * (result & (2**17 - 1))) % mod
-        result = np.where(exp >> bit & 1 == 1, result * base % mod, result)
+    whole = np.max(mod, initial=0) < 2**31
+    for factor in factors:
+        if whole:
+            square = result * result
+        else:
+            square = result * (result >> 17) % mod * 2**17 + result * (result & (2**17 - 1))
+        result = square % mod * factor % mod
     return result
 
 

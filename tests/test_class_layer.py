@@ -9,6 +9,7 @@ columns and the reports' statuses by `class_statuses` one row at a time, and
 each guard of the layer must raise its named error.
 """
 
+from itertools import product
 from math import isqrt
 
 import numpy as np
@@ -269,6 +270,16 @@ def test_class_statuses(n, d, div1, div2, eq90, odd, want):
     prior, doubled, feasible = status_columns(table)
     assert (prior[0], doubled[0], feasible[0]) == (KNOWN_MODEL in want, DOUBLED in want, FEASIBLE in want)
     assert polarizations._statuses(table) == [want]
+
+
+def test_statuses_of_every_flag_combination():
+    # each (div1, div2, eq90, odd) on a class of a prior model, of a doubled degree and of neither
+    rows = [(n, d, *flags) for n, d in [(1, 40), (4, 16), (3, 120)] for flags in product((False, True), repeat=4)]
+    n, d, *flags = (np.array(col) for col in zip(*rows))
+    zero = np.zeros(len(rows), dtype=np.int64)
+    table = ClassTable(n, zero, zero, zero, d, zero, zero, zero, zero + 1, *flags)
+    assert polarizations._statuses(table) == table_statuses(table)
+    assert len(set(table_statuses(table))) == len(polarizations._STATUS_TRIPLES) == 14
 
 
 def test_model_verdict_reads_the_class_table(capsys):

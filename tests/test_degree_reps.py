@@ -173,23 +173,33 @@ def test_classify_above_2_to_the_30(n, digest):
 _MODULI = [3037000493, 3999999979, 1099511627689]
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.integers(0, 2**23 - 1),
-            st.integers(0, 2**40),
-            st.one_of(st.sampled_from(_MODULI), st.integers(2, 2**40 - 1)),
-        ),
-        min_size=1,
-        max_size=20,
-    )
-)
-@example([(2**23 - 1, 2**40 - 1, _MODULI[2]), (2**17 - 1, 2**40, _MODULI[0]), (0, 0, 2), (5, 0, 3)])
-def test_powmod_matches_pow(triples):
+def _powmod_lists(moduli):
+    return st.lists(st.tuples(st.integers(0, 2**23 - 1), st.integers(0, 2**40), moduli), min_size=1, max_size=20)
+
+
+def _check_powmod(triples):
     base, exp, mod = (np.array(v, dtype=np.int64) for v in zip(*triples))
     got = _powmod(base, exp, mod)
     assert got.dtype == np.int64 and got.tolist() == [pow(b, e, m) for b, e, m in triples]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_powmod_lists(st.one_of(st.sampled_from(_MODULI), st.integers(2, 2**40 - 1))))
+@example([(2**23 - 1, 2**40 - 1, _MODULI[2]), (2**17 - 1, 2**40, _MODULI[0]), (0, 0, 2), (5, 0, 3)])
+# every modulus below 2**31, so the squares are taken whole: 7 is a primitive root of the prime
+# 2**31 - 1, so 7^((p - 1) / 2) = p - 1 and the power p - 1 squares p - 1, the largest residue
+@example([(7, 2**30 - 1, 2**31 - 1), (7, 2**31 - 2, 2**31 - 1), (2**23 - 1, 2**40, 2**31 - 2), (2**17, 2**40 - 1, 3)])
+# the largest modulus exactly 2**31, so the squares are split at bit 17
+@example([(7, 2**31 - 2, 2**31 - 1), (2**23 - 1, 2**40 - 1, 2**31)])
+def test_powmod_matches_pow(triples):
+    _check_powmod(triples)
+
+
+# a list of up to 20 moduli drawn up to 2**40 has them all below 2**31 almost never
+@settings(max_examples=200, deadline=None)
+@given(_powmod_lists(st.one_of(st.just(2**31 - 1), st.integers(2, 2**31 - 1))))
+def test_powmod_matches_pow_below_2_to_the_31(triples):
+    _check_powmod(triples)
 
 
 def test_degree_reps_guards():
