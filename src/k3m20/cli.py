@@ -64,8 +64,8 @@ _TABLE_FORMATS = {
     "json": ("[\n", _JSON_ROW, ",\n", "\n]\n"),
     "text": (f"{_BANNER}\n{CSV_HEADER}\n".replace(",", "\t"), _CSV_ROW.replace(",", "\t"), "", ""),
 }
-# rows per % in _render_rows, and the least per % in _write_table but in its last chunk
-# (2**12 raised the benchmark's peak RSS 0.4 MB by heap layout)
+# rows per % in _render_rows, and the most per % in _write_table, which takes whole degrees
+# (or one degree of more rows); 2**12 raised the benchmark's peak RSS 0.4 MB by heap layout
 _CHUNK = 2**14
 # one orbit row of classify's text report
 _TEXT_ORBIT = "  canonical (%d, %d, %d)  size %d  div %d  tx (a,b,c) = (%d, %d, %d)  d = %d  I = %d"
@@ -156,27 +156,25 @@ def _write_table(fmt: str, table: ClassTable) -> None:
     """A class table in the format fmt, one row per class (its data plus its
     smallest member, the columns of CSV_HEADER), written degree by degree:
     each degree's row template is filled once with its n, 4n and q, and one %
-    fills the seven class fields of a chunk of whole degrees from the columns."""
+    fills the seven class fields of a chunk of whole degrees from the columns,
+    as many degrees as _CHUNK rows of the largest degree allow, or one."""
     head, row, sep, tail = _TABLE_FORMATS[fmt]
     # every row template starts with the fields n, l2 and q; each row follows a separator
     prefix = sep + row.replace("%d", "%%d").replace("%%d", "%d", 3)
     classes = np.column_stack((table.a, table.b, table.c, table.lam, table.mu, table.delta, table.index))
     starts = _starts(table.n)
-    ends = np.r_[starts[1:], len(table)]
+    cuts = np.append(starts, len(table)).tolist()
     templates = [prefix % (n, 4 * n, quadric_count(n)) for n in table.n[starts].tolist()]
-    counts = (ends - starts).tolist()
+    counts = np.diff(cuts).tolist()
+    step = max(1, _CHUNK // max(counts, default=1))
     out = sys.stdout
     out.write(head)
-    lo = d0 = 0
-    while d0 < len(templates):
-        # the degrees from d0 through the first that ends _CHUNK rows or more past lo
-        d1 = min(int(np.searchsorted(ends, lo + _CHUNK)) + 1, len(templates))
-        hi = int(ends[d1 - 1])
-        blocks = list(map(operator.mul, templates[d0:d1], counts[d0:d1]))
-        if not lo:  # the table's first row has no separator before it
+    for d in range(0, len(templates), step):
+        blocks = list(map(operator.mul, templates[d : d + step], counts[d : d + step]))
+        if not d:  # the table's first row has no separator before it
             blocks[0] = blocks[0][len(sep) :]
-        out.write("".join(blocks) % tuple(classes[lo:hi].ravel().tolist()))
-        lo, d0 = hi, d1
+        rows = classes[cuts[d] : cuts[min(d + step, len(templates))]]
+        out.write("".join(blocks) % tuple(rows.ravel().tolist()))
     out.write(tail)
 
 
@@ -275,9 +273,6 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_veronese(args) -> int:
-    if (args.n is None) == (args.r is None):
-        print("error: need exactly one of --n / --r", file=sys.stderr)
-        return 64
     if args.n is not None:
         before, target, cut, after = doubled_model_dims(args.n)
         on_veronese = quadrics_on_veronese2(before)
@@ -356,6 +351,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 parser.error("--n must be a positive integer")
             if args.r is not None and args.r < 3:
                 parser.error("--r must be at least 3")
+            if (args.n is None) == (args.r is None):
+                parser.error("need exactly one of --n / --r")
             return _cmd_veronese(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

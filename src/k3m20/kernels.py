@@ -19,33 +19,32 @@ import numpy as np
 
 from .lattice import GRAM, ComplementAnomaly
 
-# The largest degree parameter n the library accepts.  Every value formed for n <= MAX_N
-# is exact in int64, below 2**63 (about 9.2e18).  A domain point (x, y, z) of degree n has
+# The largest degree parameter n the library accepts: every value formed for n <= MAX_N is
+# exact in int64, below 2**63 (about 9.2e18).  A domain point (x, y, z) of degree n has
 # x^2 + y^2 + 10 z^2 = 4n and 0 <= x <= y, so x <= sqrt(2n), y <= 2 sqrt(n), z <= sqrt(0.4 n),
-# and Cauchy-Schwarz gives y + z <= sqrt(4.4 n) and x + z <= sqrt(2.4 n).
-# - orbit_reps and degree_reps stay exact for 4n <= 2**62; degree_reps' modular
-#   powers (twosquares._powmod, exact below 2**40) take root primes below
-#   sqrt(4n) < 2**17 and split primes below 2n, the odd part of an even m <= 4n.  A call
-#   squares whole when its moduli are all below 2**31 (always for the root primes, and for
-#   the split primes when n < 2**30), else in two limbs.
-# - orbit_classes: g = gcd(2x, 2y) is even, and 2 <= g <= 2y but at x = y = 0 (g = 0, and the
-#   basis is (0, 1, 0), (-1, 0, 0)); the index I = gcd(g, w3) is even.  By Cauchy-Schwarz and
-#   the split form X^2 + Y^2 + 10 Z^2 of the norm, each value is at most:
-#   - w3 = x + y - 10 z: 4 sqrt(3n); Euclid's values: 8 sqrt(n), its cofactors s, t: 2y / g <= y;
-#   - p3 = w3 / I: 2 sqrt(3n); u1 = (2x, -2y, 0) / g: y; u2 = (p3 s, p3 t, -g / I): 4 sqrt(3) n;
-#   - the shift's numerator 2 u2[1] + u1[1], its k, and k u1 = u2' - u2: 16 n;
-#   - the shifted u2' = u2 + k u1: y / g at u1's largest entry u1[1] = -2y / g, g / I <= y at the
-#     third, and, as (-2y, -2x, w3) . u2' = 0, |w3| / I + x / g < 4.2 sqrt(n) at the first;
-#   - rep: sqrt(1.1 n); an entry of u^T G: 16 max|u|; a term of u^T G w: 16 max|u| max|w| < 300 n;
-#   - g11 = 16 (x^2 + y^2) / g^2: 16 n; g22 = X^2 + Y^2 + 10 Z^2, with |X| <= |x - 10 z| + x
-#     <= max(2x, 10 z), |Y| <= y + 1 and |Z| <= y, so that X^2 + 11 y^2 <= 44 n: 49 n;
-#     |g12| <= sqrt(g11 g22): 28 n;
-#   - Gauss reduction of (g11 / 4, g12 / 2, g22 / 4), d = 160 n / I^2 <= 40 n: a only falls, and a
-#     shift leaves |b| <= a and c = (d + b^2) / 4a <= 11 n, so a form entry: 14 n; a witness
-#     column (x, y) takes the start form's value f <= 14 n, 4 c0 f >= d x^2 and 4 a0 f >= d y^2
-#     (d >= 3): 17 n; any other value is a sum or difference of two of these;
-#   - the witness check's terms, a reduced form's a x^2, |b x y| and c y^2 being at most twice its
-#     value a0 <= 4 n or c0 <= 12.25 n: 2 c0, or 4 sqrt(a0 c0) in its middle entry: 28 n.
+# y + z <= sqrt(4.4 n) and x + z <= sqrt(2.4 n) (Cauchy-Schwarz).  One bound per value:
+# - orbit_reps' and degree_reps' norms: 4n <= 2**62.
+# - twosquares._powmod's moduli (it is exact below 2**40): the root primes, below sqrt(4n) < 2**17,
+#   and the split primes, below 2n as the odd part of an even m <= 4n.  A call squares whole when
+#   every modulus is below 2**31 (always for the root primes, and when n < 2**30), else in two limbs.
+# - In orbit_classes, with g = gcd(2x, 2y) even and 2 <= g <= 2y but at x = y = 0 (g = 0, where
+#   the basis is (0, 1, 0), (-1, 0, 0)), and the index I = gcd(g, w3) even:
+#   - w3 = x + y - 10 z: 4 sqrt(3n); p3 = w3 / I: 2 sqrt(3n); Euclid's values: 8 sqrt(n);
+#   - Euclid's cofactors s, t: 2y / g <= y; u1 = (2x, -2y, 0) / g: y; rep: sqrt(1.1 n);
+#   - u2 = (p3 s, p3 t, -g / I): 4 sqrt(3) n; the shift's numerator 2 u2[1] + u1[1], its k and
+#     k u1 = u2' - u2: 16 n;
+#   - the shifted u2' = u2 + k u1, entry by entry: 4.2 sqrt(n) at the first (|w3| / I + x / g, as
+#     (-2y, -2x, w3) . u2' = 0), y / g at u1's largest entry u1[1] = -2y / g, g / I <= y at the third;
+#   - an entry of u^T G: 16 max|u|; a term of u^T G w: 16 max|u| max|w| < 300 n;
+#   - g11 = 16 (x^2 + y^2) / g^2: 16 n; g12: sqrt(g11 g22) <= 28 n; g22 = X^2 + Y^2 + 10 Z^2 in
+#     the norm's split form: 49 n, as |X| <= |x - 10 z| + x <= max(2x, 10 z), |Y| <= y + 1,
+#     |Z| <= y and X^2 + 11 y^2 <= 44 n;
+#   - a form entry in the Gauss reduction of (g11 / 4, g12 / 2, g22 / 4), d = 160 n / I^2 <= 40 n:
+#     14 n, as a only falls and a shift leaves |b| <= a and c = (d + b^2) / 4a <= 11 n;
+#   - a witness entry: 17 n, as each column (x, y) takes the start form's value f <= 14 n, and
+#     4 c0 f >= d x^2, 4 a0 f >= d y^2 (d >= 3); any other value is a sum or difference of two;
+#   - a term a x^2, |b x y| or c y^2 of the witness check: 28 n, twice a reduced form's value
+#     a0 <= 4 n or c0 <= 12.25 n, or 4 sqrt(a0 c0) in the middle entry.
 # - Every multi-column sort is an argsort of one _one_key, of numpy's default kind, whose radices
 #   multiply to below 2**63 (bits = log2 of that product).  The other sorts take one column:
 #   twosquares._block_reps' argsort of f_row, whose ties are one row's factors, multiplied in any
@@ -62,7 +61,7 @@ from .lattice import GRAM, ComplementAnomaly
 #   - twosquares._hits (i, p), i < _BLOCK = 2**12, p <= sqrt(4n): 29 bits;
 #   - twosquares._block_reps (row, x, y), x <= sqrt(2n), y <= sqrt(4n): 45 bits.
 MAX_N = 2 * 10**9
-# (z, x) pairs per numpy block in orbit_reps; bounds its working memory
+# (z, x) pairs per numpy block of whole z rows in orbit_reps, or one row; bounds its working memory
 _CHUNK = 2**13
 # rows per block in orbit_classes; bounds its working memory
 _ROWS = 2**11
@@ -113,6 +112,11 @@ def _starts(key: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate([[len(key) > 0], key[1:] != key[:-1]]))
 
 
+def _ragged(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c of counts, concatenated (int64)."""
+    return np.arange(counts.sum(), dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def _isqrt_np(m: np.ndarray) -> np.ndarray:
     """floor(sqrt(m)) for int64 0 <= m <= 2**62 (the float estimate is off by at most 1)."""
     s = np.sqrt(m.astype(np.float64)).astype(np.int64)
@@ -131,24 +135,21 @@ def orbit_reps(lo: int, hi: int) -> np.ndarray:
     points are the rows, as an (k, 3) int64 array ordered by z, x, y.
 
     The walk runs over the (z, x) pairs with 10 z^2 + 2 x^2 <= 4 hi in
-    blocks of `_CHUNK` pairs, and each pair contributes the y of its
-    parity in [x, sqrt(4 hi - 10 z^2 - x^2)] with norm at least 4 lo.
+    blocks of whole z rows, at most `_CHUNK` pairs or one row, and each pair
+    contributes the y of its parity in [x, sqrt(4 hi - 10 z^2 - x^2)] with
+    norm at least 4 lo.
     """
     if not 1 <= lo <= hi <= MAX_N:
         raise ValueError(f"need 1 <= lo <= hi <= {MAX_N}")
     top, bottom = 4 * hi, 4 * lo
     zs = np.arange(isqrt(top // 10) + 1, dtype=np.int64)
     x_counts = (_isqrt_np((top - 10 * zs * zs) // 2) - zs % 2) // 2 + 1
-    x_ends = np.cumsum(x_counts)
+    # whole z rows per block; the z = 0 row has the most pairs, isqrt(2 hi) // 2 + 1 <= 31,623
+    rows = max(1, _CHUNK // int(x_counts[0]))
     blocks = []
-    for p0 in range(0, int(x_ends[-1]), _CHUNK):  # z = x = 0 makes this at least one pair
-        # the z rows meeting pairs [p0, p0 + _CHUNK), each cut to that window
-        z0 = int(np.searchsorted(x_ends, p0, side="right"))
-        z1 = int(np.searchsorted(x_ends, p0 + _CHUNK, side="left")) + 1
-        row_starts = x_ends[z0:z1] - x_counts[z0:z1]
-        width = np.minimum(x_ends[z0:z1], p0 + _CHUNK) - np.maximum(row_starts, p0)
-        z = np.repeat(zs[z0:z1], width)
-        x = z % 2 + 2 * (np.arange(p0, p0 + z.size) - np.repeat(row_starts, width))
+    for z0 in range(0, len(zs), rows):
+        z = np.repeat(zs[z0 : z0 + rows], x_counts[z0 : z0 + rows])
+        x = z % 2 + 2 * _ragged(x_counts[z0 : z0 + rows])
         rest = top - 10 * z * z - x * x
         y_hi = _isqrt_np(rest)
         y_hi -= (y_hi - z) % 2
@@ -157,8 +158,7 @@ def orbit_reps(lo: int, hi: int) -> np.ndarray:
         np.maximum(y_lo, x, out=y_lo)
         y_lo += (y_lo - z) % 2
         count = np.maximum((y_hi - y_lo) // 2 + 1, 0)
-        step = np.arange(count.sum(), dtype=np.int64) - np.repeat(np.cumsum(count) - count, count)
-        y = np.repeat(y_lo, count) + 2 * step
+        y = np.repeat(y_lo, count) + 2 * _ragged(count)
         blocks.append(np.stack([np.repeat(x, count), y, np.repeat(z, count)], axis=1))
     return np.concatenate(blocks)
 

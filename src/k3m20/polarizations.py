@@ -24,9 +24,9 @@ closed form for every class at once; its reference, `div_feasible` in
 combines the three checks of every class at once, routing the handful of
 degrees settled by previously known models (quartic, triple-quadric, and
 the diag(4, 4) degree-40 case) and doubled polarizations L = 2M through
-explicit exclusion branches; `scan` reads its `feasible` column, and a
-report its rows' statuses as strings (reference: `class_statuses` and
-`table_statuses` in `tests/oracles.py`), which `model_verdict` combines.
+explicit exclusion branches; `scan` and `model_verdict` read its
+`feasible` column, and a report its rows' statuses as strings (reference:
+`class_statuses` and `table_statuses` in `tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -339,7 +339,7 @@ def model_verdict(report: PolarizationReport) -> ModelVerdict:
     """
     if not report.representable:
         raise ValueError("no model verdict for a non-representable degree")
-    consistent = not any(FEASIBLE in statuses for statuses in report.statuses)
+    consistent = not status_columns(report.classes)[2].any()
     label = "embedding; quadrics only" if consistent else "DISCREPANCY: obstruction feasible"
     return ModelVerdict(n=report.n, consistent=consistent, label=label)
 

@@ -16,7 +16,7 @@ from math import isqrt
 
 import numpy as np
 
-from .kernels import MAX_N, EnumerationAnomaly, _first_bad, _isqrt_np, _one_key, _starts
+from .kernels import MAX_N, EnumerationAnomaly, _first_bad, _isqrt_np, _one_key, _ragged, _starts
 
 # values m = 4n - 10 z^2 factored at once in degree_reps, and (m, prime) entries
 # per tile of the remainder test; together they bound its working memory
@@ -160,9 +160,8 @@ def _hits(
     step = np.concatenate([p, p[r > 0]])
     off = (np.concatenate([r, -r[r > 0]]) - z[0]) % step
     count = (len(z) - off + step - 1) // step
-    term = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
     prime = np.repeat(step, count)
-    hits = [(np.repeat(off, count) + term * prime, prime)]
+    hits = [(np.repeat(off, count) + _ragged(count) * prime, prime)]
     width = max(1, _TILE // len(m))
     for p0 in range(0, len(tested), width):
         tile = tested[p0 : p0 + width]
@@ -263,7 +262,7 @@ def _gaussian_products(base, twice, row, a, b, e):
         f = slot[owner]
         count = np.where(f >= 0, e[f] + 1, 1)
         owner, re, im, f = (np.repeat(v, count) for v in (owner, re, im, f))
-        k = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+        k = _ragged(count)
         fa, fb, fe = a[f], b[f], np.where(f >= 0, e[f], 0)
         for step in range(int(fe.max())):
             fb_s = np.where(step < k, fb, -fb)  # pi for the first k steps, then conj(pi)

@@ -105,12 +105,15 @@ def test_table_csv_roundtrip(capsys):
     assert len(n9) == 2
 
 
-@pytest.mark.parametrize("chunk", [cli._CHUNK, 1000, 1], ids=["chunk", "chunk-1000", "chunk-1"])
+@pytest.mark.parametrize(
+    "chunk", [cli._CHUNK, 1000, 32, 31, 1], ids=["chunk", "chunk-1000", "chunk-32", "chunk-31", "chunk-1"]
+)
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
 @pytest.mark.parametrize("max_n", [1, 2, 13, 2000])
 def test_table_matches_row_by_row_render(capsys, monkeypatch, max_n, fmt, chunk):
-    # with chunks of 1000 rows, the 10 693 rows of 2000 cross ten chunk boundaries; with
-    # chunks of 1 row every degree ends a chunk, and a degree of two rows or more outgrows one
+    # a chunk takes as many whole degrees as chunk rows of the largest degree allow, or one;
+    # the largest degree of 2000 has 31 classes, so chunks of 1000 rows take 32 degrees, chunks
+    # of 32 and 31 rows one degree, and chunks of 1 row one degree of up to 31 rows
     monkeypatch.setattr(cli, "_CHUNK", chunk)
     code, out, _ = run(capsys, "table", "--max-n", str(max_n), "--format", fmt)
     assert code == 0
@@ -269,13 +272,6 @@ def test_veronese_scaled_chase_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload == {"r": 5, "veronese_dim": 55, "quartics_cut": 4, "scaled_ambient_dim": 51}
-
-
-def test_veronese_requires_exactly_one_mode(capsys):
-    code, _, err = run(capsys, "veronese")
-    assert code == 64 and "exactly one of" in err
-    code, _, err = run(capsys, "veronese", "--n", "2", "--r", "3")
-    assert code == 64
 
 
 def test_veronese_degree_without_quadrics_fails_cleanly(capsys):
@@ -513,13 +509,15 @@ def test_result_guards_fire_under_python_optimize(fault, call, error, message):
         ["classify", "--n", str(10**9 + 1)],  # over the cost caps
         ["table", "--max-n", str(2 * 10**4 + 1)],
         ["scan", "--max-n", str(2 * 10**4 + 1)],
+        ["veronese"],  # exactly one of --n / --r
+        ["veronese", "--n", "2", "--r", "3"],
     ],
 )
 def test_usage_errors_exit_64(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 64
-    assert capsys.readouterr().err != ""
+    assert capsys.readouterr().err.startswith("usage: k3m20")
 
 
 def test_calls_in_one_process_match_fresh_processes(capsys):

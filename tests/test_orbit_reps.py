@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from k3m20 import kernels
 from k3m20.polarizations import classify, classify_range
 from k3m20.kernels import MAX_N, _isqrt_np, orbit_reps
 from oracles import enumerate_solutions, orbit
@@ -58,7 +59,7 @@ def test_reps_and_orbit_data_match_reference_up_to_2000(range_reports):
 @given(st.integers(RANGE_N + 1, 10**6))
 @example(10**6)
 def test_reps_and_orbit_data_match_reference_large_n(n):
-    # from n = 23112 on, the walk has more (z, x) pairs than one block holds
+    # from n = 18063 on, the walk has more z rows than one block of whole rows holds
     _check_degree(n, classify(n))
 
 
@@ -82,6 +83,16 @@ def test_window_is_union_of_degrees():
     assert window == per_degree
     norms = (orbit_reps(lo, hi) ** 2) @ np.array([1, 1, 10])
     assert norms.min() >= 4 * lo and norms.max() <= 4 * hi
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100, 10**6])
+@pytest.mark.parametrize("lo, hi", [(1, 300), (500, 700), (3999999, 3999999)])
+def test_blocks_of_whole_rows_match_the_default(monkeypatch, lo, hi, chunk):
+    # a block takes max(1, chunk // (pairs of the z = 0 row)) whole z rows; the z = 0 row of
+    # 3999999 has 1,415 pairs, more than a block of 100, and 10**6 is one block for all three
+    want = orbit_reps(lo, hi)
+    monkeypatch.setattr(kernels, "_CHUNK", chunk)
+    assert np.array_equal(orbit_reps(lo, hi), want)
 
 
 def test_orbit_reps_guards():
