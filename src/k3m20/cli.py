@@ -125,7 +125,7 @@ def _render_rows(row: str, sep: str, values: np.ndarray) -> Iterator[str]:
     """
     for start in range(0, len(values), _CHUNK):
         chunk = values[start : start + _CHUNK]
-        if start and sep:
+        if start:
             yield sep
         yield sep.join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
 

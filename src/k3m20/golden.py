@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import Vec, norm, same_orbit
+from .lattice import Vec, domain_point, norm
 from .polarizations import classify
 
 
@@ -122,10 +122,11 @@ class GoldenCheckResult:
 def golden_check(rows: tuple[GoldenRow, ...] = GOLDEN_ROWS) -> GoldenCheckResult:
     """Recompute every golden row and diff the pipeline against it.
 
-    Checks per row: the quadric count, the presence of the reduced form
-    among the computed transcendental classes, the sublattice index of that
-    class, and that each printed embedding vector has the right norm and
-    lands in an orbit carrying that class.  Per degree, the computed set of
+    Checks per row: the representability, quadric count and L^2 of its
+    degree, the presence of the reduced form among the degree's classes and
+    that class's sublattice index, read off the class table, and that each
+    printed embedding vector has the right norm and that the orbit of its
+    domain point carries that class.  Per degree, the computed set of
     classes must match the golden set exactly (no extras, no omissions).
     """
     diffs: list[GoldenDiff] = []
@@ -134,59 +135,44 @@ def golden_check(rows: tuple[GoldenRow, ...] = GOLDEN_ROWS) -> GoldenCheckResult
     reports = {n: classify(n) for n in degrees}
 
     for n in NON_REPRESENTABLE_GOLDEN:
-        rep = reports[n]
-        if rep.representable or len(rep.orbits):
+        if reports[n].representable:
             diffs.append(GoldenDiff(n, (0, 0, 0), "representable", False, True))
             lines.append(f"n={n}: FAIL (expected no embedding)")
         else:
             lines.append(f"n={n}: ok (no embedding, as published)")
 
+    published: dict[int, set[tuple[int, int, int]]] = {}
     for row in rows:
-        rep = reports[row.n]
-        # (canonical member, reduced form, index) of each orbit
-        orbits = [
-            ((lam, mu, delta), (a, b, c), index)
-            for lam, mu, delta, _, _, a, b, c, _, index in rep.orbits.tolist()
+        n, rep, form = row.n, reports[row.n], row.want_form
+        published.setdefault(n, set()).add(form)
+        index_of = dict(zip(rep.classes.forms(), rep.classes.index.tolist()))
+        form_of = {domain_point(o[:3]): tuple(o[5:8]) for o in rep.orbits.tolist()}
+        checks = [
+            ("representable", True, rep.representable),
+            ("q", row.want_q, rep.quadric_count),
+            ("l_squared", row.l_squared, rep.l_squared),
         ]
-        row_diffs: list[GoldenDiff] = []
-        if not rep.representable:
-            row_diffs.append(GoldenDiff(row.n, row.form, "representable", True, False))
-        if rep.quadric_count != row.want_q:
-            row_diffs.append(GoldenDiff(row.n, row.form, "q", row.want_q, rep.quadric_count))
-        if rep.l_squared != row.l_squared:
-            row_diffs.append(GoldenDiff(row.n, row.form, "l_squared", row.l_squared, rep.l_squared))
-        computed_forms = set(rep.classes.forms())
-        if row.want_form not in computed_forms:
-            row_diffs.append(
-                GoldenDiff(row.n, row.form, "tx", row.want_form, sorted(computed_forms))
-            )
-        else:
-            indices = {index for _, form, index in orbits if form == row.want_form}
-            if indices != {row.want_index}:
-                row_diffs.append(
-                    GoldenDiff(row.n, row.form, "index", row.want_index, sorted(indices))
-                )
+        row_diffs = [GoldenDiff(n, row.form, *check) for check in checks if check[1] != check[2]]
+        index = index_of.get(form)
+        if index is None:
+            row_diffs.append(GoldenDiff(n, row.form, "tx", form, sorted(index_of)))
+        elif index != row.want_index:
+            row_diffs.append(GoldenDiff(n, row.form, "index", row.want_index, [index]))
         for v in row.embeddings:
-            if norm(v) != 4 * row.n:
-                row_diffs.append(GoldenDiff(row.n, row.form, "embedding-norm", 4 * row.n, norm(v)))
-                continue
-            hits = [form for member, form, _ in orbits if same_orbit(member, v)]
-            if not hits:
-                row_diffs.append(GoldenDiff(row.n, row.form, "embedding-orbit", v, None))
-            elif hits[0] != row.want_form:
-                row_diffs.append(GoldenDiff(row.n, row.form, "embedding-class", row.want_form, hits[0]))
+            got = form_of.get(domain_point(v))
+            if norm(v) != 4 * n:
+                row_diffs.append(GoldenDiff(n, row.form, "embedding-norm", 4 * n, norm(v)))
+            elif got is None:
+                row_diffs.append(GoldenDiff(n, row.form, "embedding-orbit", v, None))
+            elif got != form:
+                row_diffs.append(GoldenDiff(n, row.form, "embedding-class", form, got))
         status = "ok" if not row_diffs else "FAIL"
         note = f"  [{row.note}]" if row.note else ""
-        lines.append(
-            f"n={row.n} form={row.form}: {status} (q={row.want_q}, I={row.want_index}){note}"
-        )
+        lines.append(f"n={n} form={row.form}: {status} (q={row.want_q}, I={row.want_index}){note}")
         diffs.extend(row_diffs)
 
     # per-degree completeness: published classes = computed classes
-    by_n: dict[int, set[tuple[int, int, int]]] = {}
-    for row in rows:
-        by_n.setdefault(row.n, set()).add(row.want_form)
-    for n, forms in sorted(by_n.items()):
+    for n, forms in sorted(published.items()):
         computed = set(reports[n].classes.forms())
         if computed != forms:
             diffs.append(GoldenDiff(n, (0, 0, 0), "class-set", sorted(forms), sorted(computed)))

@@ -135,11 +135,9 @@ def _block_reps(n: int, z: np.ndarray, m: np.ndarray, roots: tuple[np.ndarray, .
     order = np.argsort(key)
     order = order[_starts(key[order])]
     row, x, y = row[order], x[order], y[order]
-    # completeness: a point with 0 < x < y stands for 8 ordered pairs, one with x = 0 or x = y for
-    # 4, and the points of each m must stand for its r2(m) = 4 prod_p (e_p + 1)
-    weight = np.concatenate([[0], np.cumsum(np.where((x == 0) | (x == y), 4, 8))])
-    cuts = np.searchsorted(row, np.arange(len(m) + 1))
-    found = weight[cuts[1:]] - weight[cuts[:-1]]
+    # completeness: a point with 0 < x < y stands for 8 ordered pairs, one with x = 0 or x = y for 4,
+    # and the points of each m must stand for its r2(m) = 4 prod_p (e_p + 1) (as floats, exact below 2^53)
+    found = np.bincount(row, weights=np.where((x == 0) | (x == y), 4, 8), minlength=len(m))
     bad = found != r2
     bad[row[x * x + y * y != m[row]]] = True
     k = _first_bad(bad)

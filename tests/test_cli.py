@@ -120,6 +120,18 @@ def test_table_matches_row_by_row_render(capsys, monkeypatch, max_n, fmt, chunk)
     assert out == table_output(max_n, fmt)
 
 
+@pytest.mark.parametrize("chunk", [1, 7], ids=["chunk-1", "chunk-7"])
+def test_rows_across_render_chunks(capsys, monkeypatch, chunk):
+    # scan's json arrays and classify's orbit rows meet a chunk boundary of _render_rows only
+    # past _CHUNK rows, so a chunk of 1 or 7 rows puts one between (nearly) every two rows
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    code, out, _ = run(capsys, "scan", "--max-n", "2000", "--format", "json")
+    assert (code, out) == (0, json.dumps(scan_to_dict(2000), indent=2) + "\n")
+    for fmt, suffix in (("json", "json"), ("text", "txt")):
+        code, out, _ = run(capsys, "classify", "--n", "90", "--format", fmt)
+        assert (code, out) == (0, (TESTS / "data" / f"classify_90.{suffix}").read_text())
+
+
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
 @pytest.mark.parametrize(
     "launcher",

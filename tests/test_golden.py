@@ -1,5 +1,7 @@
 import dataclasses
 
+import pytest
+
 from k3m20 import golden
 from k3m20.golden import (
     GOLDEN_ROWS,
@@ -93,6 +95,67 @@ def test_golden_check_flags_injected_count_fault():
     rows[i] = dataclasses.replace(rows[i], q=37)
     result = golden_check(tuple(rows))
     assert [d.field for d in result.diffs] == ["q"]
+
+
+def _replace_row(degree, **changes):
+    """GOLDEN_ROWS with the first row of the degree changed."""
+    rows = list(GOLDEN_ROWS)
+    i = next(j for j, r in enumerate(rows) if r.n == degree)
+    rows[i] = dataclasses.replace(rows[i], **changes)
+    return tuple(rows)
+
+
+@pytest.mark.parametrize(
+    "degree, changes, diff",
+    [
+        (1, {"embeddings": ((1, 1, 1),)}, "n=1 form=(1, 0, 10): embedding-norm: expected 4, got 12"),
+        (
+            9,
+            {"embeddings": ((3, 0, 1),)},
+            "n=9 form=(1, 0, 10): embedding-class: expected (1, 0, 10), got (9, 6, 11)",
+        ),
+        (3, {"l_squared": 13}, "n=3 form=(2, 0, 15): l_squared: expected 13, got 12"),
+    ],
+    ids=["embedding-norm", "embedding-class", "l_squared"],
+)
+def test_golden_check_flags_one_injected_row_fault(degree, changes, diff):
+    result = golden_check(_replace_row(degree, **changes))
+    assert list(map(str, result.diffs)) == [diff]
+    assert [line.split(":")[0] for line in result.lines if "FAIL" in line] == [diff.split(":")[0]]
+
+
+def test_golden_check_flags_a_missing_orbit(monkeypatch):
+    def lose_first_orbit(n):
+        rep = classify(n)
+        return dataclasses.replace(rep, orbits=rep.orbits[1:]) if n == 5 else rep
+
+    monkeypatch.setattr(golden, "classify", lose_first_orbit)
+    result = golden_check()
+    assert list(map(str, result.diffs)) == [
+        "n=5 form=(5, 0, 10): embedding-orbit: expected (0, 1, -1), got None"
+    ]
+    assert "n=5 form=(5, 0, 10): FAIL (q=36, I=2)" in result.lines
+
+
+def test_golden_check_flags_a_row_of_a_non_representable_degree():
+    result = golden_check(_replace_row(2, n=6, l_squared=24))
+    assert list(map(str, result.diffs)) == [
+        "n=6 form=(2, 2, 3): representable: expected True, got False",
+        "n=6 form=(2, 2, 3): q: expected 3, got 55",
+        "n=6 form=(2, 2, 3): tx: expected (2, 2, 3), got []",
+        "n=6 form=(2, 2, 3): embedding-norm: expected 24, got 8",
+        "n=6 form=(0, 0, 0): class-set: expected [(2, 2, 3)], got []",
+    ]
+    assert result.lines[0] == "n=6: ok (no embedding, as published)"
+    assert result.lines[-1] == "n=6: FAIL (class sets differ)"
+
+
+def test_golden_check_flags_an_embedding_at_the_non_representable_degree(monkeypatch):
+    monkeypatch.setattr(golden, "classify", lambda n: classify(7 if n == 6 else n))
+    result = golden_check()
+    assert list(map(str, result.diffs)) == ["n=6 form=(0, 0, 0): representable: expected False, got True"]
+    assert result.lines[0] == "n=6: FAIL (expected no embedding)"
+    assert result.lines[1:] == golden_check().lines[1:]
 
 
 def test_golden_check_on_row_subset():

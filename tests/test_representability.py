@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -42,10 +43,13 @@ def test_closed_form_matches_enumeration_small():
 
 
 def test_representable_range_matches_closed_form():
-    # brute force over every n <= 10**6 (Dickson's theorem for x^2 + y^2 + 10 z^2)
-    flags = representable_range(10**6).tolist()
-    assert flags[0] is False
-    assert flags[1:] == [is_representable(n) for n in range(1, 10**6 + 1)]
+    # brute force over every n <= 10**6 (Dickson's theorem for x^2 + y^2 + 10 z^2), against the
+    # closed form on the whole array, and on python ints at 1..10^4 and every 997th n
+    flags = representable_range(10**6)
+    assert not flags[0]
+    assert np.array_equal(flags[1:], is_representable(np.arange(1, 10**6 + 1)))
+    scalars = [*range(1, 10**4 + 1), *range(997, 10**6 + 1, 997)]
+    assert [is_representable(n) for n in scalars] == flags[scalars].tolist()
 
 
 def test_enumerate_solutions_basic():
