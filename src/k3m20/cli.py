@@ -25,7 +25,6 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .golden import golden_check
 from .kernels import _one_key, _starts
 from .polarizations import (
     MAX_RANGE_N,
@@ -46,29 +45,30 @@ CSV_HEADER = "n,l2,q,a,b,c,lambda,mu,delta,index"
 _KEYS = CSV_HEADER.split(",")
 
 
-def _json_template(shape: object, depth: int) -> str:
-    """The % template of a json value as json.dumps(..., indent=2) prints it
-    depth levels down: shape is the value with "%d"/"%s" at its leaves,
+def _json_template(shape: object, depth: int) -> bytes:
+    """The % template, as ASCII bytes, of a json value as json.dumps(..., indent=2)
+    prints it depth levels down: shape is the value with "%d"/"%s" at its leaves,
     which the template keeps unquoted."""
     text = json.dumps(shape, indent=2).replace('"%d"', "%d").replace('"%s"', "%s")
     pad = "  " * depth
-    return pad + text.replace("\n", "\n" + pad)
+    return (pad + text.replace("\n", "\n" + pad)).encode()
 
 
+# every % template is ASCII bytes, which % fills faster than str, decoded once per chunk or report
 # one table row as csv, with its newline, and as a row object of the json array
-_CSV_ROW = ",".join(["%d"] * len(_KEYS)) + "\n"
+_CSV_ROW = b",".join([b"%d"] * len(_KEYS)) + b"\n"
 _JSON_ROW = _json_template(dict.fromkeys(_KEYS, "%d"), 1)
-# the head, row template, row separator and tail of the table in each format
+# the head (str), row template, row separator and tail (str) of the table in each format
 _TABLE_FORMATS = {
-    "csv": (CSV_HEADER + "\n", _CSV_ROW, "", ""),
-    "json": ("[\n", _JSON_ROW, ",\n", "\n]\n"),
-    "text": (f"{_BANNER}\n{CSV_HEADER}\n".replace(",", "\t"), _CSV_ROW.replace(",", "\t"), "", ""),
+    "csv": (CSV_HEADER + "\n", _CSV_ROW, b"", ""),
+    "json": ("[\n", _JSON_ROW, b",\n", "\n]\n"),
+    "text": (f"{_BANNER}\n{CSV_HEADER}\n".replace(",", "\t"), _CSV_ROW.replace(b",", b"\t"), b"", ""),
 }
 # rows per % in _render_rows, and the most per % in _write_table, which takes whole degrees
 # (or one degree of more rows); 2**12 raised the benchmark's peak RSS 0.4 MB by heap layout
 _CHUNK = 2**14
 # one orbit row of classify's text report
-_TEXT_ORBIT = "  canonical (%d, %d, %d)  size %d  div %d  tx (a,b,c) = (%d, %d, %d)  d = %d  I = %d"
+_TEXT_ORBIT = b"  canonical (%d, %d, %d)  size %d  div %d  tx (a,b,c) = (%d, %d, %d)  d = %d  I = %d"
 # a classify report and one of its orbit rows (report_to_dict, in tests/oracles.py,
 # is their reference), the scan summary (scan_to_dict) and its array elements
 _JSON_ORBIT = _json_template({
@@ -113,13 +113,13 @@ class _Parser(argparse.ArgumentParser):
 # renderers
 
 
-def _json_bool(flag: bool) -> str:
-    return "true" if flag else "false"
+def _json_bool(flag: bool) -> bytes:
+    return b"true" if flag else b"false"
 
 
-def _render_rows(row: str, sep: str, values: np.ndarray) -> Iterator[str]:
+def _render_rows(row: bytes, sep: bytes, values: np.ndarray) -> Iterator[bytes]:
     """The rows of a 2-d integer array, each through the template row and
-    joined by sep, as text chunks of _CHUNK rows: one % fills a chunk's
+    joined by sep, as byte chunks of _CHUNK rows: one % fills a chunk's
     repeated template from its values as one flat list, so that no string or
     tuple is built per row and no template or text of the whole array exists.
     """
@@ -130,18 +130,18 @@ def _render_rows(row: str, sep: str, values: np.ndarray) -> Iterator[str]:
         yield sep.join([row] * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
-def _json_array(item: str, values: np.ndarray) -> str:
+def _json_array(item: bytes, values: np.ndarray) -> bytes:
     """A json array one level below the top, as json.dumps(..., indent=2)
     prints it, with one row of values per element rendered by the template item."""
     if not len(values):
-        return "[]"
-    return "[\n" + "".join(_render_rows(item, ",\n", values)) + "\n  ]"
+        return b"[]"
+    return b"[\n" + b"".join(_render_rows(item, b",\n", values)) + b"\n  ]"
 
 
 def report_json(report: PolarizationReport) -> str:
     """The json of one classify report, without the final newline."""
     flags = (report.classes.div1.any(), report.classes.div2.any(), report.classes.eq90.any())
-    return _JSON_REPORT % (
+    return (_JSON_REPORT % (
         report.n,
         report.l_squared,
         _json_bool(report.representable),
@@ -149,7 +149,7 @@ def report_json(report: PolarizationReport) -> str:
         report.quadric_count,
         report.ambient_dim,
         *map(_json_bool, flags),
-    )
+    )).decode()
 
 
 def _write_table(fmt: str, table: ClassTable) -> None:
@@ -160,7 +160,7 @@ def _write_table(fmt: str, table: ClassTable) -> None:
     as many degrees as _CHUNK rows of the largest degree allow, or one."""
     head, row, sep, tail = _TABLE_FORMATS[fmt]
     # every row template starts with the fields n, l2 and q; each row follows a separator
-    prefix = sep + row.replace("%d", "%%d").replace("%%d", "%d", 3)
+    prefix = sep + row.replace(b"%d", b"%%d").replace(b"%%d", b"%d", 3)
     classes = np.column_stack((table.a, table.b, table.c, table.lam, table.mu, table.delta, table.index))
     starts = _starts(table.n)
     cuts = np.append(starts, len(table)).tolist()
@@ -174,7 +174,7 @@ def _write_table(fmt: str, table: ClassTable) -> None:
         if not d:  # the table's first row has no separator before it
             blocks[0] = blocks[0][len(sep) :]
         rows = classes[cuts[d] : cuts[min(d + step, len(templates))]]
-        out.write("".join(blocks) % tuple(rows.ravel().tolist()))
+        out.write((b"".join(blocks) % tuple(rows.ravel().tolist())).decode())
     out.write(tail)
 
 
@@ -183,7 +183,8 @@ def report_text(report: PolarizationReport, verdict: ModelVerdict | None) -> str
     if not report.representable:
         lines.append("no embedding (n = 4^i (16j + 6) family)")
         return "\n".join(lines) + "\n"
-    lines += [f"orbits: {len(report.orbits)}", "".join(_render_rows(_TEXT_ORBIT, "\n", report.orbits))]
+    orbits = b"".join(_render_rows(_TEXT_ORBIT, b"\n", report.orbits)).decode()
+    lines += [f"orbits: {len(report.orbits)}", orbits]
     triples = report.classes.forms()
     lines.append(f"transcendental classes: {', '.join(map(str, triples))}")
     lines.append(f"quadrics: {report.quadric_count}" + ("  (degree-4 model: none)" if report.n == 1 else ""))
@@ -224,6 +225,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_golden_check(args) -> int:
+    from .golden import golden_check  # imported here: no other subcommand builds its rows
+
     result = golden_check()
     for line in result.lines:
         print(line)
@@ -248,18 +251,15 @@ def _cmd_scan(args) -> int:
     # the degrees with a class that some obstruction check finds FEASIBLE
     anomalies = len(np.unique(table.n[status_columns(table)[2]]))
     if args.format == "json":
-        print(
-            _JSON_SCAN
-            % (
-                args.max_n,
-                args.max_n - len(non_rep),
-                _json_array(_JSON_INT, non_rep[:, None]),
-                len(classes),
-                _json_array(_JSON_TRIPLE, classes),
-                anomalies,
-                _json_array(_JSON_WITNESS, np.array([(p, *v) for p, v in witnesses]).reshape(-1, 4)),
-            )
-        )
+        print((_JSON_SCAN % (
+            args.max_n,
+            args.max_n - len(non_rep),
+            _json_array(_JSON_INT, non_rep[:, None]),
+            len(classes),
+            _json_array(_JSON_TRIPLE, classes),
+            anomalies,
+            _json_array(_JSON_WITNESS, np.array([(p, *v) for p, v in witnesses]).reshape(-1, 4)),
+        )).decode())
     else:
         print(_BANNER)
         print(f"scan 1..{args.max_n}")

@@ -143,20 +143,20 @@ def orbit_reps(lo: int, hi: int) -> np.ndarray:
         raise ValueError(f"need 1 <= lo <= hi <= {MAX_N}")
     top, bottom = 4 * hi, 4 * lo
     zs = np.arange(isqrt(top // 10) + 1, dtype=np.int64)
-    x_counts = (_isqrt_np((top - 10 * zs * zs) // 2) - zs % 2) // 2 + 1
+    x_counts = (_isqrt_np((top - 10 * zs * zs) // 2) - (zs & 1)) // 2 + 1
     # whole z rows per block; the z = 0 row has the most pairs, isqrt(2 hi) // 2 + 1 <= 31,623
     rows = max(1, _CHUNK // int(x_counts[0]))
     blocks = []
     for z0 in range(0, len(zs), rows):
         z = np.repeat(zs[z0 : z0 + rows], x_counts[z0 : z0 + rows])
-        x = z % 2 + 2 * _ragged(x_counts[z0 : z0 + rows])
+        x = (z & 1) + 2 * _ragged(x_counts[z0 : z0 + rows])
         rest = top - 10 * z * z - x * x
         y_hi = _isqrt_np(rest)
-        y_hi -= (y_hi - z) % 2
+        y_hi -= (y_hi - z) & 1
         short = rest - (top - bottom)  # y^2 >= short keeps the norm >= 4 lo
         y_lo = np.where(short > 0, _isqrt_np(np.maximum(short - 1, 0)) + 1, 0)
         np.maximum(y_lo, x, out=y_lo)
-        y_lo += (y_lo - z) % 2
+        y_lo += (y_lo - z) & 1
         count = np.maximum((y_hi - y_lo) // 2 + 1, 0)
         y = np.repeat(y_lo, count) + 2 * _ragged(count)
         blocks.append(np.stack([np.repeat(x, count), y, np.repeat(z, count)], axis=1))
@@ -183,7 +183,7 @@ def orbit_classes(ns: np.ndarray, reps: np.ndarray) -> np.ndarray:
     if len(ns) and not 1 <= ns.min() <= ns.max() <= MAX_N:
         raise ValueError(f"need 1 <= n <= {MAX_N}")
     x, y, z = reps[:, 0], reps[:, 1], reps[:, 2]
-    i = _first_bad((x < 0) | (x > y) | (z < 0) | ((x - z) % 2 != 0) | ((y - z) % 2 != 0))
+    i = _first_bad((x < 0) | (x > y) | (z < 0) | (((x - z) | (y - z)) & 1 != 0))
     if i is not None:
         raise EnumerationAnomaly(int(ns[i]), f"{tuple(reps[i].tolist())} is outside the fundamental domain")
     i = _first_bad(x * x + y * y + 10 * z * z != 4 * ns)
@@ -264,8 +264,8 @@ def _check_gram(g11: np.ndarray, g12: np.ndarray, g21: np.ndarray, g22: np.ndarr
     definiteness is left to _reduce, which certifies it without forming it."""
     for bad, what in (
         (g12 != g21, "is not symmetric"),
-        ((g11 % 4 != 0) | (g22 % 4 != 0), "has a diagonal entry not divisible by 4"),
-        (g12 % 2 != 0, "has an odd off-diagonal entry"),
+        ((g11 | g22) & 3 != 0, "has a diagonal entry not divisible by 4"),
+        (g12 & 1 != 0, "has an odd off-diagonal entry"),
         (g11 <= 0, "is not positive definite"),
     ):
         i = _first_bad(bad)

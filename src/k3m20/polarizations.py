@@ -204,7 +204,7 @@ def _classes(ns: np.ndarray, rows: np.ndarray) -> ClassTable:
     key = _one_key(ns, a, b, -index)
     order = np.argsort(key)
     starts = _starts(key[order])
-    odd = np.logical_or.reduceat(rows[order, 4] % 2 == 1, starts)
+    odd = np.logical_or.reduceat(rows[order, 4] & 1 == 1, starts)
     head = np.minimum.reduceat(order, starts)
     n, (lam, mu, delta, _, _, a, b, c, d, index) = ns[head], rows[head].T
     t = 4 * n // index

@@ -30,7 +30,7 @@ def is_representable(n):
     if np.any(n < 1):
         raise ValueError("degree parameter n must be positive")
     low = n & -n
-    return (low % 3 == 1) | (n // low % 8 != 3)
+    return (low % 3 == 1) | (n // low & 7 != 3)
 
 
 def prime_witnesses(max_n: int) -> list[tuple[int, Vec]]:
@@ -42,7 +42,7 @@ def prime_witnesses(max_n: int) -> list[tuple[int, Vec]]:
     certifying infinitely many distinct representable degrees.
     """
     primes = _odd_primes(max_n)
-    p = primes[primes % 4 == 1]
+    p = primes[primes & 3 == 1]
     a, b = _gaussian_primes(p)
     lam, mu = np.minimum(a, b), np.maximum(a, b)
     # the norm of (lam, mu, 0) is 4 (lam^2 + mu^2) by the split form

@@ -78,14 +78,14 @@ def _roots(n: int, primes: np.ndarray) -> tuple[np.ndarray, ...]:
     p = primes[~five]
     # 1 / 10 = (k p + 1) / 10 (mod p), with k = 9, 3, 7, 1 for p = 1, 3, 7, 9 (mod 10)
     a = 4 * n % p * ((np.array([0, 9, 0, 3, 0, 0, 0, 7, 0, 1])[p % 10] * p + 1) // 10) % p
-    three, five_eight = p % 4 == 3, p % 8 == 5
+    three, five_eight = p & 3 == 3, p & 7 == 5
     t = _powmod(
         np.where(five_eight, 2 * a % p, a),
         np.where(three, (p + 1) // 4, np.where(five_eight, (p - 5) // 8, (p - 1) // 2)),
         p,
     )
     r = np.where(three, t, a * t % p * ((2 * a * t % p * t - 1) % p) % p)
-    euler = p % 8 == 1
+    euler = p & 7 == 1
     root = (r * r % p == a) & (~euler | (a == 0))
     tested = p[euler & (t == 1)]
     if n % 5 == 0:
@@ -98,11 +98,11 @@ def _block_reps(n: int, z: np.ndarray, m: np.ndarray, roots: tuple[np.ndarray, .
     i, p, e, pe = _hits(z, m, *roots)
     # per m with a prime found (i is sorted): the product over its primes, or its split ones
     starts = _starts(i)
-    split = p % 4 == 1
+    split = p & 3 == 1
     left = m.copy()
     left[i[starts]] //= np.multiply.reduceat(pe, starts)
     large = left // (left & -left)  # the odd part: 1 or the one prime factor above sqrt(4n)
-    big = (large % 4 == 1) & (large > 1)
+    big = (large & 3 == 1) & (large > 1)
     h = m // np.where(big, large, 1)
     h[i[starts]] //= np.multiply.reduceat(np.where(split, pe, 1), starts)
     # m is a sum of two squares exactly when the rest h is s^2 or 2 s^2
@@ -204,7 +204,7 @@ def _gaussian_primes(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if not len(p):
         return p, p
-    c = np.where(p % 8 == 5, 2, 0)
+    c = np.where(p & 7 == 5, 2, 0)
     q = 3
     # a prime's least non-residue is below sqrt(p) + 1; a p that is not prime may have none,
     # so the search stops there and c = 2 leaves such a p to fail a^2 + b^2 = p

@@ -7,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from k3m20 import __version__, cli, polarizations
 from k3m20.cli import CSV_HEADER, main
+from k3m20.polarizations import ClassTable, quadric_count
 from oracles import parse_table_csv, scan_to_dict, table_output
 
 TESTS = Path(__file__).parent
@@ -130,6 +133,46 @@ def test_rows_across_render_chunks(capsys, monkeypatch, chunk):
     for fmt, suffix in (("json", "json"), ("text", "txt")):
         code, out, _ = run(capsys, "classify", "--n", "90", "--format", fmt)
         assert (code, out) == (0, (TESTS / "data" / f"classify_90.{suffix}").read_text())
+
+
+# the byte templates of the renderers against str %, one row at a time, on the int64 extremes
+_INT64 = st.one_of(st.sampled_from([0, -1, -(2**63), 2**63 - 1]), st.integers(-(2**63), 2**63 - 1))
+# up to 30 rows of 10 values, the widest template's fields, of which a template takes the first ones
+_INT64_ROWS = st.lists(st.lists(_INT64, min_size=10, max_size=10), max_size=30)
+_ROW_TEMPLATES = [
+    (cli._CSV_ROW, b""), (cli._TABLE_FORMATS["text"][1], b""), (cli._JSON_ROW, b",\n"),
+    (cli._TEXT_ORBIT, b"\n"), (cli._JSON_ORBIT, b",\n"), (cli._JSON_INT, b",\n"),
+    (cli._JSON_TRIPLE, b",\n"), (cli._JSON_WITNESS, b",\n"),
+]
+
+
+@pytest.mark.parametrize("chunk", [1, 7], ids=["chunk-1", "chunk-7"])
+@given(template=st.sampled_from(_ROW_TEMPLATES), values=_INT64_ROWS)
+def test_render_rows_match_str_percent(chunk, template, values):
+    row, sep = template
+    rows = np.array(values, dtype=np.int64).reshape(-1, 10)[:, : row.count(b"%d")]
+    want = sep.decode().join(row.decode() % tuple(r) for r in rows.tolist())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_CHUNK", chunk)
+        assert b"".join(cli._render_rows(row, sep, rows)).decode() == want
+
+
+@pytest.mark.parametrize("chunk", [cli._CHUNK, 7, 1], ids=["chunk", "chunk-7", "chunk-1"])
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_write_table_of_int64_extremes(capsys, monkeypatch, fmt, chunk):
+    # one class per degree; 4n and q = 2 n^2 - 3 n + 1 pass int64 at the largest n
+    ns = [1, 2**63 - 1, 2, 2**62, 3, 2**31, 4, 5, 6]
+    extremes = [0, -1, 1, -(2**63), 2**63 - 1, -(2**62), 2**62 + 1]
+    classes = np.array([np.roll(extremes, k) for k in range(len(ns))])
+    a, b, c, lam, mu, delta, index = classes.T
+    flags = np.zeros(len(ns), dtype=bool)
+    table = ClassTable(np.array(ns), a, b, c, np.ones_like(a), lam, mu, delta, index, flags, flags, flags, flags)
+    head, row, sep, tail = cli._TABLE_FORMATS[fmt]
+    lines = (row.decode() % (n, 4 * n, quadric_count(n), *r) for n, r in zip(ns, classes.tolist()))
+    want = head + sep.decode().join(lines) + tail
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    cli._write_table(fmt, table)
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
