@@ -29,7 +29,6 @@ from .kernels import _one_key, _starts
 from .polarizations import (
     MAX_RANGE_N,
     ClassTable,
-    ModelVerdict,
     PolarizationReport,
     class_table,
     classify,
@@ -88,7 +87,7 @@ _JSON_TRIPLE = _json_template(["%d"] * 3, 2)
 _JSON_WITNESS = _json_template(["%d", ["%d"] * 3], 2)
 _PARALLEL_HELP = "accepted for compatibility; a range is swept once, in one process"
 # cost caps, checked here to exit 64: classify's, below kernels.MAX_N = 2*10**9, and
-# polarizations.MAX_RANGE_N; the times in the messages were measured on a 2-CPU Xeon VM
+# kernels.MAX_RANGE_N, the largest walk; the times in the messages were measured on a 2-CPU Xeon VM
 MAX_CLASSIFY_N = 10**9
 _TOO_COSTLY_N = (
     "--n must be at most 10**9: classify factors about 0.63 sqrt(n) values"
@@ -97,7 +96,7 @@ _TOO_COSTLY_N = (
 )
 _TOO_COSTLY_MAX_N = (
     "--max-n must be at most 2*10**4: a range keeps about 0.17 N^1.5 orbits in memory"
-    " (about 1.5 s and 0.12 GB at N = 2*10**4), growing as N^1.5"
+    " (about 1.0 s and 0.12 GB at N = 2*10**4), growing as N^1.5"
 )
 
 
@@ -178,7 +177,7 @@ def _write_table(fmt: str, table: ClassTable) -> None:
     out.write(tail)
 
 
-def report_text(report: PolarizationReport, verdict: ModelVerdict | None) -> str:
+def report_text(report: PolarizationReport) -> str:
     lines = [_BANNER, f"n = {report.n}  (L^2 = {report.l_squared})"]
     if not report.representable:
         lines.append("no embedding (n = 4^i (16j + 6) family)")
@@ -189,13 +188,12 @@ def report_text(report: PolarizationReport, verdict: ModelVerdict | None) -> str
     lines.append(f"transcendental classes: {', '.join(map(str, triples))}")
     lines.append(f"quadrics: {report.quadric_count}" + ("  (degree-4 model: none)" if report.n == 1 else ""))
     lines.append(f"ambient: P^{report.ambient_dim}")
-    if verdict is not None:
-        for triple, (base_point, hyperelliptic, quadrics) in zip(triples, report.statuses):
-            lines.append(
-                f"  class {triple}: base-point {base_point};"
-                f" hyperelliptic {hyperelliptic}; quadrics {quadrics}"
-            )
-        lines.append(f"verdict: {verdict.label}")
+    for triple, (base_point, hyperelliptic, quadrics) in zip(triples, report.statuses):
+        lines.append(
+            f"  class {triple}: base-point {base_point};"
+            f" hyperelliptic {hyperelliptic}; quadrics {quadrics}"
+        )
+    lines.append(f"verdict: {model_verdict(report).label}")
     return "\n".join(lines) + "\n"
 
 
@@ -205,18 +203,15 @@ def report_text(report: PolarizationReport, verdict: ModelVerdict | None) -> str
 
 def _cmd_classify(args) -> int:
     report = classify(args.n)
-    verdict = model_verdict(report) if report.representable else None
     if args.format == "json":
         print(report_json(report))
     elif args.format == "csv":
         _write_table("csv", report.classes)
     else:
-        print(report_text(report, verdict), end="")
+        print(report_text(report), end="")
     if not report.representable:
         return 2
-    if verdict is not None and not verdict.consistent:
-        return 1
-    return 0
+    return 0 if model_verdict(report).consistent else 1
 
 
 def _cmd_table(args) -> int:

@@ -1,14 +1,16 @@
 """The numpy array layer: the orbit walk and the per-orbit invariants.
 
-`orbit_reps` walks one vector per isometry orbit of a band of norms (the
-range path; one degree is enumerated by `twosquares.degree_reps`);
+`orbit_reps` walks one vector per isometry orbit of every norm up to
+4 max_n in one pass (the range path; one degree is enumerated by
+`twosquares.degree_reps`);
 `orbit_classes` turns rows of those representatives into the per-orbit
 rows `classify` reports (canonical member, orbit size, divisibility,
 reduced transcendental form, discriminant, index), running every check of the
 one-orbit reference on whole arrays and raising its named error, so that
-the checks survive `python -O`.  Both are exact in int64 for every degree
-parameter up to MAX_N (the bound is derived next to it).  The exact
-pure-python references they are tested against are in `tests/oracles.py`.
+the checks survive `python -O`.  The walk takes max_n up to MAX_RANGE_N;
+orbit_classes is exact in int64 for every degree parameter up to MAX_N
+(the bound is derived next to it).  The exact pure-python references
+they are tested against are in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .lattice import GRAM, ComplementAnomaly
 # exact in int64, below 2**63 (about 9.2e18).  A domain point (x, y, z) of degree n has
 # x^2 + y^2 + 10 z^2 = 4n and 0 <= x <= y, so x <= sqrt(2n), y <= 2 sqrt(n), z <= sqrt(0.4 n),
 # y + z <= sqrt(4.4 n) and x + z <= sqrt(2.4 n) (Cauchy-Schwarz).  One bound per value:
-# - orbit_reps' and degree_reps' norms: 4n <= 2**62.
+# - degree_reps' norms: 4n <= 2**62; orbit_reps' are at most 4 MAX_RANGE_N.
 # - twosquares._powmod's moduli (it is exact below 2**40): the root primes, below sqrt(4n) < 2**17,
 #   and the split primes, below 2n as the odd part of an even m <= 4n.  A call squares whole when
 #   every modulus is below 2**31 (always for the root primes, and when n < 2**30), else in two limbs.
@@ -53,7 +55,7 @@ from .lattice import GRAM, ComplementAnomaly
 #   ties is not used (_classes takes each class's smallest row index).  A checked reduced form has
 #   -a < b <= a <= sqrt(d / 3), c <= (d + 1) / 4 and d = 160 n / I^2 with 3 <= d <= 40 n, so
 #   I <= sqrt(160 n / 3).  At n = MAX_N (one degree, the norm's radix 1) and
-#   N = polarizations.MAX_RANGE_N = 2*10**4 (degrees 1..N):
+#   N = MAX_RANGE_N = 2*10**4 (degrees 1..N):
 #   - orbit_classes' pairs (x, y), taken after its norm check: 33 bits; range 16;
 #   - polarizations._orbit_rows (norm, -y - z, -x - z, -z): 48 bits; range 39;
 #   - polarizations._classes (n, a, b, -I): 54 bits; range 44;
@@ -61,8 +63,9 @@ from .lattice import GRAM, ComplementAnomaly
 #   - twosquares._hits (i, p), i < _BLOCK = 2**12, p <= sqrt(4n): 29 bits;
 #   - twosquares._block_reps (row, x, y), x <= sqrt(2n), y <= sqrt(4n): 45 bits.
 MAX_N = 2 * 10**9
-# (z, x) pairs per numpy block of whole z rows in orbit_reps, or one row; bounds its working memory
-_CHUNK = 2**13
+# the largest max_n orbit_reps walks, and so the largest range class_table and classify_range
+# accept: a range keeps about 0.17 N^1.5 orbit rows in memory (478,346 at N = 2*10**4)
+MAX_RANGE_N = 2 * 10**4
 # rows per block in orbit_classes; bounds its working memory
 _ROWS = 2**11
 
@@ -125,8 +128,8 @@ def _isqrt_np(m: np.ndarray) -> np.ndarray:
     return s
 
 
-def orbit_reps(lo: int, hi: int) -> np.ndarray:
-    """One vector per isometry orbit of the vectors with 4 lo <= norm <= 4 hi.
+def orbit_reps(max_n: int) -> np.ndarray:
+    """One vector per isometry orbit of the nonzero vectors of norm at most 4 max_n.
 
     Rows are (x, y, z) = (2 lam - delta, 2 mu - delta, delta), in which the
     norm is x^2 + y^2 + 10 z^2 and the 16 isometries are the signed
@@ -134,33 +137,23 @@ def orbit_reps(lo: int, hi: int) -> np.ndarray:
     one point with 0 <= x <= y, z >= 0 and x = y = z (mod 2), and those
     points are the rows, as an (k, 3) int64 array ordered by z, x, y.
 
-    The walk runs over the (z, x) pairs with 10 z^2 + 2 x^2 <= 4 hi in
-    blocks of whole z rows, at most `_CHUNK` pairs or one row, and each pair
-    contributes the y of its parity in [x, sqrt(4 hi - 10 z^2 - x^2)] with
-    norm at least 4 lo.
+    The walk runs over the (z, x) pairs with 10 z^2 + 2 x^2 <= 4 max_n in one
+    pass, at most 7,097 at max_n = MAX_RANGE_N, and each pair contributes the
+    y of its parity in [x, sqrt(4 max_n - 10 z^2 - x^2)].
     """
-    if not 1 <= lo <= hi <= MAX_N:
-        raise ValueError(f"need 1 <= lo <= hi <= {MAX_N}")
-    top, bottom = 4 * hi, 4 * lo
+    if not 1 <= max_n <= MAX_RANGE_N:
+        raise ValueError(f"need 1 <= max_n <= {MAX_RANGE_N}")
+    top = 4 * max_n
     zs = np.arange(isqrt(top // 10) + 1, dtype=np.int64)
     x_counts = (_isqrt_np((top - 10 * zs * zs) // 2) - (zs & 1)) // 2 + 1
-    # whole z rows per block; the z = 0 row has the most pairs, isqrt(2 hi) // 2 + 1 <= 31,623
-    rows = max(1, _CHUNK // int(x_counts[0]))
-    blocks = []
-    for z0 in range(0, len(zs), rows):
-        z = np.repeat(zs[z0 : z0 + rows], x_counts[z0 : z0 + rows])
-        x = (z & 1) + 2 * _ragged(x_counts[z0 : z0 + rows])
-        rest = top - 10 * z * z - x * x
-        y_hi = _isqrt_np(rest)
-        y_hi -= (y_hi - z) & 1
-        short = rest - (top - bottom)  # y^2 >= short keeps the norm >= 4 lo
-        y_lo = np.where(short > 0, _isqrt_np(np.maximum(short - 1, 0)) + 1, 0)
-        np.maximum(y_lo, x, out=y_lo)
-        y_lo += (y_lo - z) & 1
-        count = np.maximum((y_hi - y_lo) // 2 + 1, 0)
-        y = np.repeat(y_lo, count) + 2 * _ragged(count)
-        blocks.append(np.stack([np.repeat(x, count), y, np.repeat(z, count)], axis=1))
-    return np.concatenate(blocks)
+    z = np.repeat(zs, x_counts)
+    x = (z & 1) + 2 * _ragged(x_counts)
+    y_hi = _isqrt_np(top - 10 * z * z - x * x)
+    y_hi -= (y_hi - z) & 1
+    count = (y_hi - x) // 2 + 1  # at least 1, as 2 x^2 <= 4 max_n - 10 z^2
+    x, z = np.repeat(x, count), np.repeat(z, count)
+    # the first row is the origin (z = x = y = 0), the one point of norm 0
+    return np.stack([x, x + 2 * _ragged(count), z], axis=1)[1:]
 
 
 def orbit_classes(ns: np.ndarray, reps: np.ndarray) -> np.ndarray:

@@ -61,7 +61,3 @@ def domain_point(v: Vec) -> Vec:
     lam, mu, delta = v
     x, y = abs(2 * lam - delta), abs(2 * mu - delta)
     return (min(x, y), max(x, y), abs(delta))
-
-
-def same_orbit(v: Vec, w: Vec) -> bool:
-    return domain_point(v) == domain_point(w)

@@ -38,6 +38,7 @@ import numpy as np
 
 from .kernels import (
     MAX_N,
+    MAX_RANGE_N,
     EnumerationAnomaly,
     ReductionAnomaly,
     _first_bad,
@@ -48,10 +49,6 @@ from .kernels import (
 )
 from .representability import is_representable
 from .twosquares import degree_reps
-
-# the largest range class_table and classify_range accept: a range keeps about
-# 0.17 N^1.5 orbit rows in memory (478,346 at N = 2*10**4)
-MAX_RANGE_N = 2 * 10**4
 
 
 class IndexAnomaly(ValueError):
@@ -218,15 +215,17 @@ def _classes(ns: np.ndarray, rows: np.ndarray) -> ClassTable:
 
 
 def class_table(max_n: int) -> ClassTable:
-    """The classification table of n = 1..max_n, from one sweep of orbit_reps(1, max_n).
+    """The classification table of n = 1..max_n, from the one pass of
+    orbit_reps(max_n) over every orbit of norm up to 4 max_n.
 
     Row for row it is the one classify_range's reports give: the classes of
     each report in order, each with its smallest orbit, index and
-    feasibility; no per-orbit object is built.
+    feasibility; no per-orbit object is built.  max_n is at most
+    MAX_RANGE_N (kernels), whose orbit rows fit in memory.
     """
     if not 1 <= max_n <= MAX_RANGE_N:
         raise ValueError(f"scan limit must be in 1..{MAX_RANGE_N}")
-    return _classes(*_orbit_rows(1, max_n, orbit_reps(1, max_n)))
+    return _classes(*_orbit_rows(1, max_n, orbit_reps(max_n)))
 
 
 def _reports(lo: int, hi: int, reps: np.ndarray) -> list[PolarizationReport]:
@@ -347,10 +346,11 @@ def model_verdict(report: PolarizationReport) -> ModelVerdict:
 def classify_range(max_n: int) -> list[PolarizationReport]:
     """Reports for n = 1..max_n, ascending, equal to [classify(n) for n in 1..max_n].
 
-    One sweep of orbit_reps(1, max_n) finds the representatives of every
-    degree at once; orbit_classes computes their invariants in blocks of
-    kernels._ROWS rows, and they are bucketed by n = norm / 4.
+    One pass of orbit_reps(max_n), max_n <= MAX_RANGE_N, finds the
+    representatives of every degree at once; orbit_classes computes their
+    invariants in blocks of kernels._ROWS rows, and they are bucketed by
+    n = norm / 4.
     """
     if not 1 <= max_n <= MAX_RANGE_N:
         raise ValueError(f"scan limit must be in 1..{MAX_RANGE_N}")
-    return _reports(1, max_n, orbit_reps(1, max_n))
+    return _reports(1, max_n, orbit_reps(max_n))

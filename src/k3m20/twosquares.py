@@ -1,12 +1,14 @@
 """One degree by sums of two squares: the orbit representatives of norm 4n, by factoring.
 
-`degree_reps(n)` returns the array of `kernels.orbit_reps(n, n)` without
-walking the norm: each of the about sqrt(0.4 n) values m = 4n - 10 z^2 is
-factored at the z where its primes up to sqrt(4n) divide it, found from the
-square roots of 4n / 10 mod p, and its points x^2 + y^2 = m are combined
-from its Gaussian primes.  The walk visits about 0.45 n (z, x) pairs for
-the same rows; it stays the range path and, in the tests, this path's
-reference (and trial division of every m the reference of the sieve).
+`degree_reps(n)` returns the domain points of norm 4n, ordered by z, x, y
+as the range walk `kernels.orbit_reps` orders its rows, without walking
+the norm: each of the about sqrt(0.4 n) values m = 4n - 10 z^2 is
+factored at the z where its primes up to sqrt(4n) divide it, found from
+the square roots of 4n / 10 mod p, and its points x^2 + y^2 = m are
+combined from its Gaussian primes.  A walk would visit about 0.45 n
+(z, x) pairs for the same rows.  In the tests, the walk's rows of each
+degree up to 3000 and a brute-force search beyond are this path's
+references (and trial division of every m the reference of the sieve).
 All arithmetic is exact in int64 for n up to kernels.MAX_N (see there).
 """
 
@@ -25,7 +27,7 @@ _TILE = 2**13
 
 
 def degree_reps(n: int) -> np.ndarray:
-    """orbit_reps(n, n) by sums of two squares: the same rows, found by factoring.
+    """The orbit representatives of norm 4n by sums of two squares, ordered by z, x, y as the walk's.
 
     For each z with m = 4n - 10 z^2 > 0, the points 0 <= x <= y with
     x^2 + y^2 = m come from m's factorization over the Gaussian integers

@@ -24,9 +24,12 @@ search or one value at a time over python ints:
   `mat_det` and `GRAM_DET` pin the Gram matrix's determinant;
   `parity_lift`, `canonical_member`, `orbit_size` and `canonical_rep` are
   those closed forms one orbit at a time (`kernels.orbit_classes` evaluates
-  them on whole arrays);
+  them on whole arrays), and `same_orbit` compares two vectors' domain
+  points;
 - `enumerate_solutions`: every vector of norm 4n, by a scan over delta and
-  lam (checks the orbit walk `kernels.orbit_reps`);
+  lam (checks the orbit walk `kernels.orbit_reps`), and `degree_points`,
+  the domain points of norm 4n by a scan over z and x, pinned to it
+  (checks `twosquares.degree_reps` and each degree of the walk);
 - the one-vector lattice algebra `is_primitive`, `divisibility`, `_xgcd`,
   `check_gram2` and `orthogonal_complement`, and the one-form Gauss
   reduction `from_gram`, `transform`, `reduce`, `canonical` and
@@ -75,7 +78,7 @@ import numpy as np
 from k3m20 import __version__, polarizations
 from k3m20.cli import CSV_HEADER
 from k3m20.golden import GOLDEN_ROWS
-from k3m20.kernels import ReductionAnomaly, orbit_reps
+from k3m20.kernels import ReductionAnomaly
 from k3m20.lattice import GRAM, ComplementAnomaly, Vec, domain_point, inner, norm
 from k3m20.polarizations import (
     DOUBLED,
@@ -252,6 +255,23 @@ def enumerate_solutions(n: int) -> list[Vec]:
     out.sort()
     assert all(norm(v) == four_n for v in out)
     return out
+
+
+def degree_points(n: int) -> np.ndarray:
+    """The domain points (x, y, z) of norm 4n, ordered by z, then x, as a (k, 3) int64 array.
+
+    For each z it takes the x of z's parity with 2 x^2 <= m = 4n - 10 z^2,
+    and keeps y = sqrt(m - x^2) when that is an integer of z's parity; so
+    0 <= x <= y and x = y = z (mod 2).  Exact over python ints.
+    """
+    points = []
+    for z in range(isqrt(4 * n // 10) + 1):
+        m = 4 * n - 10 * z * z
+        for x in range(z % 2, isqrt(m // 2) + 1, 2):
+            y = isqrt(m - x * x)
+            if y * y == m - x * x and (y - z) % 2 == 0:
+                points.append((x, y, z))
+    return np.array(points, dtype=np.int64).reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -489,6 +509,11 @@ def canonical_rep(v: Vec) -> Vec:
     return canonical_member(*domain_point(v))
 
 
+def same_orbit(v: Vec, w: Vec) -> bool:
+    """Whether v and w lie in one orbit of the 16 isometries: they share a domain point."""
+    return domain_point(v) == domain_point(w)
+
+
 # ---------------------------------------------------------------------------
 # representability, obstruction search and quadric counts
 
@@ -699,10 +724,10 @@ def parse_table_csv(text: str) -> list[tuple[int, ...]]:
 
 
 def report_to_dict(n: int) -> dict:
-    """The json payload of `classify --n n`: orbit_class on every point the
-    walk orbit_reps(n, n) finds, ordered by canonical member, and the
+    """The json payload of `classify --n n`: orbit_class on every domain point
+    of norm 4n that degree_points finds, ordered by canonical member, and the
     obstruction flags by div_feasible's search over the degree's classes."""
-    orbits = sorted((orbit_class(n, *point) for point in orbit_reps(n, n).tolist()), key=lambda o: o.canonical)
+    orbits = sorted((orbit_class(n, *point) for point in degree_points(n).tolist()), key=lambda o: o.canonical)
     discriminants = {o.discriminant for o in orbits}
     total, removed = quadric_count_parts(n)
     return {

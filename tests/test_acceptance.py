@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from k3m20.golden import GOLDEN_ROWS, golden_check
-from k3m20.lattice import GRAM, inner, norm, same_orbit
+from k3m20.lattice import GRAM, inner, norm
 from k3m20.polarizations import (
     DOUBLED_DEGREES,
     FEASIBLE,
@@ -45,6 +45,7 @@ from oracles import (
     orbit,
     reduce,
     representable_range,
+    same_orbit,
     transform,
     transform_forms,
     unimodular_entries,

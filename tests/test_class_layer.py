@@ -38,7 +38,7 @@ from k3m20.polarizations import (
     quadric_count,
     status_columns,
 )
-from oracles import class_statuses, div_feasible, index_from, table_statuses
+from oracles import class_statuses, degree_points, div_feasible, index_from, table_statuses
 
 RANGE_N = 3000
 _COLUMNS = ("n", "a", "b", "c", "d", "lam", "mu", "delta", "index", "div1", "div2", "eq90", "odd")
@@ -66,7 +66,7 @@ def _expected_rows(ns, rows):
 
 
 def test_matches_orbit_rows_and_div_feasible_up_to_3000():
-    ns, rows = polarizations._orbit_rows(1, RANGE_N, orbit_reps(1, RANGE_N))
+    ns, rows = polarizations._orbit_rows(1, RANGE_N, orbit_reps(RANGE_N))
     table = class_table(RANGE_N)
     assert _rows(table) == _expected_rows(ns, rows)
     # the prior models' hyperelliptic equations are the only solvable ones
@@ -154,8 +154,8 @@ def test_class_table_guards():
 
 @pytest.mark.parametrize("function", [class_table, classify_range], ids=["class_table", "classify_range"])
 def test_range_bound_refuses_before_the_walk(monkeypatch, function):
-    def walk(lo, hi):
-        raise AssertionError(f"orbit_reps({lo}, {hi}) was called")
+    def walk(max_n):
+        raise AssertionError(f"orbit_reps({max_n}) was called")
 
     monkeypatch.setattr(polarizations, "orbit_reps", walk)
     with pytest.raises(ValueError, match=f"scan limit must be in 1..{MAX_RANGE_N}"):
@@ -173,7 +173,7 @@ def test_range_bound_refuses_before_the_walk(monkeypatch, function):
 )
 def test_form_guard(column, value):
     # the one class of n = 3 is (2, 0, 15), d = 120; each edit breaks one clause
-    ns, rows = polarizations._orbit_rows(3, 3, orbit_reps(3, 3))
+    ns, rows = polarizations._orbit_rows(3, 3, degree_points(3))
     rows[:, column] = value
     with pytest.raises(ReductionAnomaly, match=r"breaks a, c, d > 0 and b\^2 <= ac"):
         polarizations._classes(ns, rows)
@@ -181,7 +181,7 @@ def test_form_guard(column, value):
 
 def test_discriminant_guard():
     # d = 9 * 40 at n = 1 without its form (1, 0, 10): the class's d no longer is 4ac - b^2
-    ns, rows = polarizations._orbit_rows(1, 5, orbit_reps(1, 5))
+    ns, rows = polarizations._orbit_rows(1, 5, orbit_reps(5))
     rows[:, 8] *= 9
     with pytest.raises(ReductionAnomaly, match=r"discriminant 360 at n = 1 breaks d = 4ac - b\^2"):
         polarizations._classes(ns, rows)
@@ -190,7 +190,7 @@ def test_discriminant_guard():
 def test_discriminant_guard_sees_every_orbit():
     # the second orbit of the class (5, 0, 10) of n = 5 with d = 4 * 200 and I = 2 / 2 keeps
     # d I^2 = 160 n but breaks d = 4ac - b^2; grouping by (n, a, b, -I) needs both on every orbit
-    ns, rows = polarizations._orbit_rows(1, 5, orbit_reps(1, 5))
+    ns, rows = polarizations._orbit_rows(1, 5, orbit_reps(5))
     assert ns[4] == ns[5] == 5 and rows[4, 5:10].tolist() == rows[5, 5:10].tolist() == [5, 0, 10, 200, 2]
     rows[5, 8:10] = (800, 1)
     with pytest.raises(ReductionAnomaly, match=r"discriminant 800 at n = 5 breaks d = 4ac - b\^2"):
@@ -200,7 +200,7 @@ def test_discriminant_guard_sees_every_orbit():
 def test_index_guard():
     # d = 9 * 40 at n = 1, with the form scaled by 3 to (3, 0, 30), keeps
     # d = 4ac - b^2 (and n d = 10 t^2, t = 6), but the point's index I = 2 gives 9 * 160 n
-    ns, rows = polarizations._orbit_rows(1, 5, orbit_reps(1, 5))
+    ns, rows = polarizations._orbit_rows(1, 5, orbit_reps(5))
     rows[:, 5:9] *= (3, 3, 3, 9)
     with pytest.raises(IndexAnomaly, match=r"I = 2 breaks d I\^2 = 160 n at n = 1, d = 360") as exc:
         polarizations._classes(ns, rows)
@@ -208,7 +208,7 @@ def test_index_guard():
 
 
 def test_index_from_guards_reach_the_table():
-    ns, rows = polarizations._orbit_rows(1, 5, orbit_reps(1, 5))
+    ns, rows = polarizations._orbit_rows(1, 5, orbit_reps(5))
     # c one larger keeps d = 4ac - b^2 with d = 44 at n = 1: n d is not 10 times a
     # square, which index_from checks first, and d I^2 = 160 n fails at the point's I = 2
     rows[:, 7] += 1
@@ -237,14 +237,28 @@ def test_orbits_of_a_degree_the_closed_form_rejects(monkeypatch):
 def test_no_orbits_for_a_representable_degree(monkeypatch):
     walk = polarizations.orbit_reps
 
-    def without_degree_5(lo, hi):
-        reps = walk(lo, hi)
+    def without_degree_5(max_n):
+        reps = walk(max_n)
         return reps[(reps * reps) @ np.array([1, 1, 10]) != 20]
 
     monkeypatch.setattr(polarizations, "orbit_reps", without_degree_5)
     with pytest.raises(EnumerationAnomaly, match="0 orbits found, .* representable=True") as exc:
         class_table(8)
     assert exc.value.n == 5
+
+
+@pytest.mark.parametrize(
+    "point, message",
+    [([0, 0, 0], "does not have norm 4"), ([0, 6, 0], "does not have norm 32")],
+    ids=["origin", "degree-9"],
+)
+def test_walk_rows_off_the_range_are_refused(monkeypatch, point, message):
+    # _orbit_rows clips each degree into 1..max_n, so that orbit_classes' norm check
+    # refuses the origin and a point past the range instead of adding a degree to the table
+    walk = polarizations.orbit_reps
+    monkeypatch.setattr(polarizations, "orbit_reps", lambda max_n: np.concatenate([walk(max_n), [point]]))
+    with pytest.raises(EnumerationAnomaly, match=message):
+        class_table(8)
 
 
 # ---------------------------------------------------------------------------

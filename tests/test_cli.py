@@ -346,7 +346,7 @@ def test_enumeration_anomaly_exits_1(capsys, monkeypatch, argv):
     if argv[0] in ("classify", "golden-check"):
         monkeypatch.setattr(polarizations, "degree_reps", lambda n: bad)
     else:
-        monkeypatch.setattr(polarizations, "orbit_reps", lambda lo, hi: bad)
+        monkeypatch.setattr(polarizations, "orbit_reps", lambda max_n: bad)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
@@ -387,13 +387,20 @@ _NOT_TEN_SQUARES = _corrupt_rows("rows[:, 7] += 1; rows[:, 8] += 4 * rows[:, 5]"
 # need about 2**105 keys, which kernels._one_key refuses before any int64 wraps
 _FAR_POINTS = (
     "import numpy as np\n"
-    "polarizations.orbit_reps = lambda lo, hi: np.array([[0, 0, 0], [0, 2**20, 2**20]])\n"
+    "polarizations.orbit_reps = lambda max_n: np.array([[0, 0, 0], [0, 2**20, 2**20]])\n"
 )
 # a walk that finds the orbit (0, 12, 0) of n = 36 twice, which the orbit sort's key shows
 _REPEATED_ORBIT = (
     "import numpy as np\n"
     "reps = polarizations.orbit_reps\n"
-    "polarizations.orbit_reps = lambda lo, hi: np.concatenate([reps(lo, hi), [[0, 12, 0]]])\n"
+    "polarizations.orbit_reps = lambda max_n: np.concatenate([reps(max_n), [[0, 12, 0]]])\n"
+)
+# a walk with a point past its range, (0, 6, 0) of degree 9, which _orbit_rows clips to
+# degree 8 and orbit_classes' norm check refuses, so that no degree 9 reaches the table
+_PAST_THE_RANGE = (
+    "import numpy as np\n"
+    "reps = polarizations.orbit_reps\n"
+    "polarizations.orbit_reps = lambda max_n: np.concatenate([reps(max_n), [[0, 6, 0]]])\n"
 )
 
 
@@ -448,6 +455,12 @@ _RANGE_SCAN = ("polarizations.classify_range(50)", ["scan", "--max-n", "50"])
         (_FAR_POINTS, _TABLE, "SortKeyAnomaly", "past int64"),
         (_REPEATED_ORBIT, _RANGE_TABLE, "EnumerationAnomaly", "at n = 36: (0, 12, 0) is found twice"),
         (_REPEATED_ORBIT, _RANGE_SCAN, "EnumerationAnomaly", "at n = 36: (0, 12, 0) is found twice"),
+        (
+            _PAST_THE_RANGE,
+            ("polarizations.class_table(8)", ["table", "--max-n", "8"]),
+            "EnumerationAnomaly",
+            "at n = 8: (0, 6, 0) does not have norm 32",
+        ),
         # the first orbit of n = 90 has d = 900 and I = 4, that of n = 1 d = 40 and I = 2
         (_scaled_complement(2), _CLASSIFY_90, "IndexAnomaly", "I = 4 breaks d I^2 = 160 n at n = 90, d = 3600"),
         (_scaled_complement(2), _TABLE_200, "IndexAnomaly", "I = 2 breaks d I^2 = 160 n at n = 1, d = 160"),
@@ -504,6 +517,7 @@ _RANGE_SCAN = ("polarizations.classify_range(50)", ["scan", "--max-n", "50"])
         "table-sort-key",
         "table-repeated-orbit",
         "scan-repeated-orbit",
+        "table-past-the-range",
         "complement-doubled",
         "table-complement-doubled",
         "complement-tripled",

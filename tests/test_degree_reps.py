@@ -1,9 +1,11 @@
-"""One degree by sums of two squares against the orbit walk.
+"""One degree by sums of two squares against the orbit walk and a brute-force search.
 
 `twosquares.degree_reps(n)` factors each m = 4n - 10 z^2 over the Gaussian
-integers; it must return exactly the array of `kernels.orbit_reps(n, n)`,
-the walk that stays the range path and is itself pinned to the pure-python
-enumeration in `test_orbit_reps.py`.
+integers; it must return exactly the rows of norm 4n of the range walk
+`kernels.orbit_reps`, in its order, for every n up to 3000, and beyond the
+walk's range exactly the array of `tests/oracles.py::degree_points`, which
+searches every x; both are pinned to the pure-python enumeration in
+`test_orbit_reps.py`.
 """
 
 import hashlib
@@ -20,18 +22,25 @@ from k3m20 import classify, twosquares
 from k3m20.cli import report_json
 from k3m20.kernels import MAX_N, orbit_reps
 from k3m20.twosquares import _gaussian_primes, _powmod, degree_reps
-from oracles import is_prime, trial_division_hits, two_squares
+from oracles import degree_points, is_prime, trial_division_hits, two_squares
 
 
-def _same(n):
-    got, want = degree_reps(n), orbit_reps(n, n)
+def _same(n, want=None):
+    got = degree_reps(n)
+    want = degree_points(n) if want is None else want
     assert got.dtype == want.dtype and got.shape == want.shape, n
     assert (got == want).all(), n
 
 
 def test_degree_reps_match_the_walk_up_to_3000():
+    # the two production paths against each other: each degree's rows of one walk, in its order
+    reps = orbit_reps(3000)
+    norms = (reps * reps) @ np.array([1, 1, 10])
+    order = np.argsort(norms, kind="stable")  # by norm, and within a norm in the walk's order
+    cuts = np.searchsorted(norms[order], 4 * np.arange(1, 3002)).tolist()
+    assert cuts[0] == 0 and cuts[-1] == len(reps)  # no origin, and no norm past 4 * 3000
     for n in range(1, 3001):
-        _same(n)
+        _same(n, reps[order[cuts[n - 1] : cuts[n]]])
 
 
 @settings(max_examples=20, deadline=None)

@@ -1,7 +1,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from k3m20.lattice import domain_point, norm, same_orbit
+from k3m20.lattice import domain_point, norm
 from oracles import (
     GENERATORS,
     IDENTITY,
@@ -21,6 +21,7 @@ from oracles import (
     orbit,
     orbit_size,
     orthogonal_complement,
+    same_orbit,
 )
 
 small = st.integers(min_value=-20, max_value=20)

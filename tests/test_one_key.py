@@ -17,8 +17,7 @@ import numpy as np
 import pytest
 
 from k3m20 import cli, polarizations
-from k3m20.kernels import MAX_N, SortKeyAnomaly, _one_key, orbit_reps
-from k3m20.polarizations import MAX_RANGE_N
+from k3m20.kernels import MAX_N, MAX_RANGE_N, SortKeyAnomaly, _one_key, orbit_reps
 from k3m20.twosquares import degree_reps
 from oracles import class_columns, distinct_forms, orbit_order
 
@@ -81,7 +80,7 @@ def _check_sorts(lo, hi, reps):
 
 @pytest.mark.parametrize("max_n", [*range(1, 61), 2000, MAX_RANGE_N])
 def test_range_sorts_match_lexsort(capsys, monkeypatch, max_n):
-    table = _check_sorts(1, max_n, orbit_reps(1, max_n))
+    table = _check_sorts(1, max_n, orbit_reps(max_n))
     # scan's distinct forms and non-representable degrees, from the same table
     monkeypatch.setattr(cli, "class_table", lambda n: table)
     assert cli.main(["scan", "--max-n", str(max_n), "--format", "json"]) == 0
@@ -138,4 +137,4 @@ def test_reversed_ties_change_no_output(capsys, monkeypatch):
     for argv, out in zip(calls, want):
         cli.main(argv)
         assert capsys.readouterr().out == out, argv
-    _check_sorts(1, 300, orbit_reps(1, 300))
+    _check_sorts(1, 300, orbit_reps(300))

@@ -27,7 +27,7 @@ from k3m20.kernels import (
 from k3m20.lattice import ComplementAnomaly
 from k3m20.polarizations import classify
 from k3m20.twosquares import degree_reps
-from oracles import EvenBinaryForm, _xgcd, canonical, orbit_class, transform
+from oracles import EvenBinaryForm, _xgcd, canonical, degree_points, orbit_class, transform
 
 RANGE_N = 2000
 
@@ -55,7 +55,7 @@ def test_no_rows():
 
 
 def test_matches_oracle_for_every_orbit_up_to_2000():
-    reps = orbit_reps(1, RANGE_N)
+    reps = orbit_reps(RANGE_N)
     assert len(reps) > 4 * 2**11  # several blocks
     _check_rows(_degrees(reps), reps)
 
@@ -64,7 +64,7 @@ def test_matches_oracle_for_every_orbit_up_to_2000():
 @given(st.integers(RANGE_N + 1, 10**6))
 @example(10**6)
 def test_classify_matches_oracle_large_n(n):
-    reps = orbit_reps(n, n).tolist()
+    reps = degree_points(n).tolist()
     want = sorted((orbit_class(n, *p) for p in reps), key=lambda o: o.canonical)
     assert classify(n).orbits.tolist() == [
         [*o.canonical, o.orbit_size, o.divisibility, *o.tx.triple(), o.discriminant, o.index] for o in want
@@ -131,7 +131,7 @@ def test_matches_oracle_around_the_int64_bound(lo, hi):
 @pytest.mark.parametrize(
     "reps",
     [
-        lambda: orbit_reps(1, RANGE_N),
+        lambda: orbit_reps(RANGE_N),
         lambda: np.concatenate([_domain_points(MAX_N - 10**6, MAX_N, 300, seed=1), _edge_points(MAX_N, 20, seed=2)]),
         lambda: degree_reps(MAX_N - 1),
     ],
@@ -158,7 +158,7 @@ def test_gram_entries_within_the_stated_bounds(monkeypatch, reps):
 def test_euclid_per_pair_across_blocks(monkeypatch):
     # the extended gcd runs once per distinct (x, y); with blocks of 5 rows, the
     # rows of one pair (which differ in z) fall in many blocks
-    reps = orbit_reps(1, 300)
+    reps = orbit_reps(300)
     ns = _degrees(reps)
     pairs = len(np.unique(reps[:, :2], axis=0))
     assert pairs < len(reps) // 2

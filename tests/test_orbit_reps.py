@@ -2,9 +2,11 @@
 
 The reference enumerates every vector of norm 4n
 (`tests/oracles.py::enumerate_solutions`, pure python) and builds each
-orbit as the set of its 16 images (`tests/oracles.py::orbit`).  `orbit_reps` must return exactly the reference's
-vectors in the fundamental domain 0 <= x <= y, z >= 0 of the split
-coordinates x = 2 lam - delta, y = 2 mu - delta, z = delta, and the
+orbit as the set of its 16 images (`tests/oracles.py::orbit`).  The
+brute-force `tests/oracles.py::degree_points` must return exactly the
+reference's vectors in the fundamental domain 0 <= x <= y, z >= 0 of the
+split coordinates x = 2 lam - delta, y = 2 mu - delta, z = delta, and the
+walk `orbit_reps(N)` exactly their union over the degrees 1..N; the
 `canonical` and `orbit_size` that `classify` derives from each of them in
 closed form must be the orbit's lexicographic minimum and its size.
 """
@@ -19,10 +21,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from k3m20 import kernels
 from k3m20.polarizations import classify, classify_range
-from k3m20.kernels import MAX_N, _isqrt_np, orbit_reps
-from oracles import enumerate_solutions, orbit
+from k3m20.kernels import MAX_RANGE_N, _isqrt_np, orbit_reps
+from oracles import degree_points, enumerate_solutions, orbit
 
 RANGE_N = 2000
 
@@ -37,7 +38,7 @@ def _check_degree(n, report):
     domain = sorted(
         (2 * lam - d, 2 * mu - d, d) for lam, mu, d in sols if 0 <= 2 * lam - d <= 2 * mu - d and d >= 0
     )
-    assert sorted(map(tuple, orbit_reps(n, n).tolist())) == domain, n
+    assert sorted(map(tuple, degree_points(n).tolist())) == domain, n
     covered: set = set()
     for lam, mu, delta, size, *_ in report.orbits.tolist():
         canonical = (lam, mu, delta)
@@ -59,7 +60,6 @@ def test_reps_and_orbit_data_match_reference_up_to_2000(range_reports):
 @given(st.integers(RANGE_N + 1, 10**6))
 @example(10**6)
 def test_reps_and_orbit_data_match_reference_large_n(n):
-    # from n = 18063 on, the walk has more z rows than one block of whole rows holds
     _check_degree(n, classify(n))
 
 
@@ -76,33 +76,26 @@ def test_classify_range_matches_per_degree(range_reports):
     assert [_fields(r) for r in range_reports] == [_fields(classify(n)) for n in range(1, RANGE_N + 1)]
 
 
-def test_window_is_union_of_degrees():
-    lo, hi = 500, 700
-    window = sorted(map(tuple, orbit_reps(lo, hi).tolist()))
-    per_degree = sorted(tuple(r) for n in range(lo, hi + 1) for r in orbit_reps(n, n).tolist())
-    assert window == per_degree
-    norms = (orbit_reps(lo, hi) ** 2) @ np.array([1, 1, 10])
-    assert norms.min() >= 4 * lo and norms.max() <= 4 * hi
+def test_range_is_union_of_degrees():
+    reps = orbit_reps(300)
+    assert reps.dtype == np.int64 and reps.shape[1] == 3
+    # ordered by z, x, y, each point once
+    zxy = list(map(tuple, reps[:, [2, 0, 1]].tolist()))
+    assert zxy == sorted(set(zxy))
+    per_degree = sorted(tuple(r) for n in range(1, 301) for r in degree_points(n).tolist())
+    assert sorted(map(tuple, reps.tolist())) == per_degree
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 100, 10**6])
-@pytest.mark.parametrize("lo, hi", [(1, 300), (500, 700), (3999999, 3999999)])
-def test_blocks_of_whole_rows_match_the_default(monkeypatch, lo, hi, chunk):
-    # a block takes max(1, chunk // (pairs of the z = 0 row)) whole z rows; the z = 0 row of
-    # 3999999 has 1,415 pairs, more than a block of 100, and 10**6 is one block for all three
-    want = orbit_reps(lo, hi)
-    monkeypatch.setattr(kernels, "_CHUNK", chunk)
-    assert np.array_equal(orbit_reps(lo, hi), want)
-
-
-def test_orbit_reps_guards():
-    for lo, hi in ((0, 5), (5, 4), (1, MAX_N + 1)):
-        with pytest.raises(ValueError):
-            orbit_reps(lo, hi)
+def test_orbit_reps_guards(monkeypatch):
+    # refused before any array is built
+    monkeypatch.setattr(np, "arange", None)
+    for max_n in (0, MAX_RANGE_N + 1):
+        with pytest.raises(ValueError, match=f"need 1 <= max_n <= {MAX_RANGE_N}"):
+            orbit_reps(max_n)
 
 
 def test_isqrt_exact_up_to_the_int64_bound():
-    # the bound _isqrt_np documents, far above the 4 * MAX_N the walk needs
+    # the bound _isqrt_np documents, far above the 4 * MAX_N degree_reps needs
     top = 2**62
     s = math.isqrt(top)
     ms = [0, 1, 2, 3, 4, top, top - 1, s * s, s * s - 1, (s - 1) ** 2, (s - 1) ** 2 - 1]
