@@ -19,7 +19,7 @@ from math import isqrt, prod
 
 import numpy as np
 
-from .lattice import GRAM, ComplementAnomaly
+from .lattice import ComplementAnomaly
 
 # The largest degree parameter n the library accepts: every value formed for n <= MAX_N is
 # exact in int64, below 2**63 (about 9.2e18).  A domain point (x, y, z) of degree n has
@@ -37,12 +37,16 @@ from .lattice import GRAM, ComplementAnomaly
 #     k u1 = u2' - u2: 16 n;
 #   - the shifted u2' = u2 + k u1, entry by entry: 4.2 sqrt(n) at the first (|w3| / I + x / g, as
 #     (-2y, -2x, w3) . u2' = 0), y / g at u1's largest entry u1[1] = -2y / g, g / I <= y at the third;
-#   - an entry of u^T G: 16 max|u|; a term of u^T G w: 16 max|u| max|w| < 300 n;
+#   - the split points (X, Y, Z) = (2 u[0] - u[2], 2 u[1] - u[2], u[2]), in which the form is
+#     X X' + Y Y' + 10 Z Z': rep's (-y, -x, -z): 2 sqrt(n); u1's (4x, -4y, 0) / g: 2y; the shifted
+#     u2's |X2| <= 2 * 4.2 sqrt(n) + 2 sqrt(n), |Y2| <= 2y / g + g / I <= 2y, |Z2| <= y; so a term
+#     of the orthogonality checks or of a Gram entry is at most 10.4^2 n < 109 n < 300 n (X2^2);
 #   - g11 = 16 (x^2 + y^2) / g^2: 16 n; g12: sqrt(g11 g22) <= 28 n; g22 = X^2 + Y^2 + 10 Z^2 in
 #     the norm's split form: 49 n, as |X| <= |x - 10 z| + x <= max(2x, 10 z), |Y| <= y + 1,
 #     |Z| <= y and X^2 + 11 y^2 <= 44 n;
 #   - a form entry in the Gauss reduction of (g11 / 4, g12 / 2, g22 / 4), d = 160 n / I^2 <= 40 n:
-#     14 n, as a only falls and a shift leaves |b| <= a and c = (d + b^2) / 4a <= 11 n;
+#     14 n, as a starts at g22 / 4 <= 12.25 n and only falls, and a shift leaves |b| <= a and
+#     c = (d + b^2) / 4a <= d / 4 + a / 4 < 13.1 n;
 #   - a witness entry: 17 n, as each column (x, y) takes the start form's value f <= 14 n, and
 #     4 c0 f >= d x^2, 4 a0 f >= d y^2 (d >= 3); any other value is a sum or difference of two;
 #   - a term a x^2, |b x y| or c y^2 of the witness check: 28 n, twice a reduced form's value
@@ -206,55 +210,54 @@ def _classes_block(pts: np.ndarray, euclid) -> np.ndarray:
 
     # the canonical member, the lift of (-y, -x, -z) (see oracles.canonical_member)
     rep = ((-y - z) // 2, (-x - z) // 2, -z)
-    r = np.gcd(np.gcd(rep[0], rep[1]), rep[2])
     # the complement is the kernel of w -> <rep, w>, the row G rep = (-2y, -2x, w3)
     # over its content div(rep) = gcd(g, w3), g = gcd(2x, 2y); Euclid on (-2y, -2x)
     # runs the quotients it would on that primitive row, so its cofactors s, t serve
     w3 = x + y - 10 * z
     g, s, t = euclid
     index = np.gcd(g, w3)
+    # h = gcd(x, y, z) = gcd(2 lam, 2 mu, delta) of rep is r or 2r, and r when h divides lam and mu
+    h = np.gcd(g // 2, z)
+    r = np.where((rep[0] % h == 0) & (rep[1] % h == 0), h, h // 2)
     flat = g == 0  # x = y = 0: u1 = (0, 1, 0), and s = 1, t = 0 and p3 = -1 make u2 = (-1, 0, 0)
     g1 = np.maximum(g, 1)
     p3 = w3 // index
     u1 = (2 * x // g1, np.where(flat, 1, -2 * y // g1), 0 * g)
     u2 = (p3 * s, p3 * t, -g // index)
     # shift u2 by the multiple of u1 that brings its entry at u1's largest, u1[1] (x <= y),
-    # nearest to 0: then every entry of u2 is O(sqrt(n)), and every Gram entry O(n) (see MAX_N)
+    # nearest to 0: then every entry of u2 is O(sqrt(n)), and every Gram entry O(n) (see MAX_N);
+    # u1's third entry is 0, so u2's stays
     k = -((2 * u2[1] + u1[1]) // (2 * u1[1]))
-    u2 = tuple(e + k * f for e, f in zip(u2, u1))
-    ug1, ug2 = _times_gram(u1), _times_gram(u2)
-    i = _first_bad((_dot(ug1, rep) != 0) | (_dot(ug2, rep) != 0))
+    u2 = (u2[0] + k * u1[0], u2[1] + k * u1[1], u2[2])
+    # in split coordinates <v, w> = X X' + Y Y' + 10 Z Z'; rep's split point is (-y, -x, -z)
+    # and u1's (X1, Y1, 0)
+    X1, Y1 = 2 * u1[0], 2 * u1[1]
+    X2, Y2, Z2 = 2 * u2[0] - u2[2], 2 * u2[1] - u2[2], u2[2]
+    i = _first_bad((X1 * y + Y1 * x != 0) | (X2 * y + Y2 * x + 10 * Z2 * z != 0))
     if i is not None:
         u1, u2, rep = (tuple(int(e[i]) for e in v) for v in (u1, u2, rep))
         raise ComplementAnomaly(f"complement anomaly: {u1}, {u2} are not both orthogonal to {rep}")
-    g11, g12, g21, g22 = _dot(ug1, u1), _dot(ug1, u2), _dot(ug2, u1), _dot(ug2, u2)
+    g11 = X1 * X1 + Y1 * Y1
+    g12 = X1 * X2 + Y1 * Y2
+    g21 = X2 * X1 + Y2 * Y1
+    g22 = X2 * X2 + Y2 * Y2 + 10 * Z2 * Z2
     _check_gram(g11, g12, g21, g22)
     form = (g11 // 4, g12 // 2, g22 // 4)
     (a, b, c), witness = _reduce(*form)
     _check_witness(form, (a, b, c), witness)
     d = 4 * a * c - b * b
 
-    # 16 over the stabiliser (see oracles.orbit_size)
-    stabiliser = np.where(z == 0, 2, 1) * np.where(
-        (x == 0) & (y == 0), 8, np.where((x == 0) | (x == y), 2, 1)
-    )
-    return np.column_stack([*rep, 16 // stabiliser, r, a, b, c, d, index])
-
-
-def _dot(u: tuple, v: tuple) -> np.ndarray:
-    """The row-wise dot product of two triples of columns (or python scalars)."""
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _times_gram(u: tuple) -> tuple:
-    """u^T G as three columns, G = lattice.GRAM's entries as python scalars."""
-    return tuple(_dot(u, column) for column in zip(*GRAM))
+    # 16 over the stabiliser (see oracles.orbit_size): 2 when z = 0, times 2 on an edge
+    # x = 0 or x = y, or 8 at x = y = 0 (y = 0, as 0 <= x <= y)
+    size = np.array([16, 8, 8, 4, 2, 1])[(z == 0) + 2 * ((x == 0) | (x == y)) + 2 * (y == 0)]
+    return np.column_stack([*rep, size, r, a, b, c, d, index])
 
 
 def _check_gram(g11: np.ndarray, g12: np.ndarray, g21: np.ndarray, g22: np.ndarray) -> None:
     """oracles.check_gram2 on the columns of Gram matrices [[g11, g12], [g21, g22]],
     raising ComplementAnomaly, but for the determinant: past g11 > 0, positive
-    definiteness is left to _reduce, which certifies it without forming it."""
+    definiteness is left to _reduce, whose first check is g22 > 0 and which
+    certifies the rest without forming the determinant."""
     for bad, what in (
         (g12 != g21, "is not symmetric"),
         ((g11 | g22) & 3 != 0, "has a diagonal entry not divisible by 4"),
@@ -286,7 +289,7 @@ def _xgcd(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def _reduce(a: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Gauss reduction of the forms (a, b, c) with a > 0 to their canonical reduced forms.
+    """Gauss reduction of the forms (a, b, c) to their canonical reduced forms.
 
     A transcendental lattice is an even positive definite rank-2 lattice;
     its Gram matrix [[4a, 2b], [2b, 4c]] is encoded as the integer triple
@@ -302,28 +305,36 @@ def _reduce(a: np.ndarray, b: np.ndarray, c: np.ndarray):
     by row: b is shifted into (-a, a], and (a, b, c) -> (c, -b, a) while
     a > c.  One more swap when a = c and b < 0 makes b >= 0 in that case,
     which is oracles.canonical.  A reduced row shifts by 0 and does not
-    swap, so the loop runs until no row swaps.
+    swap, so the loop runs until no row swaps.  It starts from the swapped
+    form (c, -b, a) with the witness [[0, -1], [1, 0]] (det 1): the
+    complement's shifted second basis vector is mostly the shorter one, so
+    the forms orbit_classes gives mostly have a > c (13,094 of the 15,827
+    orbits of degrees up to 2000), which a pass from (a, b, c) would only
+    swap.
 
-    A positive definite form takes only positive values, so a value c <= 0
-    raises ComplementAnomaly.  Each swap but the last lowers the positive
-    integer a, so the loop ends on any input, and then
-    d = 4ac - b^2 >= 3 a^2 > 0: a form that reduces is positive definite.
+    A positive definite form takes only positive values, so a value a <= 0
+    raises ComplementAnomaly, checked at the top of each pass, before the
+    shift divides by 2a (a value c <= 0 left by a shift swaps into a).
+    Each swap but the last lowers the positive integer a, so the loop ends
+    on any input, and then d = 4ac - b^2 >= 3 a^2 > 0: a form that reduces
+    is positive definite.
     """
     one, zero = np.ones_like(a), np.zeros_like(a)
-    p, q, r, s = one, zero, zero, one
+    a, b, c = c, -b, a
+    p, q, r, s = zero, -one, one, zero
     while True:
+        i = _first_bad(a <= 0)
+        if i is not None:
+            form = (int(a[i]), int(b[i]), int(c[i]))
+            raise ComplementAnomaly(f"complement anomaly: the form {form} is not positive definite")
         k = (a - b) // (2 * a)
         c = c + (a * k + b) * k
         b = b + 2 * k * a
         q, s = q + p * k, s + r * k
-        i = _first_bad(c <= 0)
-        if i is not None:
-            form = (int(a[i]), int(b[i]), int(c[i]))
-            raise ComplementAnomaly(f"complement anomaly: the form {form} is not positive definite")
         swap = (a > c) | ((a == c) & (b < 0))
         if not swap.any():
             return (a, b, c), (p, q, r, s)
-        a, b, c = np.where(swap, c, a), np.where(swap, -b, b), np.where(swap, a, c)
+        a, b, c = np.minimum(a, c), np.where(swap, -b, b), np.maximum(a, c)
         p, q, r, s = np.where(swap, q, p), np.where(swap, -p, q), np.where(swap, s, r), np.where(swap, -r, s)
 
 

@@ -62,6 +62,14 @@ def test_norm_matches_split_form(v):
     assert inner(v, v) == split_norm(v)
 
 
+@given(big_vectors, big_vectors)
+def test_inner_matches_split_form(v, w):
+    # in split coordinates (X, Y, Z) = (2 lam - delta, 2 mu - delta, delta) the form is diagonal
+    (lam, mu, delta), (lam2, mu2, delta2) = v, w
+    split = (2 * lam - delta) * (2 * lam2 - delta2) + (2 * mu - delta) * (2 * mu2 - delta2) + 10 * delta * delta2
+    assert inner(v, w) == split
+
+
 @given(big_vectors)
 def test_norm_multiple_of_four_and_positive(v):
     n = norm(v)

@@ -8,6 +8,7 @@ every orbit, in int64 up to `MAX_N`, with Gram entries within the bounds
 derived next to `MAX_N`, and each of its guards must raise its named error.
 """
 
+import inspect
 import random
 from math import isqrt
 
@@ -27,7 +28,16 @@ from k3m20.kernels import (
 from k3m20.lattice import ComplementAnomaly
 from k3m20.polarizations import classify
 from k3m20.twosquares import degree_reps
-from oracles import EvenBinaryForm, _xgcd, canonical, degree_points, orbit_class, transform
+from oracles import (
+    EvenBinaryForm,
+    _xgcd,
+    canonical,
+    canonical_member,
+    degree_points,
+    divisibility,
+    orbit_class,
+    transform,
+)
 
 RANGE_N = 2000
 
@@ -155,6 +165,18 @@ def test_gram_entries_within_the_stated_bounds(monkeypatch, reps):
     assert (g22 <= 49 * n).all()
 
 
+@pytest.mark.parametrize(
+    "point",
+    [(1, 1, 1), (3, 3, 3), (2, 2, 2), (6, 6, 6), (0, 2, 2), (4, 4, 0), (0, 0, 2), (0, 0, 4)],
+    ids=["h-1", "h-3", "r-h-2", "r-h-6", "r-half-h-2", "r-half-h-4", "flat-2", "flat-4"],
+)
+def test_divisibility_from_one_gcd(point):
+    # r is h = gcd(x, y, z) = gcd(2 lam, 2 mu, delta) when h divides lam and mu, else h / 2
+    reps = np.array([point])
+    [row] = orbit_classes(_degrees(reps), reps).tolist()
+    assert row[4] == divisibility(canonical_member(*point))[0]
+
+
 def test_euclid_per_pair_across_blocks(monkeypatch):
     # the extended gcd runs once per distinct (x, y); with blocks of 5 rows, the
     # rows of one pair (which differ in z) fall in many blocks
@@ -242,23 +264,34 @@ def test_norm_guard():
         orbit_classes(np.array([5, 5]), np.array([[1, 1, 1], [0, 2, 0]]))
 
 
-def _classify_3(monkeypatch, attr, value):
-    monkeypatch.setattr(kernels, attr, value)
+def _classify_3():
     return orbit_classes(np.array([3]), np.array([[1, 1, 1]]))
 
 
+def _patch_block(monkeypatch, old, new):
+    """Replace the one occurrence of old in kernels._classes_block's source by new."""
+    source = inspect.getsource(kernels._classes_block)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(kernels))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(kernels, "_classes_block", namespace["_classes_block"])
+
+
 @pytest.mark.parametrize(
-    "attr, value",
+    "fault",
     [
-        ("_xgcd", lambda a, b: (a * 0 + 1, a * 0, a * 0)),  # wrong cofactors
-        ("GRAM", ((4, 0, 0), (0, 4, 0), (0, 0, -40))),  # G rep is not the functional used
-        ("GRAM", ((4, 0, -2), (0, 4, -2), (-2, 0, 12))),
+        lambda mp: mp.setattr(kernels, "_xgcd", lambda a, b: (a * 0 + 1, a * 0, a * 0)),  # wrong cofactors
+        # G rep is not the functional used
+        lambda mp: _patch_block(mp, "w3 = x + y - 10 * z", "w3 = x + y + 10 * z"),
+        # u2's split point is not u2
+        lambda mp: _patch_block(mp, "2 * u2[1] - u2[2]", "2 * u2[1] + u2[2]"),
     ],
     ids=["cofactors", "functional", "functional-asymmetric"],
 )
-def test_orthogonality_guard(monkeypatch, attr, value):
+def test_orthogonality_guard(monkeypatch, fault):
+    fault(monkeypatch)
     with pytest.raises(ComplementAnomaly, match="not both orthogonal"):
-        _classify_3(monkeypatch, attr, value)
+        _classify_3()
 
 
 @pytest.mark.parametrize(
@@ -279,25 +312,28 @@ def test_gram_guards(gram, message):
         kernels._check_gram(*(np.array([good[i][j], gram[i][j], good[i][j]]) for i in (0, 1) for j in (0, 1)))
 
 
-# GRAM matrices that keep G rep = (-2, -2, -8) for the point (1, 1, 1), so the
-# complement basis stays orthogonal and the Gram matrix is what goes wrong
+# faults past the orthogonality check, in the Gram entries or the form of the point (1, 1, 1),
+# whose complement's Gram matrix is [[8, 16], [16, 92]]
 @pytest.mark.parametrize(
-    "gram, message",
+    "old, new, message",
     [
-        (((2, 0, 0), (0, 4, -2), (-2, -2, 12)), "Gram matrix .* is not symmetric"),
-        (((5, 0, -3), (0, 4, -2), (-3, -2, 13)), "Gram matrix .* not divisible by 4"),
-        (((2, 2, -2), (2, 2, -2), (-2, -2, 12)), "Gram matrix .* not positive definite"),  # g11 = 0
-        (((4, 0, -2), (0, 0, 2), (-2, 2, 8)), r"the form .* not positive definite"),  # indefinite
+        ("g21 = X2 * X1 + Y2 * Y1", "g21 = X2 * X1 - Y2 * Y1", "Gram matrix .* is not symmetric"),
+        ("+ 10 * Z2 * Z2", "+ Z2 * Z2", "Gram matrix .* not divisible by 4"),
+        ("g11 = X1 * X1 + Y1 * Y1", "g11 = X1 * X1 - Y1 * Y1", "Gram matrix .* not positive definite"),  # g11 = 0
+        ("g12 // 2,", "g12,", r"the form .* not positive definite"),  # (2, 16, 23) is indefinite
     ],
     ids=["symmetric", "diagonal", "zero", "indefinite"],
 )
-def test_wrong_gram_reaches_the_gram_guards(monkeypatch, gram, message):
+def test_wrong_gram_reaches_the_gram_guards(monkeypatch, old, new, message):
+    _patch_block(monkeypatch, old, new)
     with pytest.raises(ComplementAnomaly, match=message):
-        _classify_3(monkeypatch, "GRAM", gram)
+        _classify_3()
 
 
 @pytest.mark.parametrize(
-    "form", [(1, 3, 1), (1, 2, 1), (3, 12, 12)], ids=["indefinite", "degenerate", "degenerate-shifted"]
+    "form",
+    [(1, 3, 1), (1, 2, 1), (3, 12, 12), (2, 1, -3), (4, 0, 0)],
+    ids=["indefinite", "degenerate", "degenerate-shifted", "negative-c", "zero-c"],
 )
 def test_reduce_rejects_forms_that_are_not_positive_definite(form):
     with pytest.raises(ComplementAnomaly, match="not positive definite"):
