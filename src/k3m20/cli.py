@@ -25,7 +25,7 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from . import __version__
-from .kernels import _one_key, _starts
+from .kernels import _runs, _starts
 from .polarizations import (
     MAX_RANGE_N,
     ClassTable,
@@ -239,9 +239,8 @@ def _cmd_scan(args) -> int:
     # the degrees without a class, which class_table has checked are the non-representable ones
     non_rep = np.flatnonzero(np.bincount(table.n, minlength=args.max_n + 1)[1:] == 0) + 1
     # the distinct forms (a, b, c), sorted, as the first row of each run of equal ones
-    key = _one_key(table.a, table.b, table.c)
-    order = np.argsort(key)
-    classes = np.column_stack((table.a, table.b, table.c))[order[_starts(key[order])]]
+    order, starts = _runs(table.a, table.b, table.c)
+    classes = np.column_stack((table.a, table.b, table.c))[order[starts]]
     witnesses = prime_witnesses(args.max_n)
     # the degrees with a class that some obstruction check finds FEASIBLE
     anomalies = len(np.unique(table.n[status_columns(table)[2]]))

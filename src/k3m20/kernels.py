@@ -52,13 +52,13 @@ from .lattice import ComplementAnomaly
 #   - a term a x^2, |b x y| or c y^2 of the witness check: 28 n, twice a reduced form's value
 #     a0 <= 4 n or c0 <= 12.25 n, or 4 sqrt(a0 c0) in the middle entry.
 # - Every multi-column sort is an argsort of one _one_key, of numpy's default kind, whose radices
-#   multiply to below 2**63 (bits = log2 of that product).  The other sorts take one column:
-#   twosquares._reps' argsort of f_row, whose ties are one row's factors, multiplied in any
-#   order, and the np.unique calls of orbit_classes, _reps and cli._cmd_scan.  The default
-#   kind is not stable, so each key is unique, or its ties are equal rows, or the order of its
-#   ties is not used (_classes takes each class's smallest row index).  A checked reduced form has
-#   -a < b <= a <= sqrt(d / 3), c <= (d + 1) / 4 and d = 160 n / I^2 with 3 <= d <= 40 n, so
-#   I <= sqrt(160 n / 3).  At n = MAX_N (one degree, the norm's radix 1) and
+#   multiply to below 2**63 (bits = log2 of that product), and each that groups rows is _runs.
+#   The other sorts take one column: twosquares._reps' argsort of f_row, whose ties are one
+#   row's factors, multiplied in any order, and the np.unique calls of orbit_classes, _reps and
+#   cli._cmd_scan.  The default kind is not stable, so each key is unique, or its ties are equal
+#   rows, or their order is not used (_classes takes each class's smallest row index).  A checked
+#   reduced form has -a < b <= a <= sqrt(d / 3), c <= (d + 1) / 4 and d = 160 n / I^2 with
+#   3 <= d <= 40 n, so I <= sqrt(160 n / 3).  At n = MAX_N (one degree, the norm's radix 1) and
 #   N = MAX_RANGE_N = 2*10**4 (degrees 1..N):
 #   - orbit_classes' pairs (x, y), taken after its norm check: 33 bits; range 16;
 #   - polarizations._orbit_rows (norm, -y - z, -x - z, -z): 48 bits; range 39;
@@ -94,13 +94,11 @@ class SortKeyAnomaly(ValueError):
 def _one_key(*columns: np.ndarray) -> np.ndarray:
     """One int64 key per row of the given int64 columns, most significant first.
 
-    The key is a mixed-radix number: each column's digit is its value less
-    the column's minimum, and its radix is max - min + 1 (taken in python
-    ints).  So an argsort of the key is a lexicographic sort by the columns,
-    and equal keys are equal rows: _starts of the sorted key finds each run's
-    first row (only a stable argsort keeps equal rows in input order).
-    SortKeyAnomaly is raised unless the radices multiply to below 2**63 (see
-    MAX_N for each key's budget), so no digit or key wraps.
+    The key is a mixed-radix number: each column's digit is its value less the column's
+    minimum, and its radix is max - min + 1 (taken in python ints).  So an argsort of the
+    key is a lexicographic sort by the columns, and equal keys are equal rows: _runs is the
+    one multi-column sort-and-group.  SortKeyAnomaly is raised unless the radices multiply
+    to below 2**63 (see MAX_N for each key's budget), so no digit or key wraps.
     """
     if not len(columns[0]):
         return np.zeros(0, dtype=np.int64)
@@ -117,6 +115,13 @@ def _one_key(*columns: np.ndarray) -> np.ndarray:
 def _starts(key: np.ndarray) -> np.ndarray:
     """The index of the first entry of each run of equal entries of a sorted key (none if it is empty)."""
     return np.flatnonzero(np.concatenate([[len(key) > 0], key[1:] != key[:-1]]))
+
+
+def _runs(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): the default-kind argsort of _one_key(*columns), and _starts of the sorted key."""
+    key = _one_key(*columns)
+    order = np.argsort(key)
+    return order, _starts(key[order])
 
 
 def _ragged(counts: np.ndarray) -> np.ndarray:
@@ -216,9 +221,10 @@ def _classes_block(pts: np.ndarray, euclid) -> np.ndarray:
     w3 = x + y - 10 * z
     g, s, t = euclid
     index = np.gcd(g, w3)
-    # h = gcd(x, y, z) = gcd(2 lam, 2 mu, delta) of rep is r or 2r, and r when h divides lam and mu
+    # h = gcd(x, y, z) = gcd(2 lam, 2 mu, delta) has r's odd part, and v2(h) = v2(r) exactly when x, y
+    # and z have one lowest set bit, else v2(r) + 1 (as at z = 0 or x = y = 0, where one bit is 0)
     h = np.gcd(g // 2, z)
-    r = np.where((rep[0] % h == 0) & (rep[1] % h == 0), h, h // 2)
+    r = np.where((x & -x == y & -y) & (y & -y == z & -z), h, h // 2)
     flat = g == 0  # x = y = 0: u1 = (0, 1, 0), and s = 1, t = 0 and p3 = -1 make u2 = (-1, 0, 0)
     g1 = np.maximum(g, 1)
     p3 = w3 // index

@@ -42,8 +42,7 @@ from .kernels import (
     EnumerationAnomaly,
     ReductionAnomaly,
     _first_bad,
-    _one_key,
-    _starts,
+    _runs,
     orbit_classes,
     orbit_reps,
 )
@@ -140,12 +139,11 @@ def _orbit_rows(lo: int, hi: int, reps: np.ndarray) -> tuple[np.ndarray, np.ndar
     x, y, z = reps[:, 0], reps[:, 1], reps[:, 2]
     norms = x * x + y * y + 10 * z * z
     # by degree, then by canonical member ((-y - z) / 2, (-x - z) / 2, -z)
-    key = _one_key(norms, -y - z, -x - z, -z)
-    order = np.argsort(key)
+    order, starts = _runs(norms, -y - z, -x - z, -z)
     # the key is one-to-one on points, so a row that starts no run repeats the orbit before it
-    again = np.ones(len(key), dtype=bool)
-    again[_starts(key[order])] = False
-    del key  # not kept through orbit_classes, where the range path's memory peaks
+    again = np.ones(len(order), dtype=bool)
+    again[starts] = False
+    del starts  # not kept through orbit_classes, where the range path's memory peaks
     # a norm off 4 lo..4 hi, or not divisible by 4, fails orbit_classes' norm check
     ns = np.clip(norms[order] // 4, lo, hi)
     rows = orbit_classes(ns, reps[order])
@@ -198,9 +196,7 @@ def _classes(ns: np.ndarray, rows: np.ndarray) -> ClassTable:
         raise IndexAnomaly(bad_n, bad_d, message)
 
     # sort the key alone: a sorted copy of all ten columns would set the range path's peak memory
-    key = _one_key(ns, a, b, -index)
-    order = np.argsort(key)
-    starts = _starts(key[order])
+    order, starts = _runs(ns, a, b, -index)
     odd = np.logical_or.reduceat(rows[order, 4] & 1 == 1, starts)
     head = np.minimum.reduceat(order, starts)
     n, (lam, mu, delta, _, _, a, b, c, d, index) = ns[head], rows[head].T

@@ -18,7 +18,7 @@ from math import isqrt
 
 import numpy as np
 
-from .kernels import MAX_N, EnumerationAnomaly, _first_bad, _isqrt_np, _one_key, _ragged, _starts
+from .kernels import MAX_N, EnumerationAnomaly, _first_bad, _isqrt_np, _one_key, _ragged, _runs, _starts
 
 # (m, prime) entries per tile of the remainder test; bounds its working memory
 _TILE = 2**13
@@ -129,9 +129,8 @@ def _reps(n: int, z: np.ndarray, m: np.ndarray, roots: tuple[np.ndarray, ...]) -
 
     # one point per orbit in the domain 0 <= x <= y, ordered by z, x, y
     x, y = np.minimum(np.abs(re), np.abs(im)), np.maximum(np.abs(re), np.abs(im))
-    key = _one_key(row, x, y)
-    order = np.argsort(key)
-    order = order[_starts(key[order])]
+    order, first = _runs(row, x, y)
+    order = order[first]
     row, x, y = row[order], x[order], y[order]
     # completeness: a point with 0 < x < y stands for 8 ordered pairs, one with x = 0 or x = y for 4,
     # and the points of each m must stand for its r2(m) = 4 prod_p (e_p + 1) (as floats, exact below 2^53)

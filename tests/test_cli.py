@@ -237,6 +237,20 @@ def test_golden_check_ok(capsys):
     assert err == ""
 
 
+def test_golden_check_mismatch_exits_1(capsys, monkeypatch):
+    from k3m20 import golden
+
+    # the n = 2 row with its index 4 misprinted as 5
+    rows = tuple(replace(row, index=5) if row.n == 2 else row for row in golden.GOLDEN_ROWS)
+    check = golden.golden_check
+    monkeypatch.setattr(golden, "golden_check", lambda: check(rows))
+    code, out, err = run(capsys, "golden-check")
+    assert code == 1
+    assert err == "MISMATCH n=2 form=(2, 2, 3): index: expected 5, got [4]\n"
+    assert out.splitlines()[-1] == "golden check: 1 mismatch(es)"
+    assert "n=2 form=(2, 2, 3): FAIL (q=3, I=5)" in out.splitlines()
+
+
 # ---------------------------------------------------------------------------
 # scan
 
@@ -580,6 +594,7 @@ def test_result_guards_fire_under_python_optimize(fault, call, error, message):
         ["scan", "--max-n", str(2 * 10**4 + 1)],
         ["veronese"],  # exactly one of --n / --r
         ["veronese", "--n", "2", "--r", "3"],
+        ["veronese", "--n", "0"],
     ],
 )
 def test_usage_errors_exit_64(capsys, argv):

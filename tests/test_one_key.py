@@ -3,7 +3,8 @@
 Every multi-column sort in the package is an argsort of one mixed-radix
 int64 key, of numpy's default kind: each key is unique, or its ties are equal rows, or
 the order of its ties is not used.  Here the key is checked on its own
-(ties, negative columns, empty input, the 2**63 bound), each sort is pinned
+(ties, negative columns, empty input, the 2**63 bound), `_runs`, the one
+multi-column sort-and-group, finds the runs of equal rows, each sort is pinned
 to the multi-key `np.lexsort` order it replaced, kept in `tests/oracles.py`
 (the orbit order and the class grouping on ranges up to the cap and on
 single degrees up to `MAX_N`, `scan`'s distinct forms, and the order of
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from k3m20 import cli, polarizations
-from k3m20.kernels import MAX_N, MAX_RANGE_N, SortKeyAnomaly, _one_key, orbit_reps
+from k3m20.kernels import MAX_N, MAX_RANGE_N, SortKeyAnomaly, _one_key, _runs, orbit_reps
 from k3m20.twosquares import degree_reps
 from oracles import class_columns, distinct_forms, orbit_order
 
@@ -60,6 +61,19 @@ def test_one_key_bound():
     ):
         with pytest.raises(SortKeyAnomaly, match=r"sort key anomaly: .* past int64"):
             _one_key(*columns)
+
+
+def test_runs_group_equal_rows():
+    rng = np.random.default_rng(1)
+    columns = [rng.integers(-2, 3, 400), rng.integers(0, 4, 400)]
+    order, starts = _runs(*columns)
+    rows = np.stack(columns, axis=1)[order]
+    # the rows in lexicographic order, each run of equal rows starting at one of starts
+    assert rows.tolist() == sorted(rows.tolist())
+    assert starts.tolist() == [0, *np.flatnonzero((rows[1:] != rows[:-1]).any(axis=1)) + 1]
+    assert rows[starts].tolist() == np.unique(rows, axis=0).tolist()
+    order, starts = _runs(np.zeros(0, dtype=np.int64))
+    assert order.shape == starts.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
