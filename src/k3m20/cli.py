@@ -20,7 +20,7 @@ import json
 import operator
 import signal
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -86,7 +86,7 @@ _JSON_INT = _json_template("%d", 2)
 _JSON_TRIPLE = _json_template(["%d"] * 3, 2)
 _JSON_WITNESS = _json_template(["%d", ["%d"] * 3], 2)
 _PARALLEL_HELP = "accepted for compatibility; a range is swept once, in one process"
-# cost caps, checked here to exit 64: classify's, below kernels.MAX_N = 2*10**9, and
+# cost caps, checked while parsing to exit 64: classify's, below kernels.MAX_N = 2*10**9, and
 # kernels.MAX_RANGE_N, the largest walk; the times in the messages were measured on a 2-CPU Xeon VM
 MAX_CLASSIFY_N = 10**9
 _TOO_COSTLY_N = (
@@ -106,6 +106,20 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: D102
         self.print_usage(sys.stderr)
         self.exit(64, f"{self.prog}: error: {message}\n")
+
+
+def _bounded(low: int, high: float = float("inf"), too_high: str = "") -> Callable[[str], int]:
+    """An argparse type: the int of an argument, a usage error below low or above high."""
+    too_low = "must be a positive integer" if low == 1 else f"must be at least {low}"
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(too_low if value < low else too_high)
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -291,67 +305,48 @@ def _cmd_veronese(args) -> int:
 
 @functools.cache
 def build_parser() -> _Parser:
-    """The command line parser; built once per process, since it keeps no state between calls."""
+    """The command line parser; built once per process, since it keeps no state between calls.
+    Every bound is stated on its argument, and each subcommand names its _cmd_* as run."""
     parser = _Parser(prog="k3m20", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=_BANNER)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_classify = sub.add_parser("classify", help="classify one degree L^2 = 4n")
-    p_classify.add_argument("--n", type=int, required=True)
+    p_classify.add_argument("--n", type=_bounded(1, MAX_CLASSIFY_N, _TOO_COSTLY_N), required=True)
     p_classify.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p_classify.set_defaults(run=_cmd_classify)
 
     p_table = sub.add_parser("table", help="classification table for n = 1..max-n")
-    p_table.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p_table.add_argument("--max-n", type=_bounded(1, MAX_RANGE_N, _TOO_COSTLY_MAX_N), required=True)
     p_table.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    p_table.add_argument("--parallel", type=int, default=1, metavar="K", help=_PARALLEL_HELP)
+    p_table.add_argument("--parallel", type=_bounded(1), default=1, metavar="K", help=_PARALLEL_HELP)
+    p_table.set_defaults(run=_cmd_table)
 
-    sub.add_parser("golden-check", help="recompute the published table and diff")
+    sub.add_parser("golden-check", help="recompute the published table and diff").set_defaults(run=_cmd_golden_check)
 
     p_scan = sub.add_parser("scan", help="summary statistics for n = 1..max-n")
-    p_scan.add_argument("--max-n", type=int, required=True, dest="max_n")
+    p_scan.add_argument("--max-n", type=_bounded(1, MAX_RANGE_N, _TOO_COSTLY_MAX_N), required=True)
     p_scan.add_argument("--format", choices=("text", "json"), default="text")
-    p_scan.add_argument("--parallel", type=int, default=1, metavar="K", help=_PARALLEL_HELP)
+    p_scan.add_argument("--parallel", type=_bounded(1), default=1, metavar="K", help=_PARALLEL_HELP)
+    p_scan.set_defaults(run=_cmd_scan)
 
     p_ver = sub.add_parser("veronese", help="dimension chases for re-embeddings")
-    p_ver.add_argument("--n", type=int)
-    p_ver.add_argument("--r", type=int)
+    chase = p_ver.add_mutually_exclusive_group(required=True)
+    chase.add_argument("--n", type=_bounded(1))
+    chase.add_argument("--r", type=_bounded(3))
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
+    p_ver.set_defaults(run=_cmd_veronese)
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "classify":
-            if args.n < 1:
-                parser.error("--n must be a positive integer")
-            if args.n > MAX_CLASSIFY_N:
-                parser.error(_TOO_COSTLY_N)
-            return _cmd_classify(args)
-        if args.command in ("table", "scan"):
-            if args.max_n < 1:
-                parser.error("--max-n must be a positive integer")
-            if args.max_n > MAX_RANGE_N:
-                parser.error(_TOO_COSTLY_MAX_N)
-            if args.parallel < 1:
-                parser.error("--parallel must be a positive integer")
-            return _cmd_table(args) if args.command == "table" else _cmd_scan(args)
-        if args.command == "golden-check":
-            return _cmd_golden_check(args)
-        if args.command == "veronese":
-            if args.n is not None and args.n < 1:
-                parser.error("--n must be a positive integer")
-            if args.r is not None and args.r < 3:
-                parser.error("--r must be at least 3")
-            if (args.n is None) == (args.r is None):
-                parser.error("need exactly one of --n / --r")
-            return _cmd_veronese(args)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")  # pragma: no cover
 
 
 def entry() -> None:  # console script

@@ -574,34 +574,41 @@ def test_result_guards_fire_under_python_optimize(fault, call, error, message):
 # usage errors and version
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["classify"],  # missing --n
-        ["classify", "--n", "0"],
-        ["table", "--max-n", "0"],
-        ["table", "--max-n", "5", "--parallel", "0"],
-        ["scan", "--max-n", "5", "--parallel", "0"],
-        ["classify", "--n", str(2**60 + 1)],  # past kernels.MAX_N too
-        ["table", "--max-n", str(2**60 + 1)],
-        ["scan", "--max-n", str(2**60 + 1)],
-        ["scan", "--max-n", "5", "--format", "csv"],  # csv not offered here
-        ["veronese", "--r", "2"],
-        ["frobnicate"],
-        [],
-        ["classify", "--n", str(10**9 + 1)],  # over the cost caps
-        ["table", "--max-n", str(2 * 10**4 + 1)],
-        ["scan", "--max-n", str(2 * 10**4 + 1)],
-        ["veronese"],  # exactly one of --n / --r
-        ["veronese", "--n", "2", "--r", "3"],
-        ["veronese", "--n", "0"],
-    ],
-)
-def test_usage_errors_exit_64(capsys, argv):
+# each refused argv, with its reason as the parser words it after "error: "
+_CAP_N = "argument --n: --n must be at most 10**9"
+_CAP_MAX_N = "argument --max-n: --max-n must be at most 2*10**4"
+_USAGE_ERRORS = [
+    (["classify"], "the following arguments are required: --n"),
+    (["classify", "--n", "0"], "argument --n: must be a positive integer"),
+    (["table", "--max-n", "0"], "argument --max-n: must be a positive integer"),
+    (["table", "--max-n", "5", "--parallel", "0"], "argument --parallel: must be a positive integer"),
+    (["scan", "--max-n", "5", "--parallel", "0"], "argument --parallel: must be a positive integer"),
+    (["classify", "--n", str(2**60 + 1)], _CAP_N),  # past kernels.MAX_N too
+    (["table", "--max-n", str(2**60 + 1)], _CAP_MAX_N),
+    (["scan", "--max-n", str(2**60 + 1)], _CAP_MAX_N),
+    (["scan", "--max-n", "5", "--format", "csv"], "argument --format: invalid choice: 'csv'"),  # csv not offered here
+    (["veronese", "--r", "2"], "argument --r: must be at least 3"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ([], "the following arguments are required: command"),
+    (["classify", "--n", str(10**9 + 1)], _CAP_N),  # over the cost caps
+    (["table", "--max-n", str(2 * 10**4 + 1)], _CAP_MAX_N),
+    (["scan", "--max-n", str(2 * 10**4 + 1)], _CAP_MAX_N),
+    (["veronese"], "one of the arguments --n --r is required"),
+    (["veronese", "--n", "2", "--r", "3"], "argument --r: not allowed with argument --n"),
+    (["veronese", "--n", "0"], "argument --n: must be a positive integer"),
+    (["classify", "--n", "x"], "argument --n: invalid int value: 'x'"),  # the bounded type still names int
+]
+
+
+# the ids number the argv, as pytest numbers a list parameter
+@pytest.mark.parametrize(("argv", "reason"), _USAGE_ERRORS, ids=[f"argv{i}" for i in range(len(_USAGE_ERRORS))])
+def test_usage_errors_exit_64(capsys, argv, reason):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 64
-    assert capsys.readouterr().err.startswith("usage: k3m20")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: k3m20")
+    assert f": error: {reason}" in err
 
 
 def test_calls_in_one_process_match_fresh_processes(capsys):
@@ -613,6 +620,8 @@ def test_calls_in_one_process_match_fresh_processes(capsys):
         (["table", "--max-n", "5", "--format", "json"], None),
         (["scan", "--max-n", "30"], None),
         (["classify", "--n", "6"], "classify_6.txt"),
+        (["scan", "--max-n", "5", "--parallel", "0"], None),
+        (["veronese", "--n", "2", "--r", "3"], None),
     ]
     codes = []
     for argv, snapshot in calls:
@@ -626,7 +635,7 @@ def test_calls_in_one_process_match_fresh_processes(capsys):
         if snapshot is not None:
             assert captured.out == (TESTS / "data" / snapshot).read_text()
         codes.append(code)
-    assert codes == [64, 0, 0, 0, 2]
+    assert codes == [64, 0, 0, 0, 2, 64, 64]
 
 
 def test_version_banner(capsys):

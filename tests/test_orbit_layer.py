@@ -171,7 +171,8 @@ def test_gram_entries_within_the_stated_bounds(monkeypatch, reps):
     ids=["h-1", "h-3", "r-h-2", "r-h-6", "r-half-h-2", "r-half-h-4", "flat-2", "flat-4"],
 )
 def test_divisibility_from_one_gcd(point):
-    # r is h = gcd(x, y, z) = gcd(2 lam, 2 mu, delta) when h divides lam and mu, else h / 2
+    # r is h = gcd(x, y, z) = gcd(2 lam, 2 mu, delta) when x, y and z have one lowest set bit
+    # (x & -x == y & -y == z & -z), else h / 2
     reps = np.array([point])
     [row] = orbit_classes(_degrees(reps), reps).tolist()
     assert row[4] == divisibility(canonical_member(*point))[0]
