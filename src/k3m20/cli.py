@@ -90,12 +90,12 @@ _PARALLEL_HELP = "accepted for compatibility; a range is swept once, in one proc
 # kernels.MAX_RANGE_N, the largest walk; the times in the messages were measured on a 2-CPU Xeon VM
 MAX_CLASSIFY_N = 10**9
 _TOO_COSTLY_N = (
-    "--n must be at most 10**9: classify factors about 0.63 sqrt(n) values"
+    "must be at most 10**9: classify factors about 0.63 sqrt(n) integers"
     " 4n - 10 z^2 by a root sieve over the primes up to 2 sqrt(n)"
-    " (about 0.5 s at n = 10**9), growing about as n / log n"
+    " (about 0.5 s at n = 10**9), and grows about as n / log n"
 )
 _TOO_COSTLY_MAX_N = (
-    "--max-n must be at most 2*10**4: a range keeps about 0.17 N^1.5 orbits in memory"
+    "must be at most 2*10**4: a sweep of 1..N keeps about 0.17 N^1.5 orbits in memory"
     " (about 1.0 s and 0.12 GB at N = 2*10**4), growing as N^1.5"
 )
 

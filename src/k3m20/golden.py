@@ -1,12 +1,12 @@
-"""The published classification table, kept verbatim, with documented errata.
+"""The published classification table, as the pipeline must reproduce it.
 
-Each row stores the values exactly as printed (quadric count q, reduced
-form (a, b, c), embedding vectors, sublattice index).  Four rows of the
-published table are internally inconsistent: a printed value contradicts
-the table's own defining identities (q = 2n^2 - 3n + 1, d * I^2 = 160 n,
-or the row's own displayed Gram matrix).  Those rows carry the arithmetic
-correction in the *_expected fields together with a note; checks compare
-the pipeline against the corrected value and report the published one.
+Each row stores the values the pipeline must reproduce (quadric count q,
+reduced form (a, b, c), embedding vectors, sublattice index).  Four rows of
+the published table are internally inconsistent: a printed value
+contradicts the table's own defining identities (q = 2n^2 - 3n + 1,
+d * I^2 = 160 n, or the row's own displayed Gram matrix).  Those rows keep
+the printed value in the printed_* fields together with a note, and each
+output line names a row by its printed form.
 """
 
 from __future__ import annotations
@@ -25,28 +25,16 @@ class GoldenRow:
     form: tuple[int, int, int]
     embeddings: tuple[Vec, ...]
     index: int
-    q_expected: int | None = None
-    form_expected: tuple[int, int, int] | None = None
-    index_expected: int | None = None
+    printed_q: int | None = None
+    printed_form: tuple[int, int, int] | None = None
+    printed_index: int | None = None
     note: str = ""
-
-    @property
-    def want_q(self) -> int:
-        return self.q if self.q_expected is None else self.q_expected
-
-    @property
-    def want_form(self) -> tuple[int, int, int]:
-        return self.form if self.form_expected is None else self.form_expected
-
-    @property
-    def want_index(self) -> int:
-        return self.index if self.index_expected is None else self.index_expected
 
 
 GOLDEN_ROWS: tuple[GoldenRow, ...] = (
     GoldenRow(
-        n=1, l_squared=4, q=1, form=(1, 0, 10), embeddings=((1, 0, 0),), index=2,
-        q_expected=0,
+        n=1, l_squared=4, q=0, form=(1, 0, 10), embeddings=((1, 0, 0),), index=2,
+        printed_q=1,
         note="printed q=1; the count 2n^2-3n+1 is 0 at n=1 (the degree-4 model lies on no quadric)",
     ),
     GoldenRow(n=2, l_squared=8, q=3, form=(2, 2, 3), embeddings=((1, 1, 0),), index=4),
@@ -57,8 +45,8 @@ GOLDEN_ROWS: tuple[GoldenRow, ...] = (
         embeddings=((1, 2, 0), (0, 1, -1)), index=2,
     ),
     GoldenRow(
-        n=7, l_squared=28, q=80, form=(2, 0, 35), embeddings=((1, 1, -1),), index=4,
-        q_expected=78, index_expected=2,
+        n=7, l_squared=28, q=78, form=(2, 0, 35), embeddings=((1, 1, -1),), index=2,
+        printed_q=80, printed_index=4,
         note="printed q=80 and I=4; 2n^2-3n+1 = 78 and 160n/d = 1120/280 = 4 = 2^2",
     ),
     GoldenRow(n=8, l_squared=32, q=105, form=(2, 2, 3), embeddings=((2, 2, 0),), index=8),
@@ -67,13 +55,13 @@ GOLDEN_ROWS: tuple[GoldenRow, ...] = (
     GoldenRow(n=10, l_squared=40, q=171, form=(1, 0, 1), embeddings=((1, 1, 2),), index=20),
     GoldenRow(n=10, l_squared=40, q=171, form=(5, 0, 5), embeddings=((1, 3, 0),), index=4),
     GoldenRow(
-        n=15, l_squared=60, q=406, form=(2, 0, 3), embeddings=((2, 2, -1),), index=5,
-        index_expected=10,
+        n=15, l_squared=60, q=406, form=(2, 0, 3), embeddings=((2, 2, -1),), index=10,
+        printed_index=5,
         note="printed I=5; 160n/d = 2400/24 = 100 = 10^2",
     ),
     GoldenRow(
-        n=15, l_squared=60, q=406, form=(5, 0, 25), embeddings=((1, 0, -2),), index=1,
-        form_expected=(5, 0, 30), index_expected=2,
+        n=15, l_squared=60, q=406, form=(5, 0, 30), embeddings=((1, 0, -2),), index=2,
+        printed_form=(5, 0, 25), printed_index=1,
         note=(
             "printed (a,b,c)=(5,0,25) and I=1 contradict the row's own Gram matrix "
             "[[20,0],[0,120]], which gives (5,0,30), d=600, 160n/d = 4 = 2^2"
@@ -128,6 +116,7 @@ def golden_check(rows: tuple[GoldenRow, ...] = GOLDEN_ROWS) -> GoldenCheckResult
     printed embedding vector has the right norm and that the orbit of its
     domain point carries that class.  Per degree, the computed set of
     classes must match the golden set exactly (no extras, no omissions).
+    Each line and diff names its row by the printed form.
     """
     diffs: list[GoldenDiff] = []
     lines: list[str] = []
@@ -143,32 +132,32 @@ def golden_check(rows: tuple[GoldenRow, ...] = GOLDEN_ROWS) -> GoldenCheckResult
 
     published: dict[int, set[tuple[int, int, int]]] = {}
     for row in rows:
-        n, rep, form = row.n, reports[row.n], row.want_form
-        published.setdefault(n, set()).add(form)
+        n, rep, label = row.n, reports[row.n], row.printed_form or row.form
+        published.setdefault(n, set()).add(row.form)
         index_of = dict(zip(rep.classes.forms(), rep.classes.index.tolist()))
         form_of = {domain_point(o[:3]): tuple(o[5:8]) for o in rep.orbits.tolist()}
         checks = [
             ("representable", True, rep.representable),
-            ("q", row.want_q, rep.quadric_count),
+            ("q", row.q, rep.quadric_count),
             ("l_squared", row.l_squared, rep.l_squared),
         ]
-        row_diffs = [GoldenDiff(n, row.form, *check) for check in checks if check[1] != check[2]]
-        index = index_of.get(form)
+        row_diffs = [GoldenDiff(n, label, *check) for check in checks if check[1] != check[2]]
+        index = index_of.get(row.form)
         if index is None:
-            row_diffs.append(GoldenDiff(n, row.form, "tx", form, sorted(index_of)))
-        elif index != row.want_index:
-            row_diffs.append(GoldenDiff(n, row.form, "index", row.want_index, [index]))
+            row_diffs.append(GoldenDiff(n, label, "tx", row.form, sorted(index_of)))
+        elif index != row.index:
+            row_diffs.append(GoldenDiff(n, label, "index", row.index, [index]))
         for v in row.embeddings:
             got = form_of.get(domain_point(v))
             if norm(v) != 4 * n:
-                row_diffs.append(GoldenDiff(n, row.form, "embedding-norm", 4 * n, norm(v)))
+                row_diffs.append(GoldenDiff(n, label, "embedding-norm", 4 * n, norm(v)))
             elif got is None:
-                row_diffs.append(GoldenDiff(n, row.form, "embedding-orbit", v, None))
-            elif got != form:
-                row_diffs.append(GoldenDiff(n, row.form, "embedding-class", form, got))
+                row_diffs.append(GoldenDiff(n, label, "embedding-orbit", v, None))
+            elif got != row.form:
+                row_diffs.append(GoldenDiff(n, label, "embedding-class", row.form, got))
         status = "ok" if not row_diffs else "FAIL"
         note = f"  [{row.note}]" if row.note else ""
-        lines.append(f"n={n} form={row.form}: {status} (q={row.want_q}, I={row.want_index}){note}")
+        lines.append(f"n={n} form={label}: {status} (q={row.q}, I={row.index}){note}")
         diffs.extend(row_diffs)
 
     # per-degree completeness: published classes = computed classes

@@ -53,18 +53,17 @@ from .lattice import ComplementAnomaly
 #     a0 <= 4 n or c0 <= 12.25 n, or 4 sqrt(a0 c0) in the middle entry.
 # - Every multi-column sort is an argsort of one _one_key, of numpy's default kind, whose radices
 #   multiply to below 2**63 (bits = log2 of that product), and each that groups rows is _runs.
-#   The other sorts take one column: twosquares._reps' argsort of f_row, whose ties are one
-#   row's factors, multiplied in any order, and the np.unique calls of orbit_classes, _reps and
-#   cli._cmd_scan.  The default kind is not stable, so each key is unique, or its ties are equal
-#   rows, or their order is not used (_classes takes each class's smallest row index).  A checked
-#   reduced form has -a < b <= a <= sqrt(d / 3), c <= (d + 1) / 4 and d = 160 n / I^2 with
-#   3 <= d <= 40 n, so I <= sqrt(160 n / 3).  At n = MAX_N (one degree, the norm's radix 1) and
-#   N = MAX_RANGE_N = 2*10**4 (degrees 1..N):
+#   The other sorts take one column: twosquares._hits' argsort of i and _reps' of f_row, whose
+#   ties are one row's primes or factors, multiplied in any order, and the np.unique calls of
+#   orbit_classes, _reps and cli._cmd_scan.  The default kind is not stable, so each key is
+#   unique, or its ties are equal rows, or their order is not used (_classes takes each class's
+#   smallest row index).  A checked reduced form has -a < b <= a <= sqrt(d / 3), c <= (d + 1) / 4
+#   and d = 160 n / I^2 with 3 <= d <= 40 n, so I <= sqrt(160 n / 3).  At n = MAX_N (one degree,
+#   the norm's radix 1) and N = MAX_RANGE_N = 2*10**4 (degrees 1..N):
 #   - orbit_classes' pairs (x, y), taken after its norm check: 33 bits; range 16;
 #   - polarizations._orbit_rows (norm, -y - z, -x - z, -z): 48 bits; range 39;
 #   - polarizations._classes (n, a, b, -I): 54 bits; range 44;
 #   - cli._cmd_scan (a, b, c), range only: 37 bits;
-#   - twosquares._hits (i, p), i <= sqrt(0.4 n), p <= sqrt(4n): 32 bits;
 #   - twosquares._reps (row, x, y), row <= sqrt(0.4 n), x <= sqrt(2n), y <= sqrt(4n): 48 bits.
 MAX_N = 2 * 10**9
 # the largest max_n orbit_reps walks, and so the largest range class_table and classify_range
@@ -209,8 +208,8 @@ def _first_bad(bad: np.ndarray) -> int | None:
 
 
 def _classes_block(pts: np.ndarray, euclid) -> np.ndarray:
-    """orbit_classes for one block of checked points, on int64 columns (or python-int object
-    arrays); euclid is _xgcd(-2y, -2x) of the block's rows."""
+    """orbit_classes for one block of checked points, on int64 columns; euclid is
+    _xgcd(-2y, -2x) of the block's rows."""
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
 
     # the canonical member, the lift of (-y, -x, -z) (see oracles.canonical_member)

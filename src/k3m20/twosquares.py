@@ -18,7 +18,7 @@ from math import isqrt
 
 import numpy as np
 
-from .kernels import MAX_N, EnumerationAnomaly, _first_bad, _isqrt_np, _one_key, _ragged, _runs, _starts
+from .kernels import MAX_N, EnumerationAnomaly, _first_bad, _isqrt_np, _ragged, _runs, _starts
 
 # (m, prime) entries per tile of the remainder test; bounds its working memory
 _TILE = 2**13
@@ -147,7 +147,7 @@ def _reps(n: int, z: np.ndarray, m: np.ndarray, roots: tuple[np.ndarray, ...]) -
 
 def _hits(m: np.ndarray, p: np.ndarray, r: np.ndarray, tested: np.ndarray) -> tuple[np.ndarray, ...]:
     """(i, p, e, p^e): every odd prime p up to sqrt(4n) that divides
-    m[i] = 4n - 10 i^2, to the power e, ordered by i and p; (p, r, tested)
+    m[i] = 4n - 10 i^2, to the power e, ordered by i; (p, r, tested)
     come from `_roots`."""
     # the progressions i = r and i = -r (mod p), one when r = 0, from their first term i >= 0
     step = np.concatenate([p, p[r > 0]])
@@ -161,7 +161,7 @@ def _hits(m: np.ndarray, p: np.ndarray, r: np.ndarray, tested: np.ndarray) -> tu
         hit = np.flatnonzero(m % tile[:, None] == 0)
         hits.append((hit % len(m), tile[hit // len(m)]))
     i, p = (np.concatenate(h) for h in zip(*hits))
-    order = np.argsort(_one_key(i, p))
+    order = np.argsort(i)
     i, p = i[order], p[order]
     # divide p out of a copy of m while it divides
     cof, e = m[i], np.zeros_like(p)

@@ -55,8 +55,8 @@ search or one value at a time over python ints:
   print byte for byte; `report_to_dict` is built from `orbit_class` and
   `div_feasible`, and `scan_to_dict`'s witnesses from `two_squares`,
   sharing no code with the package's reports.
-- `documented_corrections`: the published values that `golden.GOLDEN_ROWS`
-  overrides with an arithmetic correction.
+- `documented_corrections`: the misprinted published values that
+  `golden.GOLDEN_ROWS` keeps in its `printed_*` fields.
 
 The range scan and the SL2(Z) search work in int64 numpy arrays; the group,
 the enumeration and the one-orbit references work over python ints;
@@ -777,16 +777,16 @@ def scan_to_dict(max_n: int) -> dict:
 
 
 def documented_corrections() -> tuple[tuple[int, tuple[int, int, int], str], ...]:
-    """(n, published form, field) for every published value golden.GOLDEN_ROWS overrides."""
+    """(n, published form, field) for every misprint golden.GOLDEN_ROWS keeps in a printed_* field."""
     out: list[tuple[int, tuple[int, int, int], str]] = []
     for row in GOLDEN_ROWS:
-        for field, override in (
-            ("q", row.q_expected),
-            ("form", row.form_expected),
-            ("index", row.index_expected),
+        for field, printed in (
+            ("q", row.printed_q),
+            ("form", row.printed_form),
+            ("index", row.printed_index),
         ):
-            if override is not None:
-                out.append((row.n, row.form, field))
+            if printed is not None:
+                out.append((row.n, row.printed_form or row.form, field))
     return tuple(out)
 
 

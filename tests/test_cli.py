@@ -575,8 +575,8 @@ def test_result_guards_fire_under_python_optimize(fault, call, error, message):
 
 
 # each refused argv, with its reason as the parser words it after "error: "
-_CAP_N = "argument --n: --n must be at most 10**9"
-_CAP_MAX_N = "argument --max-n: --max-n must be at most 2*10**4"
+_CAP_N = "argument --n: must be at most 10**9: "
+_CAP_MAX_N = "argument --max-n: must be at most 2*10**4: "
 _USAGE_ERRORS = [
     (["classify"], "the following arguments are required: --n"),
     (["classify", "--n", "0"], "argument --n: must be a positive integer"),

@@ -91,8 +91,13 @@ def _same_hits(n):
     m = top - 10 * z * z
     m = m[m > 0]
     roots = twosquares._roots(n, twosquares._odd_primes(isqrt(top)))
-    for g, w in zip(twosquares._hits(m, *roots), trial_division_hits(n, m)):
-        assert g.dtype == w.dtype and g.shape == w.shape and (g == w).all(), n
+    hits = twosquares._hits(m, *roots)
+    i, p = hits[:2]
+    assert (np.diff(i) >= 0).all(), n
+    # _hits orders by i alone; trial division by i, then p
+    order = np.lexsort((p, i))
+    for g, w in zip(hits, trial_division_hits(n, m)):
+        assert g.dtype == w.dtype and g.shape == w.shape and (g[order] == w).all(), n
 
 
 # a prime the sieve missed would stay in the cofactor, which degree_reps takes for one prime, so

@@ -23,21 +23,29 @@ def test_rows_cover_expected_degrees():
 def test_rows_are_self_consistent_after_corrections():
     for row in GOLDEN_ROWS:
         assert row.l_squared == 4 * row.n
-        assert row.want_q == 2 * row.n * row.n - 3 * row.n + 1
-        a, b, c = row.want_form
+        assert row.q == 2 * row.n * row.n - 3 * row.n + 1
+        a, b, c = row.form
         d = 4 * a * c - b * b
-        assert d * row.want_index**2 == 160 * row.n
+        assert d * row.index**2 == 160 * row.n
         assert row.embeddings
         for v in row.embeddings:
             assert norm(v) == row.l_squared
 
 
+def _printed(row):
+    return {"q": row.printed_q, "form": row.printed_form, "index": row.printed_index}
+
+
+def test_printed_values_differ_from_the_reproduced_ones():
+    for row in GOLDEN_ROWS:
+        for field, printed in _printed(row).items():
+            assert printed is None or printed != getattr(row, field), (row.n, field)
+
+
 def test_corrected_rows_carry_notes():
     for row in GOLDEN_ROWS:
-        overridden = any(
-            x is not None for x in (row.q_expected, row.form_expected, row.index_expected)
-        )
-        assert overridden == bool(row.note)
+        misprinted = any(x is not None for x in _printed(row).values())
+        assert misprinted == bool(row.note)
 
 
 def test_documented_corrections():
